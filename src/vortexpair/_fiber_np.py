@@ -2,13 +2,11 @@
 
 Arrays carry grid axes first and the two matrix axes last, so a field of
 r x r endomorphisms on an N x N grid has shape (N, N, r, r). All three
-kernels below are the hot path of the solver; the compiled module
-_fiberext provides the same signatures.
+kernels below are the hot path of the solver. This is the generic path
+for every rank; _kernels adds the rank-1 fast paths on top of it.
 """
 
 import numpy as np
-
-BACKEND = "numpy"
 
 
 def eigh_batch(a):

@@ -1,44 +1,25 @@
-"""Kernel backend selection.
+"""Batched fiber kernels: rank-1 fast paths over the generic numpy path.
 
-Tries the compiled extension first and falls back to the numpy
-implementation. Setting the environment variable VORTEXPAIR_NO_EXT=1
-forces the numpy path, which the benchmark and differential tests use.
+A rank-1 field is a scalar field, so its eigendecomposition and both
+functional calculi are elementwise. Every other rank goes to _fiber_np.
 """
-
-import os
 
 import numpy as np
 
 from . import _fiber_np
 
-if os.environ.get("VORTEXPAIR_NO_EXT") == "1":
-    _impl = _fiber_np
-else:
-    try:
-        from . import _fiberext as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _fiber_np
-
-BACKEND = _impl.BACKEND
-
-
-def _flat(a, r):
-    return np.ascontiguousarray(a, dtype=np.complex128).reshape(-1, r, r)
+BACKEND = "numpy"
 
 
 def eigh_batch(a):
     """Batched Hermitian eigendecomposition, grid axes first."""
     a = np.asarray(a)
-    r = a.shape[-1]
-    if r == 1:
+    if a.shape[-1] == 1:
         # rank 1 fast path, used heavily by the line-bundle instances
         w = a[..., 0].real.astype(np.float64)
         v = np.ones(a.shape, dtype=np.complex128)
         return w, v
-    if _impl is _fiber_np:
-        return _fiber_np.eigh_batch(a)
-    w, v = _impl.eigh_batch(_flat(a, r))
-    return w.reshape(a.shape[:-1]), v.reshape(a.shape)
+    return _fiber_np.eigh_batch(a)
 
 
 def apply_one(g, v):
@@ -47,11 +28,7 @@ def apply_one(g, v):
     v = np.asarray(v)
     if v.shape[-1] == 1:
         return g[..., None].astype(np.complex128)
-    if _impl is _fiber_np:
-        return _fiber_np.apply_one(g, v)
-    r = v.shape[-1]
-    out = _impl.apply_one(np.ascontiguousarray(g).reshape(-1, r), _flat(v, r))
-    return out.reshape(v.shape)
+    return _fiber_np.apply_one(g, v)
 
 
 def apply_two(k, v, a):
@@ -61,9 +38,4 @@ def apply_two(k, v, a):
     a = np.asarray(a)
     if v.shape[-1] == 1:
         return k * a
-    if _impl is _fiber_np:
-        return _fiber_np.apply_two(k, v, a)
-    r = v.shape[-1]
-    kf = np.ascontiguousarray(k, dtype=np.float64).reshape(-1, r, r)
-    out = _impl.apply_two(kf, _flat(v, r), _flat(a, r))
-    return out.reshape(v.shape)
+    return _fiber_np.apply_two(k, v, a)

@@ -301,8 +301,8 @@ def _check_geometry_calculus(rng):
 
 def _check_max_principle(rng):
     """At the grid argmax of a smooth field, P(u) must not be strongly
-    negative. A sign corruption of the contraction (the
-    VORTEXPAIR_FLIP_LAMBDA=1 drill) lands at about -sup|P| and fails."""
+    negative. A sign error in the contraction lands at about -sup|P|
+    and fails."""
     from .geometry import make_backend, random_band_scalar
     for kind, n in (("torus", 64), ("hopf", 256)):
         g = make_backend(kind, n)

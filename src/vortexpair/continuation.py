@@ -42,12 +42,8 @@ def _gmres(amat, b, rtol, maxiter, mmat):
     # maxiter bounds the total work
     restart = 80
     cycles = max(1, -(-maxiter // restart))
-    try:
-        return gmres(amat, b, rtol=rtol, atol=0.0, restart=restart,
-                     maxiter=cycles, M=mmat)
-    except TypeError:  # scipy < 1.12 spells the tolerance differently
-        return gmres(amat, b, tol=rtol, atol=0.0, restart=restart,
-                     maxiter=cycles, M=mmat)
+    return gmres(amat, b, rtol=rtol, atol=0.0, restart=restart,
+                 maxiter=cycles, M=mmat)
 
 from . import fiber, pair as pair_mod
 from ._kernels import apply_one, apply_two

@@ -16,22 +16,13 @@ p_op(u) = -(u'' + u') built by composing centered differences (second
 order), the measure is 4 pi^2 dt, and the total volume is 8 pi^2 log 2.
 The contraction carries a zeroth order piece from the torsion of the
 reduction, which is what makes this backend genuinely non Kahler.
-
-The environment variable VORTEXPAIR_FLIP_LAMBDA=1 flips the sign of
-every contraction output. It exists so the calibration checks in the
-verify command can be shown to catch a wrong sign convention.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-
-
-def _flip_requested():
-    return os.environ.get("VORTEXPAIR_FLIP_LAMBDA") == "1"
 
 
 def trace_field(a):
@@ -57,7 +48,6 @@ class TorusBackend:
         k[self.n // 2] = 0.0  # Nyquist mode carries no odd derivative
         self._kx = k.copy()
         self._ky = k.copy()
-        self._sign = -1.0 if _flip_requested() else 1.0
 
     @property
     def shape(self):
@@ -93,7 +83,7 @@ class TorusBackend:
 
     def lam11(self, c):
         """Contraction of a (1,1) coefficient field."""
-        return self._sign * self.cg * np.asarray(c)
+        return self.cg * np.asarray(c)
 
     def lam_dbar_10(self, g10, twist01=None):
         """Contraction of dbar acting on a (1,0) coefficient field.
@@ -104,7 +94,7 @@ class TorusBackend:
         w = self.dbar(g10)
         if twist01 is not None:
             w = w + twist01 @ g10 - g10 @ twist01
-        return -self._sign * self.cg * w
+        return -self.cg * w
 
     def lam_wedge_trace(self, g10, b01):
         """Contraction of tr(g10 wedge b01), a complex scalar field."""
@@ -113,7 +103,7 @@ class TorusBackend:
             c = np.einsum("...ij,...ji->...", g10, b01)
         else:
             c = g10 * b01
-        return self._sign * self.cg * c
+        return self.cg * c
 
     def pair_01(self, b1, b2):
         """Pointwise real inner product of two (0,1) coefficient fields."""
@@ -150,7 +140,6 @@ class HopfBackend:
         self.weight = 4.0 * np.pi ** 2
         self.vol = self.weight * self.period
         self.cg = 1.0
-        self._sign = -1.0 if _flip_requested() else 1.0
 
     @property
     def shape(self):
@@ -170,7 +159,7 @@ class HopfBackend:
         return self._d1(u)
 
     def lam11(self, c):
-        return self._sign * np.asarray(c)
+        return np.asarray(c)
 
     def lam_dbar_10(self, g10, twist01=None):
         # the +g10 term is the torsion of the invariant reduction; it is
@@ -178,7 +167,7 @@ class HopfBackend:
         w = self._d1(g10) + g10
         if twist01 is not None:
             w = w + twist01 @ g10 - g10 @ twist01
-        return -self._sign * w
+        return -w
 
     def lam_wedge_trace(self, g10, b01):
         g10 = np.asarray(g10)
@@ -186,7 +175,7 @@ class HopfBackend:
             c = np.einsum("...ij,...ji->...", g10, b01)
         else:
             c = g10 * b01
-        return self._sign * c
+        return c
 
     def pair_01(self, b1, b2):
         b1 = np.asarray(b1)

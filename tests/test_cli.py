@@ -17,6 +17,7 @@ import pytest
 from vortexpair import __version__, reporting
 from vortexpair.cli import (EXIT_FAIL, EXIT_OK, EXIT_SCIENCE, build_config,
                             main, parse_config, quick_grid, resolve_out)
+from vortexpair.geometry import HopfBackend, TorusBackend
 
 FOUR_PI = 4.0 * math.pi
 
@@ -320,7 +321,11 @@ def test_verify_all_green(capsys):
 
 
 def test_verify_catches_sign_flip_drill(monkeypatch, capsys):
-    monkeypatch.setenv("VORTEXPAIR_FLIP_LAMBDA", "1")
+    # inject a sign error into the contraction of both backends
+    for cls in (TorusBackend, HopfBackend):
+        lam = cls.lam_dbar_10
+        monkeypatch.setattr(cls, "lam_dbar_10",
+                            lambda self, *a, lam=lam, **kw: -lam(self, *a, **kw))
     rc = main(["verify"])
     out = capsys.readouterr().out
     assert rc == EXIT_FAIL

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortexpair import fiber
+from vortexpair import _fiber_np, _kernels, fiber
 from vortexpair.fiber import (ClampError, dexp_kernel, dd_kernel, frob,
                               herm_exp, herm_log, herm_part, herm_sqrt,
                               inv_psi_kernel, psi_kernel, skew_defect,
@@ -234,3 +234,51 @@ def test_roundtrip_tiny_gaps(a, b, gap):
     rng = np.random.default_rng(7)
     s = _herm_from_spectrum(rng, np.array([a, b, b + gap]))
     assert sup_norm(herm_log(herm_exp(s)) - s) < 1e-9 * max(1.0, sup_norm(s))
+
+
+# ---------------------------------------------------------------------------
+# rank-1 fast paths against the generic kernels
+
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e-15, -1e-15]),
+    st.floats(-1e3, 1e3, allow_subnormal=False))
+
+
+@st.composite
+def _rank1_fields(draw):
+    """Rank-1 fields on an (n,) or (n, n) grid: eigenvalues w, kernel k,
+    a complex field b, and unit phases (any 1x1 unitary)."""
+    n = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(n,), (n, n)]))
+    size = int(np.prod(shape))
+
+    def field(elements):
+        vals = draw(st.lists(elements, min_size=size, max_size=size))
+        return np.array(vals, dtype=np.float64).reshape(shape + (1, 1))
+
+    w, k = field(_VALUES), field(_VALUES)
+    b = field(_VALUES) + 1j * field(_VALUES)
+    phase = field(st.floats(0.0, 2.0 * math.pi))
+    return w, k, b, phase
+
+
+def _assert_close(x, y):
+    np.testing.assert_allclose(x, y, rtol=1e-13, atol=1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank1_fields())
+def test_rank1_fast_paths_match_generic(fields):
+    w, k, b, phase = fields
+    a = w.astype(np.complex128)
+    wf, vf = _kernels.eigh_batch(a)
+    wn, vn = _fiber_np.eigh_batch(a)
+    assert wf.shape == wn.shape and vf.shape == vn.shape
+    _assert_close(wf, wn)
+    # eigenvectors are only defined up to phase: compare v diag(w) v^H
+    _assert_close(_fiber_np.apply_one(wf, vf), _fiber_np.apply_one(wn, vn))
+    _assert_close(_fiber_np.apply_one(wf, vf), a)
+    v = np.exp(1j * phase)
+    g = w[..., 0]
+    _assert_close(_kernels.apply_one(g, v), _fiber_np.apply_one(g, v))
+    _assert_close(_kernels.apply_two(k, v, b), _fiber_np.apply_two(k, v, b))

@@ -232,19 +232,7 @@ def test_degree_ignores_mean_zero_part(rng, geom):
 
 
 # ---------------------------------------------------------------------------
-# sign drill and band scalars
-
-def test_flip_lambda_env_flips_contractions(monkeypatch):
-    monkeypatch.setenv("VORTEXPAIR_FLIP_LAMBDA", "1")
-    gf = TorusBackend(16)
-    monkeypatch.delenv("VORTEXPAIR_FLIP_LAMBDA")
-    g = TorusBackend(16)
-    c = np.ones(g.shape, dtype=complex)
-    assert np.max(np.abs(gf.lam11(c) + g.lam11(c))) < 1e-15
-    x, _ = g.coords()
-    u = np.cos(TWO_PI * x)
-    assert np.max(np.abs(gf.p_op(u) + g.p_op(u))) < 1e-12
-
+# band scalars
 
 def test_random_band_scalar_normalized(rng, geom):
     u = random_band_scalar(geom, rng, kmax=3, amp=0.7)
