@@ -39,7 +39,6 @@ CONFIG_KEYS = {
     "linear_rtol": float,
     "cap": float,
     "out": str,
-    "seed": int,
     "tau_lo": float,
     "tau_hi": float,
 }
@@ -386,7 +385,7 @@ VERIFY_CHECKS = [
 
 
 def cmd_verify(args):
-    rng = np.random.default_rng(args.seed if args.seed is not None else 2024)
+    rng = np.random.default_rng(args.seed)
     failures = 0
     for name, fn in VERIFY_CHECKS:
         try:
@@ -412,17 +411,17 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, instance=True):
+    def common(sp, eps_min=True):
         sp.add_argument("--config", help="flat key = value config file")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--grid", type=int, default=None)
-        sp.add_argument("--eps-min", dest="eps_min", type=float, default=None)
+        if eps_min:
+            sp.add_argument("--eps-min", dest="eps_min", type=float,
+                            default=None)
         sp.add_argument("--quick", action="store_true",
                         help="small grids, relaxed schedule")
-        if instance:
-            sp.add_argument("--instance", default=None,
-                            choices=instances.names())
+        sp.add_argument("--instance", default=None,
+                        choices=instances.names())
 
     sp = sub.add_parser("solve", help="run one continuation")
     common(sp)
@@ -436,12 +435,13 @@ def build_parser():
     sp.set_defaults(fn=cmd_sweep_tau)
 
     sp = sub.add_parser("stability", help="slope analyzer report")
-    common(sp)
+    common(sp, eps_min=False)
     sp.add_argument("--tau", type=float, default=None)
     sp.set_defaults(fn=cmd_stability)
 
     sp = sub.add_parser("verify", help="fast module invariant suite")
-    common(sp, instance=False)
+    sp.add_argument("--seed", type=int, default=2024,
+                    help="RNG seed of the checks (default 2024)")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("report", help="regenerate plots for a run directory")

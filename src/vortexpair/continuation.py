@@ -36,6 +36,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
+from . import fiber, pair as pair_mod
+from ._kernels import apply_one, apply_two
+from .fiber import frob, herm_part, sup_norm
+from .pair import PairProblem
+
+# Newton line search, linear solve and step control
+ARMIJO_FACTOR = 0.5
+ARMIJO_MIN = 2.0 ** -10
+ARMIJO_C1 = 1e-4
+GMRES_MAXITER = 400
+HALVINGS_MAX = 8
+RITZ_STEPS = 10                   # Arnoldi size for the injectivity probe
+
 
 def _gmres(amat, b, rtol, maxiter, mmat):
     # scipy's maxiter counts restart cycles, not matvecs; convert so
@@ -44,11 +57,6 @@ def _gmres(amat, b, rtol, maxiter, mmat):
     cycles = max(1, -(-maxiter // restart))
     return gmres(amat, b, rtol=rtol, atol=0.0, restart=restart,
                  maxiter=cycles, M=mmat)
-
-from . import fiber, pair as pair_mod
-from ._kernels import apply_one, apply_two
-from .fiber import comm, frob, herm_part, sup_norm
-from .pair import PairProblem
 
 
 @dataclass
@@ -59,13 +67,7 @@ class ContinuationConfig:
     newton_max: int = 50
     linear_rtol: float = 1e-8
     cap: float = 50.0             # sup|log f| divergence cap
-    armijo_factor: float = 0.5
-    armijo_min: float = 2.0 ** -10
-    armijo_c1: float = 1e-4
-    gmres_maxiter: int = 400
-    halvings_max: int = 8
     polish: bool = True           # final eps = 0 Newton
-    ritz_steps: int = 10          # Arnoldi size for the injectivity probe
     full_diagnostics: bool = True
 
     def __post_init__(self):
@@ -151,7 +153,7 @@ class MetricState:
     """One metric deformation point: s, its eigendecomposition, and the
     powers of f = exp(s) the residual and linearization reuse."""
 
-    __slots__ = ("s", "w", "v", "f", "finv", "fsr", "fsri", "_g")
+    __slots__ = ("s", "w", "v", "f", "finv", "fsr", "fsri", "_g", "_g_for")
 
     def __init__(self, s, eig=None):
         self.s = s
@@ -163,27 +165,17 @@ class MetricState:
         self.fsr = apply_one(np.exp(0.5 * self.w), self.v)
         self.fsri = apply_one(np.exp(-0.5 * self.w), self.v)
         self._g = None
+        self._g_for = None
 
     def g_field(self, p):
-        """f^-1 d0 f, cached per state."""
-        if self._g is None:
+        """f^-1 d0 f, cached per state for the last problem asked."""
+        if self._g_for is not p:
             self._g = self.finv @ p.d0_end(self.f)
+            self._g_for = p
         return self._g
 
     def sup_s(self):
         return sup_norm(self.s)
-
-
-def _kernel_grid(kfun, w):
-    return kfun(w[..., :, None], w[..., None, :])
-
-
-def _kernel_grid_rev(kfun, w):
-    """Kernel with swapped eigenvalue arguments. The trace pairing
-    tr((f^-1 d0 f) b) lands entry (i, j) of b on psi(lam_j, lam_i), the
-    reverse of the functional-calculus orientation; on commuting data
-    the two agree and the difference only shows up with twists."""
-    return kfun(w[..., None, :], w[..., :, None])
 
 
 def lhat_raw(p, eps, st):
@@ -238,7 +230,7 @@ def d2lhat_apply(p, eps, st, v):
     t3 = st.f @ p.zero_order_lin(st, v)
     out = t1 + t2 + t3
     if eps != 0.0:
-        kmat = 1.0 / _kernel_grid(fiber.psi_kernel, st.w)
+        kmat = 1.0 / fiber.psi_kernel(st.w[..., :, None], st.w[..., None, :])
         out = out + eps * apply_two(kmat, st.v, v)
     return out
 
@@ -252,7 +244,7 @@ def linearization_apply(p, eps, f, v):
 
 def dexp_direction(st, w_dir):
     """Derivative of exp at s along the Hermitian direction w_dir."""
-    kmat = _kernel_grid(fiber.dexp_kernel, st.w)
+    kmat = fiber.kernel_matrix(fiber.dexp_kernel, st.w)
     return apply_two(kmat, st.v, w_dir)
 
 
@@ -295,28 +287,6 @@ class HermPacker:
         return out.reshape(self.gshape + (r, r))
 
 
-def _precond_symbol(p, eps):
-    """Fourier symbol of the constant-coefficient model operator
-    P + eps + c, used as an entrywise preconditioner."""
-    geom = p.geom
-    c = float(np.mean(np.trace(p.zero_order_id(),
-                               axis1=-2, axis2=-1).real)) / p.rank
-    shift = max(eps, 0.0) + max(c, 0.0) + 1e-12
-    if geom.kind == "torus":
-        k = 2.0 * math.pi * np.fft.fftfreq(geom.n, d=geom.period / geom.n)
-        k[geom.n // 2] = 0.0
-        kx = k[:, None]
-        ky = k[None, :]
-        sym = geom.cg * (kx ** 2 + ky ** 2) / 4.0
-        return sym + shift
-    # hopf: P = -(D1 D1 + D1), D1 symbol i sin(w h)/h
-    n = geom.n
-    h = geom.h
-    modes = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
-    sig = np.sin(modes * h) / h
-    return sig ** 2 - 1j * sig + shift
-
-
 class NewtonFailure(Exception):
     pass
 
@@ -346,12 +316,13 @@ def _newton_operator(p, eps, st, packer):
 
 
 def _precond_operator(p, eps, packer):
-    sym = _precond_symbol(p, eps)
-    geom = p.geom
-    if geom.kind == "torus":
-        axes = (0, 1)
-    else:
-        axes = (0,)
+    """Entrywise preconditioner: division by the Fourier symbol of the
+    constant-coefficient model operator P + eps + c."""
+    c = float(np.mean(np.trace(p.zero_order_id(),
+                               axis1=-2, axis2=-1).real)) / p.rank
+    shift = max(eps, 0.0) + max(c, 0.0) + 1e-12
+    sym = p.geom.p_symbol + shift
+    axes = tuple(range(len(p.geom.shape)))
     denom = sym.reshape(sym.shape + (1, 1))
 
     def mv(x):
@@ -430,22 +401,21 @@ def newton_solve_at(p, eps, s_init, cfg, cap=None, best_effort=False):
         mmat = LinearOperator((packer.size, packer.size), matvec=mop,
                               dtype=np.float64)
         b = packer.pack(-r)
-        x, info = _gmres(amat, b, cfg.linear_rtol, cfg.gmres_maxiter, mmat)
-        if info > 0:
-            # accept the partial solve; Armijo decides whether it helps
-            pass
-        elif info < 0:
+        x, info = _gmres(amat, b, cfg.linear_rtol, GMRES_MAXITER, mmat)
+        # info > 0 is a partial solve: accept it, Armijo decides whether
+        # it helps
+        if info < 0:
             raise NewtonFailure("linear solver breakdown at eps=%g" % eps)
         step = packer.unpack(x)
         alpha = 1.0
         while True:
             cand = MetricState(st.s + alpha * step)
             rc, _ = residual_parts(p, eps, cand)
-            if sup_norm(rc) <= (1.0 - cfg.armijo_c1 * alpha) * rn:
+            if sup_norm(rc) <= (1.0 - ARMIJO_C1 * alpha) * rn:
                 st = cand
                 break
-            alpha *= cfg.armijo_factor
-            if alpha < cfg.armijo_min:
+            alpha *= ARMIJO_FACTOR
+            if alpha < ARMIJO_MIN:
                 if best_effort or rn <= 10.0 * cfg.newton_tol:
                     return st, it
                 raise NewtonFailure("line search stalled at eps=%g (residual %.3e)"
@@ -466,11 +436,7 @@ class GaugeResult:
     degree_drift: float
 
 
-def _conjugate_field(m, left, right):
-    return left @ m @ right
-
-
-def initial_gauge(p, h=None, cfg=None, polish=True):
+def initial_gauge(p, h=None, cfg=None):
     """Rebase the reference metric so eps = 1 has the exact solution.
 
     Given a starting metric h (PosHermField over the stored reference,
@@ -478,9 +444,9 @@ def initial_gauge(p, h=None, cfg=None, polish=True):
     reference to h exp(K), and returns the problem in the frame of the
     new reference together with s1 = log f1 = -K. In the continuum
     L_1(f1) = 0 identically; discretely the assembly leaves truncation
-    residue, so a short eps = 1 Newton polish finishes the job (skipped
-    with polish=False). Reported: residuals before and after, and the
-    degree drift of the rebased background.
+    residue, so a short eps = 1 Newton polish finishes the job. Reported:
+    residuals before and after, and the degree drift of the rebased
+    background.
     """
     if cfg is None:
         cfg = ContinuationConfig()
@@ -516,7 +482,7 @@ def initial_gauge(p, h=None, cfg=None, polish=True):
 
     # transform background data to the frame of the new reference
     upd = p.curvature_update(h0)
-    push = _conjugate_field(p.ilf0 + upd, h0h, h0hi)
+    push = h0h @ (p.ilf0 + upd) @ h0hi
     ilf0p = herm_part(push)
     # consistency guard: the pushed background curvature must be
     # Hermitian up to derivative truncation. An order-one skew part
@@ -540,8 +506,8 @@ def initial_gauge(p, h=None, cfg=None, polish=True):
     db = geom.dbar(h0hi)
     a01p = h0h @ db
     if p.a01 is not None:
-        a01p = a01p + _conjugate_field(
-            np.broadcast_to(p.a01, upd.shape).copy(), h0h, h0hi)
+        a01p = a01p + (h0h @ np.broadcast_to(p.a01, upd.shape).copy()
+                       @ h0hi)
     # the new frame again has an identity reference, so its Chern (1,0)
     # coefficient is pinned to the (0,1) one; pushing the old a10
     # forward instead would give the Chern connection of the old
@@ -553,8 +519,8 @@ def initial_gauge(p, h=None, cfg=None, polish=True):
     if p.sec01 is None:
         sec01p = None  # sections keep inheriting the endomorphism twist
     else:
-        sec01p = h0h @ db + _conjugate_field(
-            np.broadcast_to(p.sec01, upd.shape).copy(), h0h, h0hi)
+        sec01p = (h0h @ db
+                  + h0h @ np.broadcast_to(p.sec01, upd.shape).copy() @ h0hi)
 
     # the transformed section data is holomorphic up to the backend's
     # derivative truncation: spectral leaves near machine level, the
@@ -572,7 +538,7 @@ def initial_gauge(p, h=None, cfg=None, polish=True):
     r0, _ = residual_parts(gauged, 1.0, st)
     pre = sup_norm(r0)
     post = pre
-    if polish and pre > cfg.newton_tol:
+    if pre > cfg.newton_tol:
         pcfg = ContinuationConfig(newton_tol=min(cfg.newton_tol, 1e-11),
                                   newton_max=8,
                                   linear_rtol=min(cfg.linear_rtol, 1e-10))
@@ -604,7 +570,9 @@ def energy_identity_gap(p, eps, st):
     t_bg = float(geom.integrate(np.einsum(
         "...ij,...ji->...", p.ilf0 - (p.tau / 2.0) * eye, s).real).real)
     bs = p.dbar_end(s)
-    psib = apply_two(_kernel_grid_rev(fiber.psi_kernel, st.w), st.v, bs)
+    # the trace pairing tr((f^-1 d0 f) b) lands entry (i, j) of b on
+    # psi(lam_j, lam_i), the column-first order of kernel_matrix
+    psib = apply_two(fiber.kernel_matrix(fiber.psi_kernel, st.w), st.v, bs)
     t_nz = float(geom.integrate(geom.pair_01(psib, bs)).real)
     t_phi = float(geom.integrate(np.einsum(
         "...ij,...ji->...", p.zero_order(st.f, finv=st.finv), s).real).real)
@@ -626,7 +594,7 @@ def nie_zhang_check(p, f=None, st=None):
     g10 = st.g_field(p)
     bs = p.dbar_end(st.s)
     lhs = geom.lam_wedge_trace(g10, bs)
-    psib = apply_two(_kernel_grid_rev(fiber.psi_kernel, st.w), st.v, bs)
+    psib = apply_two(fiber.kernel_matrix(fiber.psi_kernel, st.w), st.v, bs)
     rhs = geom.pair_01(psib, bs)
     gap = float(geom.integrate(np.abs(lhs - rhs)).real)
     return gap
@@ -683,7 +651,7 @@ def diagnostics_check(p, eps, st, prev_st=None, newton_iters=0, cfg=None):
     ritz = math.nan  # not probed (eps = 0 may be honestly singular)
     if cfg.full_diagnostics and eps > 0.0:
         packer = HermPacker(p.geom.shape, p.rank)
-        ritz = min_ritz_estimate(p, eps, st, packer, cfg.ritz_steps)
+        ritz = min_ritz_estimate(p, eps, st, packer, RITZ_STEPS)
     l2 = math.sqrt(max(float(p.geom.integrate(frob(st.s) ** 2).real), 0.0))
     return DiagnosticsRecord(
         eps=eps,
@@ -758,7 +726,7 @@ def run_continuation(p, cfg=None, h_start=None):
                                     target, sup_norm(r_at))
             except NewtonFailure as e:
                 halvings += 1
-                if halvings > cfg.halvings_max:
+                if halvings > HALVINGS_MAX:
                     return build_report("failed", "newton: %s" % e, eps_prev,
                                         math.nan)
                 target = eps_prev - 0.5 * (eps_prev - target)

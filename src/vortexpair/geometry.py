@@ -1,7 +1,7 @@
 """Discretized geometry backends.
 
-Two backends share one contract. Fields live on the grid with grid axes
-first; matrix or section axes come last.
+Two backends share one contract, GridBackend. Fields live on the grid
+with grid axes first; matrix or section axes come last.
 
 TorusBackend: flat square torus with one complex coordinate, spectral
 derivatives (FFT), Nyquist mode zeroed in first derivatives. With the
@@ -32,22 +32,75 @@ def trace_field(a):
     return a
 
 
+class GridBackend:
+    """The contract both backends share. A backend sets shape, cg (the
+    contraction constant), cell (the quadrature weight of one grid cell),
+    p_symbol (the Fourier symbol of its own p_op, in numpy FFT order) and
+    the class attribute holomorphy_tol (the default floor of holomorphy
+    checks on its grid), and defines coords, d, dbar, lam11 and
+    lam_dbar_10."""
+
+    def _twist(self, w, g10, twist01):
+        """Add the commutator of a (0,1) connection coefficient twist01
+        acting on an endomorphism valued (1,0) field g10."""
+        if twist01 is None:
+            return w
+        return w + twist01 @ g10 - g10 @ twist01
+
+    def lam_wedge_trace(self, g10, b01):
+        """Contraction of tr(g10 wedge b01), a complex scalar field."""
+        g10 = np.asarray(g10)
+        if g10.ndim > len(self.shape) and g10.shape[-1] == g10.shape[-2]:
+            c = np.einsum("...ij,...ji->...", g10, b01)
+        else:
+            c = g10 * b01
+        return self.cg * c
+
+    def pair_01(self, b1, b2):
+        """Pointwise real inner product of two (0,1) coefficient fields."""
+        b1 = np.asarray(b1)
+        if b1.ndim > len(self.shape) and b1.shape[-1] == b1.shape[-2]:
+            c = np.einsum("...ij,...ij->...", b1, np.conjugate(b2))
+        else:
+            c = b1 * np.conjugate(b2)
+        return self.cg * c.real
+
+    def p_op(self, u):
+        """Scalar elliptic operator as the composition of the contraction
+        with the two first order derivatives."""
+        return self.lam_dbar_10(self.d(u))
+
+    def integrate(self, u):
+        u = np.asarray(u)
+        return complex(np.sum(u)) * self.cell
+
+    def degree(self, ilf):
+        """Degree from a contracted curvature field."""
+        val = self.integrate(trace_field(ilf))
+        return val.real / TWO_PI
+
+
 @dataclass
-class TorusBackend:
+class TorusBackend(GridBackend):
     n: int
     period: float = 1.0
     vol: float = 1.0
     kind: str = field(default="torus", init=False)
+    holomorphy_tol = 1e-8
 
     def __post_init__(self):
         if self.n % 2 != 0:
             raise ValueError("torus grid size must be even")
         self.g_zzbar = self.vol / (2.0 * self.period ** 2)
         self.cg = 1.0 / self.g_zzbar
+        self.cell = self.vol / self.n ** 2
         k = TWO_PI * np.fft.fftfreq(self.n, d=self.period / self.n)
         k[self.n // 2] = 0.0  # Nyquist mode carries no odd derivative
         self._kx = k.copy()
         self._ky = k.copy()
+        # d has symbol (i kx + ky) / 2 and dbar (i kx - ky) / 2
+        self.p_symbol = self.cg * (self._kx[:, None] ** 2
+                                   + self._ky[None, :] ** 2) / 4.0
 
     @property
     def shape(self):
@@ -91,55 +144,27 @@ class TorusBackend:
         twist01 is an optional (0,1) connection coefficient acting by
         commutator on endomorphism valued fields.
         """
-        w = self.dbar(g10)
-        if twist01 is not None:
-            w = w + twist01 @ g10 - g10 @ twist01
-        return -self.cg * w
-
-    def lam_wedge_trace(self, g10, b01):
-        """Contraction of tr(g10 wedge b01), a complex scalar field."""
-        g10 = np.asarray(g10)
-        if g10.ndim > 2 and g10.shape[-1] == g10.shape[-2]:
-            c = np.einsum("...ij,...ji->...", g10, b01)
-        else:
-            c = g10 * b01
-        return self.cg * c
-
-    def pair_01(self, b1, b2):
-        """Pointwise real inner product of two (0,1) coefficient fields."""
-        b1 = np.asarray(b1)
-        if b1.ndim > 2 and b1.shape[-1] == b1.shape[-2]:
-            c = np.einsum("...ij,...ij->...", b1, np.conjugate(b2))
-        else:
-            c = b1 * np.conjugate(b2)
-        return self.cg * c.real
-
-    def p_op(self, u):
-        """Scalar elliptic operator as the composition of the contraction
-        with the two first order derivatives."""
-        return self.lam_dbar_10(self.d(u))
-
-    def integrate(self, u):
-        u = np.asarray(u)
-        return complex(np.sum(u)) * (self.vol / self.n ** 2)
-
-    def degree(self, ilf):
-        """Degree from a contracted curvature field."""
-        val = self.integrate(trace_field(ilf))
-        return val.real / TWO_PI
+        return -self.cg * self._twist(self.dbar(g10), g10, twist01)
 
 
 @dataclass
-class HopfBackend:
+class HopfBackend(GridBackend):
     n: int
     kind: str = field(default="hopf", init=False)
+    holomorphy_tol = 1e-6
 
     def __post_init__(self):
         self.period = 2.0 * np.log(2.0)
         self.h = self.period / self.n
-        self.weight = 4.0 * np.pi ** 2
-        self.vol = self.weight * self.period
+        weight = 4.0 * np.pi ** 2
+        self.vol = weight * self.period
+        self.cell = weight * self.h
         self.cg = 1.0
+        # P = -(D1 D1 + D1) and the centered difference D1 has symbol
+        # i sin(w h) / h
+        modes = TWO_PI * np.fft.fftfreq(self.n, d=self.h)
+        sig = np.sin(modes * self.h) / self.h
+        self.p_symbol = sig ** 2 - 1j * sig
 
     @property
     def shape(self):
@@ -164,37 +189,7 @@ class HopfBackend:
     def lam_dbar_10(self, g10, twist01=None):
         # the +g10 term is the torsion of the invariant reduction; it is
         # what breaks the Kahler identities on this backend
-        w = self._d1(g10) + g10
-        if twist01 is not None:
-            w = w + twist01 @ g10 - g10 @ twist01
-        return -w
-
-    def lam_wedge_trace(self, g10, b01):
-        g10 = np.asarray(g10)
-        if g10.ndim > 1 and g10.shape[-1] == g10.shape[-2]:
-            c = np.einsum("...ij,...ji->...", g10, b01)
-        else:
-            c = g10 * b01
-        return c
-
-    def pair_01(self, b1, b2):
-        b1 = np.asarray(b1)
-        if b1.ndim > 1 and b1.shape[-1] == b1.shape[-2]:
-            c = np.einsum("...ij,...ij->...", b1, np.conjugate(b2))
-        else:
-            c = b1 * np.conjugate(b2)
-        return c.real
-
-    def p_op(self, u):
-        return self.lam_dbar_10(self.d(u))
-
-    def integrate(self, u):
-        u = np.asarray(u)
-        return complex(np.sum(u)) * (self.weight * self.h)
-
-    def degree(self, ilf):
-        val = self.integrate(trace_field(ilf))
-        return val.real / TWO_PI
+        return -self._twist(self._d1(g10) + g10, g10, twist01)
 
 
 def make_backend(kind, n, **kw):

@@ -43,7 +43,7 @@ class HiggsProblem(PairProblem):
         self.theta = self._expand_matrix(theta, tuple(geom.shape))
         self.theta_dag = np.conjugate(np.swapaxes(self.theta, -1, -2))
         if theta_tol is None:
-            theta_tol = 1e-8 if geom.kind == "torus" else 1e-6
+            theta_tol = geom.holomorphy_tol
         self.theta_tol = theta_tol
         if check:
             d = float(np.max(fiber.frob(self.dbar_end(self.theta))))

@@ -127,7 +127,7 @@ class PairProblem:
                                                            dtype=np.complex128)
 
         if holomorphy_tol is None:
-            holomorphy_tol = 1e-8 if geom.kind == "torus" else 1e-6
+            holomorphy_tol = geom.holomorphy_tol
         self.holomorphy_tol = holomorphy_tol
 
         self.phi_outer0 = fiber.phi_outer(self.phi)

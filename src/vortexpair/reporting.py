@@ -61,9 +61,9 @@ def dump_json(obj, indent=2):
     return json.dumps(jsonable(obj), indent=indent, sort_keys=True) + "\n"
 
 
-def run_report(instance_name, cfg, outcome, extra=None):
+def run_report(instance_name, cfg, outcome):
     rep = outcome.report
-    doc = {
+    return {
         "schema": "vortexpair-run-1",
         "instance": instance_name,
         "config": {
@@ -83,9 +83,6 @@ def run_report(instance_name, cfg, outcome, extra=None):
             "l2_log_f": rep.trace[-1].l2_log_f,
         },
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +199,7 @@ def render_run_svg(trace, title="continuation run"):
     return "\n".join(parts) + "\n"
 
 
-def write_run_outputs(outdir, name, outcome, cfg, extra=None):
+def write_run_outputs(outdir, name, outcome, cfg):
     """Writes trace.csv, run.json, run.svg under outdir/name/."""
     base = os.path.join(outdir, name)
     os.makedirs(base, exist_ok=True)
@@ -211,8 +208,7 @@ def write_run_outputs(outdir, name, outcome, cfg, extra=None):
     paths["csv"] = os.path.join(base, "trace.csv")
     write_text(paths["csv"], trace_csv(rep.trace))
     paths["json"] = os.path.join(base, "run.json")
-    write_text(paths["json"], dump_json(run_report(name, cfg, outcome,
-                                                   extra=extra)))
+    write_text(paths["json"], dump_json(run_report(name, cfg, outcome)))
     paths["svg"] = os.path.join(base, "run.svg")
     write_text(paths["svg"], render_run_svg(
         rep.trace, title="%s [%s]" % (name, rep.verdict)))

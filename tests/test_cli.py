@@ -37,11 +37,10 @@ def test_config_values_comments_types(tmp_path):
                  "grid=16\n"
                  "\n"
                  "tau = 2.5\n"
-                 "seed = 7\n"
                  "out = runs\n")
     conf = parse_config(str(p))
     assert conf == {"instance": "trivial", "grid": 16, "tau": 2.5,
-                    "seed": 7, "out": "runs"}
+                    "out": "runs"}
     assert isinstance(conf["grid"], int)
     assert isinstance(conf["tau"], float)
 
@@ -318,6 +317,15 @@ def test_verify_all_green(capsys):
                  "reporting-determinism"):
         assert name in out
     assert "FAIL" not in out
+
+
+def test_verify_rejects_flags_it_does_not_read(capsys):
+    # verify reads only --seed; solver flags are an error, not a no-op
+    for flag in (["--grid", "8"], ["--quick"], ["--config", "run.cfg"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify"] + flag)
+        assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_catches_sign_flip_drill(monkeypatch, capsys):

@@ -42,6 +42,21 @@ def test_herm_packer_roundtrip_and_isometry(rng):
     assert np.dot(x, x) == pytest.approx(frob2, rel=1e-12)
 
 
+def test_state_cache_follows_the_problem(rng):
+    # f^-1 d0 f depends on the problem's (1,0) twist; a state reused
+    # across problems must answer each one as a fresh state does
+    pa = instances.make("rank2-extension", n=8)
+    pb = instances.make("rank2-caseb", n=8)
+    assert pa.a10 is not None and pb.a10 is None
+    s = rand_band_herm(pa.geom, rng, 2, amp=0.3)
+    v = rand_band_herm(pa.geom, rng, 2, amp=0.3)
+    shared = MetricState(s)
+    for p in (pa, pb, pa):
+        got = C.d2lhat_apply(p, 0.5, shared, v)
+        want = C.d2lhat_apply(p, 0.5, MetricState(s), v)
+        assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # scalar solve oracles
 

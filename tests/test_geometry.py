@@ -169,6 +169,18 @@ def test_max_principle_at_discrete_argmax(rng, geom):
     assert p[idx] >= -TWO_PI * 2 * h * sup
 
 
+def test_p_symbol_is_the_symbol_of_p_op(rng, geom):
+    # the Newton preconditioner divides by p_symbol, so it must be the
+    # exact Fourier symbol of the discrete p_op
+    axes = tuple(range(len(geom.shape)))
+    for _ in range(3):
+        u = random_band_scalar(geom, rng, kmax=3)
+        want = geom.p_op(u)
+        got = np.fft.ifftn(geom.p_symbol * np.fft.fftn(u, axes=axes),
+                           axes=axes)
+        assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
 def test_torus_contraction_image_has_zero_degree(rng):
     # images of the matrix contraction have traceless commutator part and
     # mean zero derivative part, so they never carry degree
