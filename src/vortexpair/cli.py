@@ -68,13 +68,11 @@ def parse_config(path):
     return out
 
 
-def _resolve(args, conf, key, default=None):
+def _resolve(args, conf, key):
     cli_val = getattr(args, key, None)
     if cli_val is not None:
         return cli_val
-    if key in conf:
-        return conf[key]
-    return default
+    return conf.get(key)
 
 
 def resolve_out(args, conf):
@@ -104,13 +102,18 @@ def build_config(args, conf):
     return ContinuationConfig(**kw)
 
 
-def load_instance(args, conf):
+def resolve_name_grid(args, conf):
     name = _resolve(args, conf, "instance")
     if not name:
         raise ValueError("no instance given (flag or config)")
     n = _resolve(args, conf, "grid")
     if n is None and getattr(args, "quick", False):
         n = quick_grid(name)
+    return name, n
+
+
+def load_instance(args, conf):
+    name, n = resolve_name_grid(args, conf)
     tau = _resolve(args, conf, "tau")
     return name, instances.make(name, n=n, tau=tau)
 
@@ -139,12 +142,7 @@ def cmd_solve(args):
 
 def cmd_sweep_tau(args):
     conf = parse_config(args.config) if args.config else {}
-    name = _resolve(args, conf, "instance")
-    if not name:
-        raise ValueError("no instance given (flag or config)")
-    n = _resolve(args, conf, "grid")
-    if n is None and args.quick:
-        n = quick_grid(name)
+    name, n = resolve_name_grid(args, conf)
     lo = _resolve(args, conf, "tau_lo")
     hi = _resolve(args, conf, "tau_hi")
     if lo is None or hi is None or not (lo < hi):

@@ -150,10 +150,11 @@ class RunOutcome:
 
 
 class MetricState:
-    """One metric deformation point: s, its eigendecomposition, and the
-    powers of f = exp(s) the residual and linearization reuse."""
+    """One metric deformation point: s, its eigendecomposition, the
+    powers of f = exp(s), and the fields of f that depend on a problem,
+    each computed once for the last problem asked."""
 
-    __slots__ = ("s", "w", "v", "f", "finv", "fsr", "fsri", "_g", "_g_for")
+    __slots__ = ("s", "w", "v", "f", "finv", "fsr", "fsri", "_p", "_g", "_k")
 
     def __init__(self, s, eig=None):
         self.s = s
@@ -164,15 +165,25 @@ class MetricState:
         self.finv = apply_one(np.exp(-self.w), self.v)
         self.fsr = apply_one(np.exp(0.5 * self.w), self.v)
         self.fsri = apply_one(np.exp(-0.5 * self.w), self.v)
-        self._g = None
-        self._g_for = None
+        self._p = self._g = self._k = None
+
+    def _slot_for(self, p):
+        if self._p is not p:
+            self._p, self._g, self._k = p, None, None
 
     def g_field(self, p):
-        """f^-1 d0 f, cached per state for the last problem asked."""
-        if self._g_for is not p:
+        """f^-1 d0 f."""
+        self._slot_for(p)
+        if self._g is None:
             self._g = self.finv @ p.d0_end(self.f)
-            self._g_for = p
         return self._g
+
+    def kraw(self, p):
+        """Raw mean curvature of the deformed metric f."""
+        self._slot_for(p)
+        if self._k is None:
+            self._k = p.mean_curvature_raw(self.f, finv=self.finv)
+        return self._k
 
     def sup_s(self):
         return sup_norm(self.s)
@@ -180,8 +191,7 @@ class MetricState:
 
 def lhat_raw(p, eps, st):
     """f L_eps(f), unsymmetrized."""
-    kraw = p.mean_curvature_raw(st.f, finv=st.finv)
-    out = st.f @ kraw
+    out = st.f @ st.kraw(p)
     if eps != 0.0:
         out = out + eps * (st.f @ st.s)
     return out
@@ -189,8 +199,7 @@ def lhat_raw(p, eps, st):
 
 def residual_parts(p, eps, st):
     """Hermitian residual and the anti-Hermitian truncation defect."""
-    kraw = p.mean_curvature_raw(st.f, finv=st.finv)
-    x = st.fsr @ kraw @ st.fsri
+    x = st.fsr @ st.kraw(p) @ st.fsri
     skew = fiber.skew_defect(x)
     r = herm_part(x)
     if eps != 0.0:
@@ -205,22 +214,18 @@ def residual_L(p, eps, f):
     anti-Hermitian remainder is discretization error, available from
     residual_defect.
     """
-    s = fiber.herm_log(f, what="residual_L")
-    st = MetricState(s)
-    r, _ = residual_parts(p, eps, st)
-    return r
+    st = MetricState(fiber.herm_log(f, what="residual_L"))
+    return residual_parts(p, eps, st)[0]
 
 
 def residual_defect(p, eps, f):
-    s = fiber.herm_log(f, what="residual_defect")
-    st = MetricState(s)
-    _, skew = residual_parts(p, eps, st)
-    return skew
+    st = MetricState(fiber.herm_log(f, what="residual_defect"))
+    return residual_parts(p, eps, st)[1]
 
 
 def d2lhat_apply(p, eps, st, v):
     """Exact derivative of Lhat at st along the path f exp(t f^-1 v)."""
-    lraw = p.mean_curvature_raw(st.f, finv=st.finv)
+    lraw = st.kraw(p)
     if eps != 0.0:
         lraw = lraw + eps * st.s
     t1 = v @ lraw
@@ -237,8 +242,7 @@ def d2lhat_apply(p, eps, st, v):
 
 def linearization_apply(p, eps, f, v):
     """Public matrix-free linearization (see d2lhat_apply)."""
-    s = fiber.herm_log(f, what="linearization_apply")
-    st = MetricState(s)
+    st = MetricState(fiber.herm_log(f, what="linearization_apply"))
     return d2lhat_apply(p, eps, st, v)
 
 
@@ -367,8 +371,8 @@ def min_ritz_estimate(p, eps, st, packer, steps, seed=7):
     return float(sv[-1])
 
 
-def newton_solve_at(p, eps, s_init, cfg, cap=None, best_effort=False):
-    """Damped Newton at fixed eps from s_init. Returns (state, iters).
+def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
+    """Damped Newton at fixed eps from the state st. Returns (state, iters).
 
     Raises NewtonFailure when the Armijo search stalls or the iteration
     budget runs out, CapExceeded when sup|log f| crosses the cap. A
@@ -381,7 +385,6 @@ def newton_solve_at(p, eps, s_init, cfg, cap=None, best_effort=False):
     floor of the transformed data is not a failure).
     """
     packer = HermPacker(p.geom.shape, p.rank)
-    st = MetricState(s_init)
     mop = _precond_operator(p, eps, packer)
     for it in range(cfg.newton_max + 1):
         r, _ = residual_parts(p, eps, st)
@@ -542,9 +545,8 @@ def initial_gauge(p, h=None, cfg=None):
         pcfg = ContinuationConfig(newton_tol=min(cfg.newton_tol, 1e-11),
                                   newton_max=8,
                                   linear_rtol=min(cfg.linear_rtol, 1e-10))
-        st, _ = newton_solve_at(gauged, 1.0, s1, pcfg, best_effort=True)
-        rr, _ = residual_parts(gauged, 1.0, st)
-        post = sup_norm(rr)
+        st, _ = newton_solve_at(gauged, 1.0, st, pcfg, best_effort=True)
+        post = sup_norm(residual_parts(gauged, 1.0, st)[0])
         s1 = st.s
     drift = abs(gauged.degree() - p.degree())
     return GaugeResult(gauged, s1, h0, pre, post, drift)
@@ -582,22 +584,18 @@ def energy_identity_gap(p, eps, st):
     return gap, scale
 
 
-def nie_zhang_check(p, f=None, st=None):
+def nie_zhang_check(p, st):
     """Integrated absolute gap of the pointwise contraction identity
 
         iL tr((f^-1 d0 f) wedge dbar_A s) = <Psi(s)(dbar_A s), dbar_A s>.
     """
-    if st is None:
-        s = fiber.herm_log(f, what="nie_zhang_check")
-        st = MetricState(s)
     geom = p.geom
     g10 = st.g_field(p)
     bs = p.dbar_end(st.s)
     lhs = geom.lam_wedge_trace(g10, bs)
     psib = apply_two(fiber.kernel_matrix(fiber.psi_kernel, st.w), st.v, bs)
     rhs = geom.pair_01(psib, bs)
-    gap = float(geom.integrate(np.abs(lhs - rhs)).real)
-    return gap
+    return float(geom.integrate(np.abs(lhs - rhs)).real)
 
 
 def monotone_gap(p, st):
@@ -718,7 +716,7 @@ def run_continuation(p, cfg=None, h_start=None):
         halvings = 0
         while True:
             try:
-                st_new, iters = newton_solve_at(gp, target, st.s, cfg, cap=cfg.cap)
+                st_new, iters = newton_solve_at(gp, target, st, cfg, cap=cfg.cap)
                 break
             except CapExceeded:
                 r_at, _ = residual_parts(gp, target, st)
@@ -731,9 +729,8 @@ def run_continuation(p, cfg=None, h_start=None):
                                         math.nan)
                 target = eps_prev - 0.5 * (eps_prev - target)
         newton_total += iters
-        prev = st
+        rec = diagnostics_check(gp, target, st_new, st, iters, cfg)
         st = st_new
-        rec = diagnostics_check(gp, target, st, prev, iters, cfg)
         trace.append(rec)
         if st.sup_s() > cfg.cap:
             return build_report("diverged", "cap at eps=%.4g" % target, target,
@@ -745,16 +742,15 @@ def run_continuation(p, cfg=None, h_start=None):
                             eps_prev, trace[-1].residual_sup)
 
     try:
-        st_new, iters = newton_solve_at(gp, 0.0, st.s, cfg, cap=cfg.cap)
+        st_new, iters = newton_solve_at(gp, 0.0, st, cfg, cap=cfg.cap)
     except CapExceeded:
         return build_report("diverged", "cap during polish", 0.0, math.nan)
     except NewtonFailure as e:
         return build_report("boundary", "polish failed: %s" % e, eps_prev,
                             trace[-1].residual_sup)
     newton_total += iters
-    prev = st
+    rec = diagnostics_check(gp, 0.0, st_new, st, iters, cfg)
     st = st_new
-    rec = diagnostics_check(gp, 0.0, st, prev, iters, cfg)
     trace.append(rec)
     final_res = rec.residual_sup
     # the limit must be a small correction of the eps_min state; a polish

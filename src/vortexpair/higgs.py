@@ -46,6 +46,7 @@ class HiggsProblem(PairProblem):
             theta_tol = geom.holomorphy_tol
         self.theta_tol = theta_tol
         if check:
+            self._check_finite("theta")
             d = float(np.max(fiber.frob(self.dbar_end(self.theta))))
             scale = max(1.0, float(np.max(fiber.frob(self.theta))))
             if d > theta_tol * scale:

@@ -159,7 +159,14 @@ class PairProblem:
             raise ValueError("section shape %s, want %s" % (phi.shape, want))
         return phi
 
+    def _check_finite(self, *names):
+        for name in names:
+            val = getattr(self, name)
+            if val is not None and not np.all(np.isfinite(val)):
+                raise ValueError("%s has non-finite entries" % name)
+
     def _validate(self):
+        self._check_finite("ilf0", "phi", "a01", "a10", "sec01")
         fiber.assert_hermitian(self.ilf0, what="background curvature")
         d = self.holomorphy_defect()
         scale = max(1.0, math.sqrt(max(self.phi_l2, 0.0)))
@@ -248,15 +255,13 @@ class PairProblem:
         eye = np.eye(self.rank)
         return self.ilf0 + self.zero_order_id() - (self.tau / 2.0) * eye
 
-    def mean_curvature_raw(self, f=None, finv=None):
+    def mean_curvature_raw(self, f, finv=None):
         """Mean curvature of the deformed metric, raw matrix assembly.
 
         Hermitian with respect to the deformed metric in the continuum;
         the discrete anti-Hermitian defect is truncation error and is
         tracked separately by the continuation module.
         """
-        if f is None:
-            return self.k0_field()
         upd = self.curvature_update(f, finv=finv)
         eye = np.eye(self.rank)
         return self.ilf0 + upd + self.zero_order(f, finv=finv) \

@@ -15,6 +15,7 @@ from vortexpair.continuation import (ContinuationConfig, GaugeDomainError,
                                      run_continuation, uniqueness_probe)
 from vortexpair.geometry import random_band_scalar
 from vortexpair.instances import gauge_probe
+from vortexpair.pair import PairProblem
 
 from conftest import rand_band_herm
 
@@ -43,8 +44,9 @@ def test_herm_packer_roundtrip_and_isometry(rng):
 
 
 def test_state_cache_follows_the_problem(rng):
-    # f^-1 d0 f depends on the problem's (1,0) twist; a state reused
-    # across problems must answer each one as a fresh state does
+    # f^-1 d0 f and the mean curvature depend on the problem; a state
+    # reused across problems and calls must answer each call as a fresh
+    # state does
     pa = instances.make("rank2-extension", n=8)
     pb = instances.make("rank2-caseb", n=8)
     assert pa.a10 is not None and pb.a10 is None
@@ -52,9 +54,30 @@ def test_state_cache_follows_the_problem(rng):
     v = rand_band_herm(pa.geom, rng, 2, amp=0.3)
     shared = MetricState(s)
     for p in (pa, pb, pa):
-        got = C.d2lhat_apply(p, 0.5, shared, v)
-        want = C.d2lhat_apply(p, 0.5, MetricState(s), v)
-        assert np.array_equal(got, want)
+        assert np.array_equal(C.d2lhat_apply(p, 0.5, shared, v),
+                              C.d2lhat_apply(p, 0.5, MetricState(s), v))
+        for got, want in zip(residual_parts(p, 0.5, shared),
+                             residual_parts(p, 0.5, MetricState(s))):
+            assert np.array_equal(got, want)
+        assert np.array_equal(C.lhat_raw(p, 0.5, shared),
+                              C.lhat_raw(p, 0.5, MetricState(s)))
+
+
+def test_state_assembles_its_curvature_once(rng, monkeypatch):
+    p = instances.make("rank2-extension", n=8)
+    calls = []
+    update = PairProblem.curvature_update
+
+    def counted(self, f, finv=None):
+        calls.append(self)
+        return update(self, f, finv=finv)
+
+    monkeypatch.setattr(PairProblem, "curvature_update", counted)
+    st = MetricState(rand_band_herm(p.geom, rng, 2, amp=0.3))
+    residual_parts(p, 0.5, st)
+    for _ in range(3):
+        C.d2lhat_apply(p, 0.5, st, rand_band_herm(p.geom, rng, 2, amp=0.3))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +86,8 @@ def test_state_cache_follows_the_problem(rng):
 def test_newton_matches_scalar_root_eps_one():
     p = instances.make("trivial", n=16)
     cfg = ContinuationConfig(newton_tol=1e-12)
-    st, it = newton_solve_at(p, 1.0, np.zeros(tuple(p.geom.shape) + (1, 1)),
-                             cfg)
+    st0 = MetricState(np.zeros(tuple(p.geom.shape) + (1, 1)))
+    st, it = newton_solve_at(p, 1.0, st0, cfg)
     root = brentq(lambda f: 0.5 * f - 1.0 + math.log(f), 0.1, 5.0,
                   xtol=1e-14)
     assert fiber.sup_norm(st.f - root) < 1e-10
@@ -74,9 +97,9 @@ def test_newton_matches_scalar_root_eps_one():
 def test_newton_matches_scalar_root_eps_half():
     p = instances.make("trivial", n=16)
     cfg = ContinuationConfig(newton_tol=1e-12)
-    st1, _ = newton_solve_at(p, 1.0, np.zeros(tuple(p.geom.shape) + (1, 1)),
-                             cfg)
-    st, _ = newton_solve_at(p, 0.5, st1.s, cfg)
+    st0 = MetricState(np.zeros(tuple(p.geom.shape) + (1, 1)))
+    st1, _ = newton_solve_at(p, 1.0, st0, cfg)
+    st, _ = newton_solve_at(p, 0.5, st1, cfg)
     root = brentq(lambda f: 0.5 * f - 1.0 + 0.5 * math.log(f), 0.1, 5.0,
                   xtol=1e-14)
     assert fiber.sup_norm(st.f - root) < 1e-10
@@ -85,10 +108,10 @@ def test_newton_matches_scalar_root_eps_half():
 def test_newton_failure_and_best_effort():
     p = instances.make("trivial", n=16)
     cfg = ContinuationConfig(newton_tol=1e-12, newton_max=0)
-    s0 = np.zeros(tuple(p.geom.shape) + (1, 1))
+    st0 = MetricState(np.zeros(tuple(p.geom.shape) + (1, 1)))
     with pytest.raises(NewtonFailure):
-        newton_solve_at(p, 1.0, s0, cfg)
-    st, it = newton_solve_at(p, 1.0, s0, cfg, best_effort=True)
+        newton_solve_at(p, 1.0, st0, cfg)
+    st, it = newton_solve_at(p, 1.0, st0, cfg, best_effort=True)
     assert it == 0 and fiber.sup_norm(st.s) == 0.0
 
 

@@ -179,6 +179,15 @@ def test_rejects_non_holomorphic_theta():
     assert hp.lam == 0.0 and hp.tau == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_rejects_non_finite_theta(bad):
+    g = make_backend("torus", 8)
+    th = np.zeros(tuple(g.shape) + (2, 2), dtype=complex)
+    th[2, 1, 0, 1] = bad
+    with pytest.raises(ValueError, match="theta"):
+        HiggsProblem(g, 2, np.zeros((2, 2)), th, 0.0)
+
+
 def test_registry_lam_mapping():
     hp = instances.make("higgs-theta-zero", n=16, tau=1.5)
     assert hp.lam == pytest.approx(1.5)

@@ -175,6 +175,20 @@ def test_validation_rejects_bad_data():
     assert p.holomorphy_defect() > 1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["ilf0", "phi", "a01", "a10", "sec01"])
+def test_validation_rejects_non_finite_data(name, bad):
+    g = make_backend("torus", 8)
+    data = {"ilf0": np.zeros((8, 8, 1, 1)), "phi": np.ones((8, 8, 1)),
+            "a01": np.zeros((8, 8, 1, 1)), "a10": np.zeros((8, 8, 1, 1)),
+            "sec01": np.zeros((8, 8, 1, 1))}
+    PairProblem(g, 1, tau=1.0, **data)
+    data[name] = data[name].astype(complex)
+    data[name][3, 5, 0] = bad
+    with pytest.raises(ValueError, match=name):
+        PairProblem(g, 1, tau=1.0, **data)
+
+
 def test_sec01_overrides_section_twist():
     g = make_backend("torus", 16)
     a01 = np.array([[0.3]], dtype=complex)
