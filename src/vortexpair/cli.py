@@ -216,7 +216,7 @@ def cmd_stability(args):
     os.makedirs(base, exist_ok=True)
     path = os.path.join(base, "stability.json")
     reporting.write_text(path, reporting.dump_json(doc))
-    print(reporting.dump_json(doc, indent=2).rstrip())
+    print(reporting.dump_json(doc).rstrip())
     print("wrote %s" % path)
     return EXIT_OK
 

@@ -74,7 +74,8 @@ class ContinuationConfig:
         if not (0.0 < self.ratio < 1.0):
             raise ValueError("schedule ratio must be in (0, 1)")
         for name in ("eps_min", "newton_tol", "linear_rtol", "cap"):
-            if getattr(self, name) <= 0:
+            # written so that NaN fails too
+            if not getattr(self, name) > 0:
                 raise ValueError("%s must be positive" % name)
 
 
@@ -118,9 +119,6 @@ class SolveReport:
     newton_total: int
 
     def to_dict(self):
-        win = list(self.window)
-        if len(win) == 2 and isinstance(win[1], float) and math.isinf(win[1]):
-            win[1] = "inf"
         return {
             "verdict": self.verdict,
             "cause": self.cause,
@@ -128,7 +126,7 @@ class SolveReport:
             "final_sup_log_f": self.final_sup_log_f,
             "degree": self.degree,
             "phi_l2": self.phi_l2,
-            "window": win,
+            "window": list(self.window),
             "eps_reached": self.eps_reached,
             "wall_time": self.wall_time,
             "gauge_pre_residual": self.gauge_pre_residual,
@@ -154,36 +152,34 @@ class MetricState:
     powers of f = exp(s), and the fields of f that depend on a problem,
     each computed once for the last problem asked."""
 
-    __slots__ = ("s", "w", "v", "f", "finv", "fsr", "fsri", "_p", "_g", "_k")
+    __slots__ = ("s", "w", "v", "f", "finv", "fsr", "fsri", "_p", "_memo")
 
-    def __init__(self, s, eig=None):
+    def __init__(self, s):
         self.s = s
-        if eig is None:
-            eig = fiber.herm_eig(s, check=False)
-        self.w, self.v = eig
+        self.w, self.v = fiber.herm_eig(s, check=False)
         self.f = apply_one(np.exp(self.w), self.v)
         self.finv = apply_one(np.exp(-self.w), self.v)
         self.fsr = apply_one(np.exp(0.5 * self.w), self.v)
         self.fsri = apply_one(np.exp(-0.5 * self.w), self.v)
-        self._p = self._g = self._k = None
+        self._p, self._memo = None, {}
 
-    def _slot_for(self, p):
+    def field(self, p, name, build):
+        """The field called name of this state for the problem p: build()
+        runs once, and the memo starts over when another problem asks."""
         if self._p is not p:
-            self._p, self._g, self._k = p, None, None
+            self._p, self._memo = p, {}
+        if name not in self._memo:
+            self._memo[name] = build()
+        return self._memo[name]
 
     def g_field(self, p):
         """f^-1 d0 f."""
-        self._slot_for(p)
-        if self._g is None:
-            self._g = self.finv @ p.d0_end(self.f)
-        return self._g
+        return self.field(p, "g", lambda: self.finv @ p.d0_end(self.f))
 
     def kraw(self, p):
         """Raw mean curvature of the deformed metric f."""
-        self._slot_for(p)
-        if self._k is None:
-            self._k = p.mean_curvature_raw(self.f, finv=self.finv)
-        return self._k
+        return self.field(p, "kraw", lambda: p.mean_curvature_raw(
+            self.f, finv=self.finv))
 
     def sup_s(self):
         return sup_norm(self.s)
@@ -338,7 +334,7 @@ def _precond_operator(p, eps, packer):
     return mv
 
 
-def min_ritz_estimate(p, eps, st, packer, steps, seed=7):
+def min_ritz_estimate(p, eps, st, packer):
     """Smallest Ritz singular value of the preconditioned Newton
     operator on a small Krylov space. A subspace quantity, so an
     overestimate of the true minimum; its sign is the useful part
@@ -349,9 +345,10 @@ def min_ritz_estimate(p, eps, st, packer, steps, seed=7):
     def mv(x):
         return mop(amv(x))
 
-    rng = np.random.default_rng(seed)
+    # a fixed start vector, so a state always gets the same estimate
+    rng = np.random.default_rng(7)
     n = packer.size
-    steps = min(steps, n)
+    steps = min(RITZ_STEPS, n)
     q = rng.standard_normal(n)
     q /= np.linalg.norm(q)
     basis = [q]
@@ -649,7 +646,7 @@ def diagnostics_check(p, eps, st, prev_st=None, newton_iters=0, cfg=None):
     ritz = math.nan  # not probed (eps = 0 may be honestly singular)
     if cfg.full_diagnostics and eps > 0.0:
         packer = HermPacker(p.geom.shape, p.rank)
-        ritz = min_ritz_estimate(p, eps, st, packer, RITZ_STEPS)
+        ritz = min_ritz_estimate(p, eps, st, packer)
     l2 = math.sqrt(max(float(p.geom.integrate(frob(st.s) ** 2).real), 0.0))
     return DiagnosticsRecord(
         eps=eps,

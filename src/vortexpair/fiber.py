@@ -58,12 +58,12 @@ def skew_defect(a):
     return float(np.max(frob(skew))) if skew.size else 0.0
 
 
-def assert_hermitian(a, tol=HERM_TOL, what="field"):
+def assert_hermitian(a, what="field"):
     scale = max(1.0, float(np.max(frob(a)))) if a.size else 1.0
     d = skew_defect(a)
-    if d > tol * scale:
+    if d > HERM_TOL * scale:
         raise ValueError("%s is not Hermitian: skew defect %.3e (tol %.3e, scale %.3e)"
-                         % (what, d, tol, scale))
+                         % (what, d, HERM_TOL, scale))
 
 
 def herm_eig(a, check=True):
@@ -109,14 +109,14 @@ def dexp_kernel(x, y):
     return 0.5 * (a + b)
 
 
-def dd_kernel(g, dg, cutoff=1e-6):
+def dd_kernel(g, dg):
     """Divided-difference kernel (g(x)-g(y))/(x-y) with derivative rule
-    dg at the diagonal and a midpoint rule inside the cutoff band."""
+    dg at the diagonal and a midpoint rule inside |x - y| < 1e-6."""
     def k(x, y):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         t = x - y
-        small = np.abs(t) < cutoff
+        small = np.abs(t) < 1e-6
         ts = np.where(small, 1.0, t)
         with np.errstate(divide="ignore", invalid="ignore"):
             main = (g(x) - g(y)) / ts
@@ -128,14 +128,9 @@ def dd_kernel(g, dg, cutoff=1e-6):
 # ---------------------------------------------------------------------------
 # transforms
 
-def funcalc_one(fn, a=None, eig=None, check=True):
-    """Apply a scalar function to a Hermitian field through its spectrum.
-
-    Pass either the field a or a precomputed eig = (w, v).
-    """
-    if eig is None:
-        eig = herm_eig(a, check=check)
-    w, v = eig
+def funcalc_one(fn, a):
+    """Apply a scalar function to a Hermitian field through its spectrum."""
+    w, v = herm_eig(a)
     return apply_one(fn(w), v)
 
 
@@ -151,16 +146,13 @@ def kernel_matrix(fn, w):
     return fn(lam_j, lam_i)
 
 
-def funcalc_two(fn, s=None, a=None, eig=None, check=True):
+def funcalc_two(fn, s, a):
     """Two variable transform of the field a in the eigenbasis of s.
 
     In the eigenbasis of s, entry (i, j) of a is multiplied by
-    fn(lambda_j, lambda_i). Pass eig = (w, v) of s to reuse a cached
-    decomposition.
+    fn(lambda_j, lambda_i).
     """
-    if eig is None:
-        eig = herm_eig(s, check=check)
-    w, v = eig
+    w, v = herm_eig(s)
     return apply_two(kernel_matrix(fn, w), v, a)
 
 
@@ -169,8 +161,8 @@ def comm(a, b):
     return a @ b - b @ a
 
 
-def herm_exp(s, eig=None):
-    return funcalc_one(np.exp, s, eig=eig)
+def herm_exp(s):
+    return funcalc_one(np.exp, s)
 
 
 def herm_sqrt(f, what="herm_sqrt"):
@@ -204,22 +196,15 @@ def herm_log(f, what="herm_log"):
 # ---------------------------------------------------------------------------
 # section pairings
 
-def phi_outer(phi, f=None, h0=None):
-    """Section outer product as an endomorphism field: phi phi^H h0 f.
+def phi_outer(phi):
+    """Section outer product phi phi^H as an endomorphism field.
 
-    phi has shape (grid..., r). With the deformed metric written as the
-    reference times f, the endomorphism the equation pairs against is
-    phi phi^H composed with h0 and f on the right. Both factors default
-    to the identity; most of the solver works in a frame where h0 is
-    exactly the identity.
+    phi has shape (grid..., r). This is the section term at the
+    reference metric, which the solver keeps at the identity; the
+    deformed metric f enters as phi phi^H f.
     """
     phi = np.asarray(phi, dtype=np.complex128)
-    outer = phi[..., :, None] * np.conjugate(phi[..., None, :])
-    if h0 is not None:
-        outer = outer @ h0
-    if f is None:
-        return outer
-    return outer @ f
+    return phi[..., :, None] * np.conjugate(phi[..., None, :])
 
 
 def _to_identity_frame(phi, s, h0):
@@ -235,7 +220,7 @@ def _to_identity_frame(phi, s, h0):
     return phi_id, s_id
 
 
-def xi_path(phi, s, t, h0=None, eig=None):
+def xi_path(phi, s, t, h0=None):
     """Real scalar field xi(t) = h0 pairing of the section term against s
     along the metric path h0 exp(t s).
 
@@ -243,34 +228,25 @@ def xi_path(phi, s, t, h0=None, eig=None):
     """
     if h0 is not None:
         phi, s = _to_identity_frame(phi, s, h0)
-        eig = None
-    if eig is None:
-        eig = herm_eig(s)
-    w, v = eig
+    w, v = herm_eig(s)
     es = apply_one(np.exp(t * w) * w, v)
     out = np.einsum("...i,...ij,...j->...", np.conjugate(phi), es, phi)
     return out.real
 
 
-def xi_derivative(phi, s, t, h0=None, eig=None):
-    """d/dt of xi_path, in closed form: |s exp(t s / 2) phi|^2 pointwise."""
-    if h0 is not None:
-        phi, s = _to_identity_frame(phi, s, h0)
-        eig = None
-    if eig is None:
-        eig = herm_eig(s)
-    w, v = eig
+def xi_derivative(phi, s, t):
+    """d/dt of xi_path at h0 = id, in closed form: |s exp(t s / 2) phi|^2
+    pointwise."""
+    w, v = herm_eig(s)
     m = apply_one(w * np.exp(0.5 * t * w), v)
     vec = np.einsum("...ij,...j->...i", m, phi)
     return np.sum(np.abs(vec) ** 2, axis=-1)
 
 
-def higgs_xi_derivative(theta, s, t, eig=None):
+def higgs_xi_derivative(theta, s, t):
     """Pointwise |[s, exp(ts/2) theta exp(-ts/2)]|_F^2, the field analogue
     of xi_derivative for a bracket term instead of a section."""
-    if eig is None:
-        eig = herm_eig(s)
-    w, v = eig
+    w, v = herm_eig(s)
     e = apply_one(np.exp(0.5 * t * w), v)
     ei = apply_one(np.exp(-0.5 * t * w), v)
     th = e @ theta @ ei

@@ -89,8 +89,9 @@ class TorusBackend(GridBackend):
     holomorphy_tol = 1e-8
 
     def __post_init__(self):
-        if self.n % 2 != 0:
-            raise ValueError("torus grid size must be even")
+        if self.n < 2 or self.n % 2 != 0:
+            raise ValueError("torus grid size must be even and at least 2, "
+                             "got %d" % self.n)
         self.g_zzbar = self.vol / (2.0 * self.period ** 2)
         self.cg = 1.0 / self.g_zzbar
         self.cell = self.vol / self.n ** 2
@@ -154,6 +155,10 @@ class HopfBackend(GridBackend):
     holomorphy_tol = 1e-6
 
     def __post_init__(self):
+        # below 3 points the centered difference is identically zero
+        if self.n < 3:
+            raise ValueError("circle grid size must be at least 3, got %d"
+                             % self.n)
         self.period = 2.0 * np.log(2.0)
         self.h = self.period / self.n
         weight = 4.0 * np.pi ** 2
@@ -192,11 +197,11 @@ class HopfBackend(GridBackend):
         return -self._twist(self._d1(g10) + g10, g10, twist01)
 
 
-def make_backend(kind, n, **kw):
+def make_backend(kind, n):
     if kind == "torus":
-        return TorusBackend(n, **kw)
+        return TorusBackend(n)
     if kind == "hopf":
-        return HopfBackend(n, **kw)
+        return HopfBackend(n)
     raise ValueError("unknown backend kind %r" % (kind,))
 
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import fiber
 from ._kernels import apply_one
-from .fiber import herm_part
 from .pair import PairProblem
 
 
@@ -56,10 +55,8 @@ class HiggsProblem(PairProblem):
 
     # -- zero-order hooks ----------------------------------------------------
 
-    def adjoint_field(self, f=None, finv=None):
+    def adjoint_field(self, f, finv=None):
         """theta*_h for h = f over the identity reference."""
-        if f is None:
-            return self.theta_dag
         if finv is None:
             finv = np.linalg.inv(f)
         return finv @ self.theta_dag @ f
@@ -73,7 +70,8 @@ class HiggsProblem(PairProblem):
         return self.geom.lam11(self.theta @ m - m @ self.theta)
 
     def zero_order_lin(self, st, v):
-        m = st.finv @ self.theta_dag @ st.f
+        m = st.field(self, "adjoint",
+                     lambda: self.adjoint_field(st.f, finv=st.finv))
         dm = st.finv @ (self.theta_dag @ v - v @ m)
         return self.geom.lam11(self.theta @ dm - dm @ self.theta)
 
@@ -85,14 +83,6 @@ class HiggsProblem(PairProblem):
         return HiggsProblem(self.geom, self.rank, ilf0p, thetap, self.lam,
                             a01=a01p, a10=a10p, split=self.split,
                             theta_tol=max(self.theta_tol, tol), check=True)
-
-
-def bracket_curvature(hp, f=None):
-    """Contraction of the bracket term for the metric f (reference when
-    f is None). Hermitian and pointwise trace free at f = id."""
-    if f is None:
-        return hp.zero_order_id()
-    return hp.zero_order(f)
 
 
 def vortex_reduction_twin(hp):
@@ -122,13 +112,11 @@ def semipositivity_pair(theta_mat, f_mat, eta):
     return pairing, nsq
 
 
-def higgs_xi_path(theta_mat, s_mat, t, eig=None):
+def higgs_xi_path(theta_mat, s_mat, t):
     """Fiber pairing path xi(t) = Re tr(s (th_t th_t^H - th_t^H th_t))
     with th_t = exp(ts/2) theta exp(-ts/2); its derivative is the
     squared commutator norm computed by fiber.higgs_xi_derivative."""
-    if eig is None:
-        eig = fiber.herm_eig(s_mat)
-    w, v = eig
+    w, v = fiber.herm_eig(s_mat)
     ep = apply_one(np.exp(0.5 * t * w), v)
     em = apply_one(np.exp(-0.5 * t * w), v)
     th = ep @ theta_mat @ em

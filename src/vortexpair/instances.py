@@ -7,7 +7,7 @@ helper, seeded by the caller.
 
 Degrees and thresholds at the defaults:
     torus unit cell, degree d line model: threshold tau* = 4 pi d
-    hopf reduction, weight a line model:  threshold tau* = 2 a
+    hopf reduction, weight one line model: threshold tau* = 2
 """
 
 import math
@@ -25,11 +25,11 @@ FOUR_PI = 4.0 * math.pi
 
 
 def _torus(n):
-    return make_backend("torus", n or TORUS_N)
+    return make_backend("torus", TORUS_N if n is None else n)
 
 
 def _hopf(n):
-    return make_backend("hopf", n or HOPF_N)
+    return make_backend("hopf", HOPF_N if n is None else n)
 
 
 def trivial(n=None, tau=None):
@@ -70,30 +70,30 @@ def torus_wave(n=None, tau=None):
                        split=SplitModel((1.0,), 0))
 
 
-def hopf_stable(n=None, tau=None, a=1.0):
+def hopf_stable(n=None, tau=None):
     g = _hopf(n)
-    deg = a * g.vol / (2.0 * math.pi)
-    return PairProblem(g, 1, [[a]], [1.0], 2.4 * a if tau is None else tau,
+    deg = g.vol / (2.0 * math.pi)
+    return PairProblem(g, 1, [[1.0]], [1.0], 2.4 if tau is None else tau,
                        split=SplitModel((deg,), 0))
 
 
-def hopf_unstable(n=None, tau=None, a=1.0):
+def hopf_unstable(n=None, tau=None):
     g = _hopf(n)
-    deg = a * g.vol / (2.0 * math.pi)
-    return PairProblem(g, 1, [[a]], [1.0], 0.5 * a if tau is None else tau,
+    deg = g.vol / (2.0 * math.pi)
+    return PairProblem(g, 1, [[1.0]], [1.0], 0.5 if tau is None else tau,
                        split=SplitModel((deg,), 0))
 
 
-def hopf_wave(n=None, tau=None, a=1.0):
+def hopf_wave(n=None, tau=None):
     """Weight one with a reflection-even potential bump; evenness keeps
     the finite-difference degree bookkeeping exact."""
     g = _hopf(n)
     t = g.coords()
     # small potential again: the symbol is about 20 at the base harmonic
     w = 0.02 * np.cos(2.0 * math.pi * t / g.period)
-    ilf = (a + g.p_op(w).real)[..., None, None]
-    deg = a * g.vol / (2.0 * math.pi)
-    return PairProblem(g, 1, ilf, [1.0], 2.4 * a if tau is None else tau,
+    ilf = (1.0 + g.p_op(w).real)[..., None, None]
+    deg = g.vol / (2.0 * math.pi)
+    return PairProblem(g, 1, ilf, [1.0], 2.4 if tau is None else tau,
                        split=SplitModel((deg,), 0))
 
 
@@ -109,14 +109,14 @@ def rank2_caseb(n=None, tau=None):
                        split=SplitModel((0.0, 1.0), 0))
 
 
-def rank2_extension(n=None, tau=None, b=0.5):
+def rank2_extension(n=None, tau=None):
     """Nonsplit extension model: degrees (0, 1) with coupling from the
     degree one summand into the degree zero one. The background
     curvature carries the wedge term of the coupling, which keeps the
     declared degrees equal to the honest subsheaf degrees."""
     g = _torus(n)
     coupling = np.zeros((2, 2), dtype=complex)
-    coupling[0, 1] = b
+    coupling[0, 1] = 0.5
     wedge = g.cg * (coupling @ coupling.conj().T - coupling.conj().T @ coupling)
     ilf = np.diag([0.0, 2.0 * math.pi]).astype(complex) + wedge
     return PairProblem(g, 2, ilf, [1.0, 0.0],
@@ -189,11 +189,12 @@ def make(name, n=None, tau=None):
     return builder(n=n, tau=tau)
 
 
-def gauge_probe(geom, rank, rng, amp=None, kmax=None, constant=False):
+def gauge_probe(geom, rank, rng, constant=False):
     """Random positive metric field for regauging probes.
 
     Each scalar component is normalized so its curvature contribution
-    (the Laplacian-type image, not the field itself) has sup about amp.
+    (the Laplacian-type image, not the field itself) has sup about amp,
+    0.5 on the torus and 0.05 on the circle reduction.
     Normalizing the field alone lets the operator symbol blow the
     rebased curvature up by two orders of magnitude, and the rebasing
     exponential overflows.
@@ -207,10 +208,8 @@ def gauge_probe(geom, rank, rng, amp=None, kmax=None, constant=False):
     off-diagonal part of the induced reference, so for instances with
     off-diagonal twists pass constant=True: spatially constant
     diagonal probes keep the entire chain in the commutant."""
-    if amp is None:
-        amp = 0.5 if geom.kind == "torus" else 0.05
-    if kmax is None:
-        kmax = 2 if geom.kind == "torus" else 1
+    amp = 0.5 if geom.kind == "torus" else 0.05
+    kmax = 2 if geom.kind == "torus" else 1
     gshape = tuple(geom.shape)
     s = np.zeros(gshape + (rank, rank), dtype=complex)
     if constant:

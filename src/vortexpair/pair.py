@@ -14,7 +14,7 @@ every report says so.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,6 +130,9 @@ class PairProblem:
             holomorphy_tol = geom.holomorphy_tol
         self.holomorphy_tol = holomorphy_tol
 
+        # reject non-finite data before any field is derived from it
+        if check:
+            self._check_finite("tau", "ilf0", "phi", "a01", "a10", "sec01")
         self.phi_outer0 = fiber.phi_outer(self.phi)
         self.phi_l2 = float(geom.integrate(
             np.sum(np.abs(self.phi) ** 2, axis=-1)).real)
@@ -166,7 +169,6 @@ class PairProblem:
                 raise ValueError("%s has non-finite entries" % name)
 
     def _validate(self):
-        self._check_finite("ilf0", "phi", "a01", "a10", "sec01")
         fiber.assert_hermitian(self.ilf0, what="background curvature")
         d = self.holomorphy_defect()
         scale = max(1.0, math.sqrt(max(self.phi_l2, 0.0)))
@@ -268,17 +270,6 @@ class PairProblem:
             - (self.tau / 2.0) * eye
 
 
-def mean_curvature(p, f=None):
-    """Mean curvature of the metric (reference times f), symmetrized to
-    an exactly Hermitian field by conjugation with f^(1/2)."""
-    if f is None:
-        return p.k0_field()
-    raw = p.mean_curvature_raw(f)
-    fsr = fiber.herm_sqrt(f, what="mean_curvature")
-    fsri = np.linalg.inv(fsr)
-    return fiber.herm_part(fsr @ raw @ fsri)
-
-
 # ---------------------------------------------------------------------------
 # slope stability analyzer (split models, coordinate sub-sums only)
 
@@ -319,13 +310,13 @@ def stability_window(split, geom):
     return (lo, hi)
 
 
-def classify(split, geom, tau, boundary_tol=1e-9):
+def classify(split, geom, tau):
     """Verdict for tau against the audited window."""
     lo, hi = stability_window(split, geom)
-    scale = max(1.0, abs(tau))
-    if abs(tau - lo) <= boundary_tol * scale:
+    tol = 1e-9 * max(1.0, abs(tau))
+    if abs(tau - lo) <= tol:
         return "boundary"
-    if not math.isinf(hi) and abs(tau - hi) <= boundary_tol * scale:
+    if not math.isinf(hi) and abs(tau - hi) <= tol:
         return "boundary"
     if lo < tau and tau < hi:
         return "tau-stable"
@@ -399,7 +390,7 @@ def nu_trace_oracle(p, u_const):
 # ---------------------------------------------------------------------------
 # simplicity probe
 
-def phi_simple_check(p, tol=1e-10):
+def phi_simple_check(p):
     """Desk-scale simplicity check on constant-coefficient torus models.
 
     Audits the finite-dimensional space of constant endomorphisms that
@@ -442,6 +433,6 @@ def phi_simple_check(p, tol=1e-10):
 
     mat = np.vstack(rows)
     sv = np.linalg.svd(mat, compute_uv=False)
-    nullity = int(np.sum(sv < tol * max(1.0, sv[0])))
+    nullity = int(np.sum(sv < 1e-10 * max(1.0, sv[0])))
     smallest = float(sv[-1])
     return nullity == 0, nullity, smallest

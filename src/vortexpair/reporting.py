@@ -57,8 +57,8 @@ def jsonable(obj):
     return str(obj)
 
 
-def dump_json(obj, indent=2):
-    return json.dumps(jsonable(obj), indent=indent, sort_keys=True) + "\n"
+def dump_json(obj):
+    return json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
 
 
 def run_report(instance_name, cfg, outcome):
@@ -92,8 +92,8 @@ _W, _H = 640, 420
 _PANEL = dict(left=62, right=614, top_a=28, bot_a=196, top_b=236, bot_b=398)
 
 
-def _log10(v, floor=1e-18):
-    return math.log10(max(abs(v), floor))
+def _log10(v):
+    return math.log10(max(abs(v), 1e-18))
 
 
 def _xmap(eps_vals):

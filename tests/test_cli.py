@@ -188,6 +188,20 @@ def test_main_no_instance(capsys):
     assert "no instance given" in err
 
 
+@pytest.mark.parametrize("argv, cause", [
+    (["--instance", "trivial", "--eps-min", "nan"], "eps_min"),
+    (["--instance", "torus-stable", "--tau", "inf"], "tau"),
+    (["--instance", "torus-stable", "--tau", "nan"], "tau"),
+    (["--instance", "trivial", "--grid", "0"], "grid"),
+    (["--instance", "hopf-stable", "--grid", "2"], "grid"),
+], ids=["eps-min-nan", "tau-inf", "tau-nan", "grid-0", "hopf-grid-2"])
+def test_solve_rejects_bad_numbers(tmp_path, capsys, argv, cause):
+    rc = main(["solve", "--quick", "--out", str(tmp_path)] + argv)
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAIL
+    assert err.startswith("error:") and cause in err
+
+
 def test_parser_rejects_unknown_instance_flag(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["solve", "--instance", "moebius"])

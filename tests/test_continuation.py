@@ -26,6 +26,17 @@ def _state_rank1(geom, rng, amp=0.5, kmax=2):
 
 
 # ---------------------------------------------------------------------------
+# config
+
+@pytest.mark.parametrize("bad", [0.0, math.nan])
+@pytest.mark.parametrize("name", ["eps_min", "newton_tol", "linear_rtol",
+                                  "cap"])
+def test_config_rejects_non_positive_values(name, bad):
+    with pytest.raises(ValueError, match=name):
+        ContinuationConfig(**{name: bad})
+
+
+# ---------------------------------------------------------------------------
 # packing
 
 def test_herm_packer_roundtrip_and_isometry(rng):
@@ -44,23 +55,29 @@ def test_herm_packer_roundtrip_and_isometry(rng):
 
 
 def test_state_cache_follows_the_problem(rng):
-    # f^-1 d0 f and the mean curvature depend on the problem; a state
-    # reused across problems and calls must answer each call as a fresh
-    # state does
+    # f^-1 d0 f, the mean curvature and the Higgs adjoint depend on the
+    # problem; a state reused across problems and calls must answer each
+    # call as a fresh state does
     pa = instances.make("rank2-extension", n=8)
     pb = instances.make("rank2-caseb", n=8)
     assert pa.a10 is not None and pb.a10 is None
+    # theta = 0 goes first: its zero adjoint, if kept, changes the
+    # nilpotent matvec, while a kept nilpotent adjoint is multiplied
+    # by theta = 0 and would not show
+    hz = instances.make("higgs-theta-zero", n=8)
+    hn = instances.make("higgs-nilpotent", n=8)
     s = rand_band_herm(pa.geom, rng, 2, amp=0.3)
     v = rand_band_herm(pa.geom, rng, 2, amp=0.3)
-    shared = MetricState(s)
-    for p in (pa, pb, pa):
-        assert np.array_equal(C.d2lhat_apply(p, 0.5, shared, v),
-                              C.d2lhat_apply(p, 0.5, MetricState(s), v))
-        for got, want in zip(residual_parts(p, 0.5, shared),
-                             residual_parts(p, 0.5, MetricState(s))):
-            assert np.array_equal(got, want)
-        assert np.array_equal(C.lhat_raw(p, 0.5, shared),
-                              C.lhat_raw(p, 0.5, MetricState(s)))
+    for problems in ((pa, pb, pa), (hz, hn, hz)):
+        shared = MetricState(s)
+        for p in problems:
+            assert np.array_equal(C.d2lhat_apply(p, 0.5, shared, v),
+                                  C.d2lhat_apply(p, 0.5, MetricState(s), v))
+            for got, want in zip(residual_parts(p, 0.5, shared),
+                                 residual_parts(p, 0.5, MetricState(s))):
+                assert np.array_equal(got, want)
+            assert np.array_equal(C.lhat_raw(p, 0.5, shared),
+                                  C.lhat_raw(p, 0.5, MetricState(s)))
 
 
 def test_state_assembles_its_curvature_once(rng, monkeypatch):
@@ -314,7 +331,7 @@ def test_nie_zhang_closed_forms_and_refinement(rng):
 def test_min_ritz_positive_at_stable_solution(stable_run):
     gp = stable_run.gauge.problem
     packer = HermPacker(gp.geom.shape, gp.rank)
-    r = C.min_ritz_estimate(gp, 1e-3, stable_run.state, packer, 10)
+    r = C.min_ritz_estimate(gp, 1e-3, stable_run.state, packer)
     assert r > 0.0
 
 

@@ -23,6 +23,11 @@ def test_make_backend_rejects_unknown():
         make_backend("sphere", 16)
     with pytest.raises(ValueError):
         make_backend("torus", 17)  # odd grid
+    # too small: no torus modes, or a zero centered difference
+    for kind, n in (("torus", 0), ("torus", -4), ("hopf", 2), ("hopf", 1),
+                    ("hopf", 0)):
+        with pytest.raises(ValueError, match="grid"):
+            make_backend(kind, n)
 
 
 def test_torus_constants():

@@ -5,8 +5,8 @@ from vortexpair import continuation as C
 from vortexpair import fiber, instances
 from vortexpair.continuation import MetricState, run_continuation
 from vortexpair.geometry import make_backend
-from vortexpair.higgs import (HiggsProblem, bracket_curvature, higgs_xi_path,
-                              semipositivity_pair, vortex_reduction_twin)
+from vortexpair.higgs import (HiggsProblem, higgs_xi_path, semipositivity_pair,
+                              vortex_reduction_twin)
 
 from conftest import rand_band_herm, rand_herm
 
@@ -27,7 +27,6 @@ def test_bracket_oracle_nilpotent():
     assert fiber.sup_norm(b - want) < 1e-14
     # pointwise trace free at the reference
     assert np.max(np.abs(np.trace(b, axis1=-2, axis2=-1))) < 1e-14
-    assert fiber.sup_norm(bracket_curvature(hp) - b) == 0.0
 
 
 def test_adjoint_field_formula(rng):
@@ -36,7 +35,6 @@ def test_adjoint_field_formula(rng):
     got = hp.adjoint_field(f)
     want = np.linalg.inv(f) @ hp.theta_dag @ f
     assert fiber.sup_norm(got - want) < 1e-12
-    assert fiber.sup_norm(hp.adjoint_field() - hp.theta_dag) == 0.0
 
 
 def test_zero_order_at_identity_matches_id(rng):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from vortexpair import fiber, instances
+from vortexpair.continuation import residual_L
 from vortexpair.geometry import make_backend
-from vortexpair.pair import (PairProblem, SplitModel, classify,
-                             mean_curvature, mu_M, mu_m_phi, nu_case1,
-                             nu_case2, nu_trace_oracle, phi_simple_check,
-                             stability_report, stability_window)
+from vortexpair.pair import (PairProblem, SplitModel, classify, mu_M,
+                             mu_m_phi, nu_case1, nu_case2, nu_trace_oracle,
+                             phi_simple_check, stability_report,
+                             stability_window)
 
 from conftest import rand_band_herm
 
@@ -189,6 +190,14 @@ def test_validation_rejects_non_finite_data(name, bad):
         PairProblem(g, 1, tau=1.0, **data)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["trivial", "higgs-theta-zero"])
+def test_validation_rejects_non_finite_tau(name, bad):
+    # the Higgs instances take lam through tau = 2 lam
+    with pytest.raises(ValueError, match="tau"):
+        instances.make(name, n=8, tau=bad)
+
+
 def test_sec01_overrides_section_twist():
     g = make_backend("torus", 16)
     a01 = np.array([[0.3]], dtype=complex)
@@ -220,8 +229,6 @@ def test_k0_field_trivial_hand_value():
     p = instances.make("trivial", n=16)
     k0 = p.k0_field()
     assert np.max(np.abs(k0 - (-0.5))) < 1e-14
-    assert mean_curvature(p) is not None
-    assert np.max(np.abs(mean_curvature(p) - k0)) == 0.0
 
 
 def _diag_band_exp(geom, rng, rank, amp=0.4):
@@ -235,7 +242,7 @@ def _diag_band_exp(geom, rng, rank, amp=0.4):
 def test_mean_curvature_deformed_hermiticity(rng):
     # the raw assembly is Hermitian with respect to the deformed metric,
     # i.e. f @ raw is Hermitian, up to derivative truncation; the
-    # symmetrized wrapper is exactly Hermitian
+    # symmetrized residual is exactly Hermitian
     for name, n, tol in (("torus-wave", 32, 1e-7), ("rank2-caseb", 32, 1e-7),
                          ("hopf-wave", 64, 1e-12)):
         p = instances.make(name, n=n)
@@ -243,7 +250,7 @@ def test_mean_curvature_deformed_hermiticity(rng):
         raw = p.mean_curvature_raw(f)
         fk = f @ raw
         assert fiber.skew_defect(fk) < tol * fiber.sup_norm(fk), name
-        assert fiber.skew_defect(mean_curvature(p, f)) == 0.0, name
+        assert fiber.skew_defect(residual_L(p, 0.0, f)) == 0.0, name
 
 
 def test_mean_curvature_skew_outside_gauge_domain(rng):
