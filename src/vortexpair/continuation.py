@@ -77,6 +77,9 @@ class ContinuationConfig:
             # written so that NaN fails too
             if not getattr(self, name) > 0:
                 raise ValueError("%s must be positive" % name)
+        if not self.eps_min < 1.0:
+            raise ValueError("eps_min must be below 1, where the schedule "
+                             "starts")
 
 
 @dataclass
@@ -178,8 +181,7 @@ class MetricState:
 
     def kraw(self, p):
         """Raw mean curvature of the deformed metric f."""
-        return self.field(p, "kraw", lambda: p.mean_curvature_raw(
-            self.f, finv=self.finv))
+        return self.field(p, "kraw", lambda: p.mean_curvature_raw(self))
 
     def sup_s(self):
         return sup_norm(self.s)
@@ -207,16 +209,11 @@ def residual_L(p, eps, f):
     """Public residual: Hermitian part of f^(1/2) L_eps(f) f^(-1/2).
 
     Same zero set and sup-norm as the metric-frame residual; the
-    anti-Hermitian remainder is discretization error, available from
-    residual_defect.
+    anti-Hermitian remainder is discretization error, the second part
+    of residual_parts.
     """
     st = MetricState(fiber.herm_log(f, what="residual_L"))
     return residual_parts(p, eps, st)[0]
-
-
-def residual_defect(p, eps, f):
-    st = MetricState(fiber.herm_log(f, what="residual_defect"))
-    return residual_parts(p, eps, st)[1]
 
 
 def d2lhat_apply(p, eps, st, v):
@@ -231,7 +228,7 @@ def d2lhat_apply(p, eps, st, v):
     t3 = st.f @ p.zero_order_lin(st, v)
     out = t1 + t2 + t3
     if eps != 0.0:
-        kmat = 1.0 / fiber.psi_kernel(st.w[..., :, None], st.w[..., None, :])
+        kmat = fiber.inv_psi_kernel(st.w[..., :, None], st.w[..., None, :])
         out = out + eps * apply_two(kmat, st.v, v)
     return out
 
@@ -430,7 +427,8 @@ def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
 class GaugeResult:
     problem: PairProblem
     s1: np.ndarray
-    h0: np.ndarray               # rebasing metric in the original frame
+    h0h: np.ndarray              # h0^(1/2), h0 the rebasing metric in the
+                                 # original frame
     pre_residual: float
     post_residual: float
     degree_drift: float
@@ -452,36 +450,28 @@ def initial_gauge(p, h=None, cfg=None):
         cfg = ContinuationConfig()
     geom = p.geom
 
+    gshape = tuple(geom.shape) + (p.rank, p.rank)
     if h is None:
-        khat = p.k0_field()
-        wk, vk = fiber.herm_eig(khat)
-        h0 = apply_one(np.exp(wk), vk)
-        h0h = apply_one(np.exp(0.5 * wk), vk)
-        h0hi = apply_one(np.exp(-0.5 * wk), vk)
-        s1 = -khat
+        start = MetricState(np.zeros(gshape, dtype=np.complex128))
     else:
-        h = np.broadcast_to(np.asarray(h, dtype=np.complex128),
-                            tuple(geom.shape) + (p.rank, p.rank)).copy()
+        h = np.broadcast_to(np.asarray(h, dtype=np.complex128), gshape)
         wh, vh = fiber.herm_eig(h)
         if float(np.min(wh)) <= 0:
             raise fiber.ClampError("starting metric is not positive definite")
-        hh = apply_one(np.sqrt(wh), vh)
-        hhi = apply_one(1.0 / np.sqrt(wh), vh)
-        kraw = p.mean_curvature_raw(h)
-        khat = herm_part(hh @ kraw @ hhi)
-        wk, vk = fiber.herm_eig(khat)
-        ek = apply_one(np.exp(wk), vk)
-        h0 = hh @ ek @ hh
-        w0, v0 = fiber.herm_eig(h0)
-        h0h = apply_one(np.sqrt(w0), v0)
-        h0hi = apply_one(1.0 / np.sqrt(w0), v0)
-        # f1 = exp(-K) as an endomorphism, pushed to the new frame
-        f1 = hhi @ apply_one(np.exp(-wk), vk) @ hh
-        f1p = herm_part(h0h @ f1 @ h0hi)
-        s1 = fiber.herm_log(f1p, what="initial_gauge")
+        start = MetricState(apply_one(np.log(wh), vh))
+    # K is the mean curvature of h, conjugated to be Hermitian; the new
+    # reference is h0 = h^(1/2) exp(K) h^(1/2), and h seen from h0 in
+    # the new frame is f1 = h0^(-1/2) h h0^(-1/2), exp(-K) up to a
+    # unitary conjugation
+    khat = residual_parts(p, 0.0, start)[0]
+    ref = MetricState(fiber.herm_log(
+        start.fsr @ fiber.herm_exp(khat) @ start.fsr, what="initial_gauge"))
+    h0h, h0hi = ref.fsr, ref.fsri
+    s1 = fiber.herm_log(herm_part(h0hi @ start.f @ h0hi),
+                        what="initial_gauge")
 
     # transform background data to the frame of the new reference
-    upd = p.curvature_update(h0)
+    upd = p.curvature_update(ref)
     push = h0h @ (p.ilf0 + upd) @ h0hi
     ilf0p = herm_part(push)
     # consistency guard: the pushed background curvature must be
@@ -546,7 +536,7 @@ def initial_gauge(p, h=None, cfg=None):
         post = sup_norm(residual_parts(gauged, 1.0, st)[0])
         s1 = st.s
     drift = abs(gauged.degree() - p.degree())
-    return GaugeResult(gauged, s1, h0, pre, post, drift)
+    return GaugeResult(gauged, s1, h0h, pre, post, drift)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +564,7 @@ def energy_identity_gap(p, eps, st):
     psib = apply_two(fiber.kernel_matrix(fiber.psi_kernel, st.w), st.v, bs)
     t_nz = float(geom.integrate(geom.pair_01(psib, bs)).real)
     t_phi = float(geom.integrate(np.einsum(
-        "...ij,...ji->...", p.zero_order(st.f, finv=st.finv), s).real).real)
+        "...ij,...ji->...", p.zero_order(st), s).real).real)
     rhs = t_bg + t_nz + t_phi
     gap = abs(lhs - rhs)
     scale = max(abs(lhs), abs(t_bg), abs(t_nz), abs(t_phi), 1e-30)
@@ -600,7 +590,7 @@ def monotone_gap(p, st):
     nonnegative by the monotonicity of the fiberwise pairing path."""
     geom = p.geom
     inc = np.einsum("...ij,...ji->...",
-                    p.zero_order(st.f, finv=st.finv) - p.zero_order_id(),
+                    p.zero_order(st) - p.zero_order_id(),
                     st.s).real
     return float(geom.integrate(inc).real)
 
@@ -768,9 +758,7 @@ def run_continuation(p, cfg=None, h_start=None):
 def final_metric_original_frame(gauge, st):
     """Final deformed metric pulled back to the frame of the original
     problem: h0^(1/2) f h0^(1/2)."""
-    w0, v0 = fiber.herm_eig(gauge.h0)
-    h0h = apply_one(np.sqrt(w0), v0)
-    return herm_part(h0h @ st.f @ h0h)
+    return herm_part(gauge.h0h @ st.f @ gauge.h0h)
 
 
 def uniqueness_probe(p, cfg=None, h_a=None, h_b=None):

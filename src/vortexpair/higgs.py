@@ -55,23 +55,22 @@ class HiggsProblem(PairProblem):
 
     # -- zero-order hooks ----------------------------------------------------
 
-    def adjoint_field(self, f, finv=None):
-        """theta*_h for h = f over the identity reference."""
-        if finv is None:
-            finv = np.linalg.inv(f)
-        return finv @ self.theta_dag @ f
+    def adjoint_field(self, st):
+        """theta*_h = f^-1 theta^H f for h = f = st.f over the identity
+        reference, built once per state."""
+        return st.field(self, "adjoint",
+                        lambda: st.finv @ self.theta_dag @ st.f)
 
     def zero_order_id(self):
         b = self.theta @ self.theta_dag - self.theta_dag @ self.theta
         return self.geom.lam11(b)
 
-    def zero_order(self, f, finv=None):
-        m = self.adjoint_field(f, finv=finv)
+    def zero_order(self, st):
+        m = self.adjoint_field(st)
         return self.geom.lam11(self.theta @ m - m @ self.theta)
 
     def zero_order_lin(self, st, v):
-        m = st.field(self, "adjoint",
-                     lambda: self.adjoint_field(st.f, finv=st.finv))
+        m = self.adjoint_field(st)
         dm = st.finv @ (self.theta_dag @ v - v @ m)
         return self.geom.lam11(self.theta @ dm - dm @ self.theta)
 

@@ -230,25 +230,21 @@ class PairProblem:
 
     # -- equation pieces -----------------------------------------------------
 
-    def curvature_update(self, f, finv=None):
+    def curvature_update(self, st):
         """Contraction of dbar of f^{-1} d0 f: the curvature change when
-        the identity reference metric deforms by f."""
-        if finv is None:
-            finv = np.linalg.inv(f)
-        g = finv @ self.d0_end(f)
-        return self.lam_dbar_end(g)
+        the identity reference metric deforms by f = st.f."""
+        return self.lam_dbar_end(st.g_field(self))
 
     # zero-order term hooks; the Higgs variant overrides all three
 
     def zero_order_id(self):
         return 0.5 * self.phi_outer0
 
-    def zero_order(self, f, finv=None):
-        return 0.5 * (self.phi_outer0 @ f)
+    def zero_order(self, st):
+        return 0.5 * (self.phi_outer0 @ st.f)
 
     def zero_order_lin(self, st, v):
-        """Derivative of zero_order(f) along f-direction v (st carries
-        the powers of the base point f)."""
+        """Derivative of zero_order(st) along the f-direction v."""
         return 0.5 * (self.phi_outer0 @ v)
 
     def k0_field(self):
@@ -257,17 +253,17 @@ class PairProblem:
         eye = np.eye(self.rank)
         return self.ilf0 + self.zero_order_id() - (self.tau / 2.0) * eye
 
-    def mean_curvature_raw(self, f, finv=None):
-        """Mean curvature of the deformed metric, raw matrix assembly.
+    def mean_curvature_raw(self, st):
+        """Mean curvature of the deformed metric f = st.f, raw matrix
+        assembly.
 
         Hermitian with respect to the deformed metric in the continuum;
         the discrete anti-Hermitian defect is truncation error and is
         tracked separately by the continuation module.
         """
-        upd = self.curvature_update(f, finv=finv)
+        upd = self.curvature_update(st)
         eye = np.eye(self.rank)
-        return self.ilf0 + upd + self.zero_order(f, finv=finv) \
-            - (self.tau / 2.0) * eye
+        return self.ilf0 + upd + self.zero_order(st) - (self.tau / 2.0) * eye
 
 
 # ---------------------------------------------------------------------------

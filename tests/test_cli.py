@@ -190,11 +190,13 @@ def test_main_no_instance(capsys):
 
 @pytest.mark.parametrize("argv, cause", [
     (["--instance", "trivial", "--eps-min", "nan"], "eps_min"),
+    (["--instance", "trivial", "--eps-min", "5"], "eps_min"),
     (["--instance", "torus-stable", "--tau", "inf"], "tau"),
     (["--instance", "torus-stable", "--tau", "nan"], "tau"),
     (["--instance", "trivial", "--grid", "0"], "grid"),
     (["--instance", "hopf-stable", "--grid", "2"], "grid"),
-], ids=["eps-min-nan", "tau-inf", "tau-nan", "grid-0", "hopf-grid-2"])
+], ids=["eps-min-nan", "eps-min-5", "tau-inf", "tau-nan", "grid-0",
+        "hopf-grid-2"])
 def test_solve_rejects_bad_numbers(tmp_path, capsys, argv, cause):
     rc = main(["solve", "--quick", "--out", str(tmp_path)] + argv)
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,9 +29,10 @@ def _state_rank1(geom, rng, amp=0.5, kmax=2):
 # ---------------------------------------------------------------------------
 # config
 
-@pytest.mark.parametrize("bad", [0.0, math.nan])
-@pytest.mark.parametrize("name", ["eps_min", "newton_tol", "linear_rtol",
-                                  "cap"])
+@pytest.mark.parametrize("name,bad", [
+    (name, bad) for name in ("eps_min", "newton_tol", "linear_rtol", "cap")
+    for bad in (0.0, math.nan)
+] + [("eps_min", 1.0), ("eps_min", 5.0), ("eps_min", math.inf)])
 def test_config_rejects_non_positive_values(name, bad):
     with pytest.raises(ValueError, match=name):
         ContinuationConfig(**{name: bad})
@@ -81,20 +83,45 @@ def test_state_cache_follows_the_problem(rng):
 
 
 def test_state_assembles_its_curvature_once(rng, monkeypatch):
-    p = instances.make("rank2-extension", n=8)
-    calls = []
-    update = PairProblem.curvature_update
+    # one state through the residual, three matvecs and the two
+    # diagnostics builds its curvature, f^-1 d0 f and, for a Higgs
+    # problem, the adjoint f^-1 theta^H f once each
+    counts = Counter()
+    update, d0_end = PairProblem.curvature_update, PairProblem.d0_end
 
-    def counted(self, f, finv=None):
-        calls.append(self)
-        return update(self, f, finv=finv)
+    def counted_update(self, st):
+        counts["update"] += 1
+        return update(self, st)
 
-    monkeypatch.setattr(PairProblem, "curvature_update", counted)
-    st = MetricState(rand_band_herm(p.geom, rng, 2, amp=0.3))
-    residual_parts(p, 0.5, st)
-    for _ in range(3):
-        C.d2lhat_apply(p, 0.5, st, rand_band_herm(p.geom, rng, 2, amp=0.3))
-    assert len(calls) == 1
+    def counted_d0(self, x):
+        counts["d0 f"] += x is st.f
+        return d0_end(self, x)
+
+    class Dagger(np.ndarray):
+        # theta^H that counts the products f^-1 theta^H
+        def __matmul__(self, other):
+            return self.view(np.ndarray) @ other
+
+        def __rmatmul__(self, other):
+            counts["adjoint"] += other is st.finv
+            return other @ self.view(np.ndarray)
+
+    monkeypatch.setattr(PairProblem, "curvature_update", counted_update)
+    monkeypatch.setattr(PairProblem, "d0_end", counted_d0)
+    for name in ("rank2-extension", "higgs-nilpotent"):
+        p = instances.make(name, n=8)
+        higgs = hasattr(p, "theta_dag")
+        if higgs:
+            p.theta_dag = p.theta_dag.view(Dagger)
+        st = MetricState(rand_band_herm(p.geom, rng, 2, amp=0.3))
+        counts.clear()
+        residual_parts(p, 0.5, st)
+        for _ in range(3):
+            C.d2lhat_apply(p, 0.5, st, rand_band_herm(p.geom, rng, 2, amp=0.3))
+        energy_identity_gap(p, 0.5, st)
+        C.monotone_gap(p, st)
+        assert (counts["update"], counts["d0 f"], counts["adjoint"]) \
+            == (1, 1, int(higgs)), name
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +165,6 @@ def test_residual_public_vs_state_route(rng):
     r_state, skew = residual_parts(p, 0.3, st)
     r_pub = C.residual_L(p, 0.3, st.f)
     assert fiber.sup_norm(r_state - r_pub) < 1e-12
-    assert C.residual_defect(p, 0.3, st.f) == pytest.approx(skew, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -31,25 +31,24 @@ def test_bracket_oracle_nilpotent():
 
 def test_adjoint_field_formula(rng):
     hp = instances.make("higgs-nilpotent", n=16)
-    f = fiber.herm_exp(rand_band_herm(hp.geom, rng, 2, amp=0.4))
-    got = hp.adjoint_field(f)
-    want = np.linalg.inv(f) @ hp.theta_dag @ f
+    st = MetricState(rand_band_herm(hp.geom, rng, 2, amp=0.4))
+    got = hp.adjoint_field(st)
+    want = np.linalg.inv(st.f) @ hp.theta_dag @ st.f
     assert fiber.sup_norm(got - want) < 1e-12
 
 
 def test_zero_order_at_identity_matches_id(rng):
     hp = instances.make("higgs-nilpotent", n=16)
-    eye = np.broadcast_to(np.eye(2), tuple(hp.geom.shape) + (2, 2))
-    eye = np.ascontiguousarray(eye, dtype=complex)
+    eye = MetricState(np.zeros(tuple(hp.geom.shape) + (2, 2), dtype=complex))
     assert fiber.sup_norm(hp.zero_order(eye) - hp.zero_order_id()) < 1e-13
 
 
 def test_zero_order_is_deformed_hermitian(rng):
     # the bracket term with the deformed adjoint is f-Hermitian:
-    # f @ zero_order(f) has no skew part beyond roundoff
+    # f @ zero_order(st) has no skew part beyond roundoff
     hp = instances.make("higgs-nilpotent", n=16)
-    f = fiber.herm_exp(rand_band_herm(hp.geom, rng, 2, amp=0.4))
-    fk = f @ hp.zero_order(f)
+    st = MetricState(rand_band_herm(hp.geom, rng, 2, amp=0.4))
+    fk = st.f @ hp.zero_order(st)
     assert fiber.skew_defect(fk) < 1e-12 * fiber.sup_norm(fk)
 
 

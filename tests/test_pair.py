@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vortexpair import fiber, instances
-from vortexpair.continuation import residual_L
+from vortexpair.continuation import MetricState, residual_L
 from vortexpair.geometry import make_backend
 from vortexpair.pair import (PairProblem, SplitModel, classify, mu_M,
                              mu_m_phi, nu_case1, nu_case2, nu_trace_oracle,
@@ -231,12 +231,12 @@ def test_k0_field_trivial_hand_value():
     assert np.max(np.abs(k0 - (-0.5))) < 1e-14
 
 
-def _diag_band_exp(geom, rng, rank, amp=0.4):
+def _diag_band_state(geom, rng, rank, amp=0.4):
     s = np.zeros(tuple(geom.shape) + (rank, rank), dtype=complex)
     for i in range(rank):
         from vortexpair.geometry import random_band_scalar
         s[..., i, i] = random_band_scalar(geom, rng, kmax=2, amp=amp)
-    return fiber.herm_exp(s)
+    return MetricState(s)
 
 
 def test_mean_curvature_deformed_hermiticity(rng):
@@ -246,11 +246,11 @@ def test_mean_curvature_deformed_hermiticity(rng):
     for name, n, tol in (("torus-wave", 32, 1e-7), ("rank2-caseb", 32, 1e-7),
                          ("hopf-wave", 64, 1e-12)):
         p = instances.make(name, n=n)
-        f = _diag_band_exp(p.geom, rng, p.rank)
-        raw = p.mean_curvature_raw(f)
-        fk = f @ raw
+        st = _diag_band_state(p.geom, rng, p.rank)
+        raw = p.mean_curvature_raw(st)
+        fk = st.f @ raw
         assert fiber.skew_defect(fk) < tol * fiber.sup_norm(fk), name
-        assert fiber.skew_defect(residual_L(p, 0.0, f)) == 0.0, name
+        assert fiber.skew_defect(residual_L(p, 0.0, st.f)) == 0.0, name
 
 
 def test_mean_curvature_skew_outside_gauge_domain(rng):
@@ -259,8 +259,8 @@ def test_mean_curvature_skew_outside_gauge_domain(rng):
     # one, independent of resolution; downstream code symmetrizes and
     # tracks the defect instead of hiding it
     p = instances.make("rank2-extension", n=16)
-    f = fiber.herm_exp(rand_band_herm(p.geom, rng, 2, amp=0.3))
-    fk = f @ p.mean_curvature_raw(f)
+    st = MetricState(rand_band_herm(p.geom, rng, 2, amp=0.3))
+    fk = st.f @ p.mean_curvature_raw(st)
     assert fiber.skew_defect(fk) > 0.1
 
 
@@ -268,8 +268,8 @@ def test_curvature_update_preserves_degree(rng):
     # torus: spectral calculus makes any smooth conformal probe exact
     for name in ("torus-wave", "rank2-extension"):
         p = instances.make(name, n=16)
-        f = _diag_band_exp(p.geom, rng, p.rank)
-        d1 = p.geom.degree(p.ilf0 + p.curvature_update(f))
+        st = _diag_band_state(p.geom, rng, p.rank)
+        d1 = p.geom.degree(p.ilf0 + p.curvature_update(st))
         assert abs(d1 - p.degree()) < 1e-8, name
     # hopf centered differences: exact for single-harmonic conformal
     # factors (odd-power grid sums vanish identically)
@@ -277,8 +277,8 @@ def test_curvature_update_preserves_degree(rng):
     t = p.geom.coords()
     w0 = 2.0 * math.pi / p.geom.period
     u = 0.4 * np.cos(2 * w0 * t + 0.7)
-    f = np.exp(u)[..., None, None].astype(complex)
-    d1 = p.geom.degree(p.ilf0 + p.curvature_update(f))
+    st = MetricState(u[..., None, None].astype(complex))
+    d1 = p.geom.degree(p.ilf0 + p.curvature_update(st))
     assert abs(d1 - p.degree()) < 1e-10
 
 
@@ -290,8 +290,8 @@ def test_degree_drift_generic_hopf_factor_is_second_order(rng):
     for n in (64, 128):
         p = instances.make("hopf-wave", n=n)
         r2 = np.random.default_rng(5)
-        f = fiber.herm_exp(rand_band_herm(p.geom, r2, 1, amp=0.4))
-        drifts[n] = abs(p.geom.degree(p.ilf0 + p.curvature_update(f))
+        st = MetricState(rand_band_herm(p.geom, r2, 1, amp=0.4))
+        drifts[n] = abs(p.geom.degree(p.ilf0 + p.curvature_update(st))
                         - p.degree())
     assert drifts[64] > 1e-5  # genuinely nonzero
     assert 3.5 < drifts[64] / drifts[128] < 4.5
@@ -299,6 +299,5 @@ def test_degree_drift_generic_hopf_factor_is_second_order(rng):
 
 def test_curvature_update_of_identity_is_zero():
     p = instances.make("rank2-extension", n=16)
-    eye = np.broadcast_to(np.eye(2), tuple(p.geom.shape) + (2, 2)).copy()
-    eye = eye.astype(complex)
+    eye = MetricState(np.zeros(tuple(p.geom.shape) + (2, 2), dtype=complex))
     assert np.max(np.abs(p.curvature_update(eye))) < 1e-13
