@@ -427,8 +427,7 @@ def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
 class GaugeResult:
     problem: PairProblem
     s1: np.ndarray
-    h0h: np.ndarray              # h0^(1/2), h0 the rebasing metric in the
-                                 # original frame
+    h0h: np.ndarray              # h0^(1/2), h0 the rebasing metric
     pre_residual: float
     post_residual: float
     degree_drift: float

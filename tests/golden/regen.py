@@ -9,6 +9,7 @@ only for a change that is meant to move a trace, and list its output
 with the change.
 """
 
+import difflib
 import os
 import sys
 
@@ -29,12 +30,9 @@ def main():
             with open(path, encoding="utf-8") as fh:
                 old = fh.read()
         print("%s: %s" % (name, new.split("\n", 1)[0].lstrip("# ")))
-        old_lines, new_lines = old.split("\n"), new.split("\n")
-        for i in range(max(len(old_lines), len(new_lines))):
-            a = old_lines[i] if i < len(old_lines) else ""
-            b = new_lines[i] if i < len(new_lines) else ""
-            if a != b:
-                print("  line %d\n    - %s\n    + %s" % (i + 1, a, b))
+        for line in difflib.unified_diff(old.splitlines(), new.splitlines(),
+                                         "old", "new", lineterm="", n=0):
+            print("  " + line)
         with open(path, "wb") as fh:
             fh.write(new.encode("utf-8"))
 

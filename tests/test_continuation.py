@@ -162,7 +162,7 @@ def test_newton_failure_and_best_effort():
 def test_residual_public_vs_state_route(rng):
     p = instances.make("torus-wave", n=16)
     st = _state_rank1(p.geom, rng)
-    r_state, skew = residual_parts(p, 0.3, st)
+    r_state, _ = residual_parts(p, 0.3, st)
     r_pub = C.residual_L(p, 0.3, st.f)
     assert fiber.sup_norm(r_state - r_pub) < 1e-12
 
