@@ -1,7 +1,9 @@
 """Batched fiber kernels: rank-1 fast paths over the generic numpy path.
 
 A rank-1 field is a scalar field, so its eigendecomposition and both
-functional calculi are elementwise. Every other rank goes to _fiber_np.
+functional calculi are elementwise. Every other rank goes to _fiber_np,
+whose batched product mm (re-exported as fiber.mm) writes rank 2 out
+and leaves rank 3 and up to np.matmul.
 """
 
 import numpy as np

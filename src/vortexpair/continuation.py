@@ -38,7 +38,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import fiber, pair as pair_mod
 from ._kernels import apply_one, apply_two
-from .fiber import frob, herm_part, sup_norm
+from .fiber import frob, herm_part, mm, sup_norm
 from .pair import PairProblem
 
 # Newton line search, linear solve and step control
@@ -177,7 +177,7 @@ class MetricState:
 
     def g_field(self, p):
         """f^-1 d0 f."""
-        return self.field(p, "g", lambda: self.finv @ p.d0_end(self.f))
+        return self.field(p, "g", lambda: mm(self.finv, p.d0_end(self.f)))
 
     def kraw(self, p):
         """Raw mean curvature of the deformed metric f."""
@@ -189,15 +189,15 @@ class MetricState:
 
 def lhat_raw(p, eps, st):
     """f L_eps(f), unsymmetrized."""
-    out = st.f @ st.kraw(p)
+    out = mm(st.f, st.kraw(p))
     if eps != 0.0:
-        out = out + eps * (st.f @ st.s)
+        out = out + eps * mm(st.f, st.s)
     return out
 
 
 def residual_parts(p, eps, st):
     """Hermitian residual and the anti-Hermitian truncation defect."""
-    x = st.fsr @ st.kraw(p) @ st.fsri
+    x = mm(mm(st.fsr, st.kraw(p)), st.fsri)
     skew = fiber.skew_defect(x)
     r = herm_part(x)
     if eps != 0.0:
@@ -221,11 +221,11 @@ def d2lhat_apply(p, eps, st, v):
     lraw = st.kraw(p)
     if eps != 0.0:
         lraw = lraw + eps * st.s
-    t1 = v @ lraw
+    t1 = mm(v, lraw)
     d0v = p.d0_end(v)
-    y = st.finv @ d0v - st.finv @ v @ st.g_field(p)
-    t2 = st.f @ p.lam_dbar_end(y)
-    t3 = st.f @ p.zero_order_lin(st, v)
+    y = mm(st.finv, d0v) - mm(mm(st.finv, v), st.g_field(p))
+    t2 = mm(st.f, p.lam_dbar_end(y))
+    t3 = mm(st.f, p.zero_order_lin(st, v))
     out = t1 + t2 + t3
     if eps != 0.0:
         kmat = fiber.inv_psi_kernel(st.w[..., :, None], st.w[..., None, :])
@@ -307,7 +307,7 @@ def _newton_operator(p, eps, st, packer):
         vh = packer.unpack(x)
         w_dir = dexp_direction(st, vh)
         out = d2lhat_apply(p, eps, st, w_dir)
-        out = herm_part(st.fsri @ out @ st.fsri)
+        out = herm_part(mm(mm(st.fsri, out), st.fsri))
         return packer.pack(out)
     return mv
 
@@ -464,14 +464,15 @@ def initial_gauge(p, h=None, cfg=None):
     # unitary conjugation
     khat = residual_parts(p, 0.0, start)[0]
     ref = MetricState(fiber.herm_log(
-        start.fsr @ fiber.herm_exp(khat) @ start.fsr, what="initial_gauge"))
+        mm(mm(start.fsr, fiber.herm_exp(khat)), start.fsr),
+        what="initial_gauge"))
     h0h, h0hi = ref.fsr, ref.fsri
-    s1 = fiber.herm_log(herm_part(h0hi @ start.f @ h0hi),
+    s1 = fiber.herm_log(herm_part(mm(mm(h0hi, start.f), h0hi)),
                         what="initial_gauge")
 
     # transform background data to the frame of the new reference
     upd = p.curvature_update(ref)
-    push = h0h @ (p.ilf0 + upd) @ h0hi
+    push = mm(mm(h0h, p.ilf0 + upd), h0hi)
     ilf0p = herm_part(push)
     # consistency guard: the pushed background curvature must be
     # Hermitian up to derivative truncation. An order-one skew part
@@ -493,10 +494,9 @@ def initial_gauge(p, h=None, cfg=None):
             "summand-diagonal probes, constant ones when couplings are "
             "stored" % (skew, scale))
     db = geom.dbar(h0hi)
-    a01p = h0h @ db
+    a01p = mm(h0h, db)
     if p.a01 is not None:
-        a01p = a01p + (h0h @ np.broadcast_to(p.a01, upd.shape).copy()
-                       @ h0hi)
+        a01p = a01p + mm(mm(h0h, p.a01), h0hi)
     # the new frame again has an identity reference, so its Chern (1,0)
     # coefficient is pinned to the (0,1) one; pushing the old a10
     # forward instead would give the Chern connection of the old
@@ -508,8 +508,7 @@ def initial_gauge(p, h=None, cfg=None):
     if p.sec01 is None:
         sec01p = None  # sections keep inheriting the endomorphism twist
     else:
-        sec01p = (h0h @ db
-                  + h0h @ np.broadcast_to(p.sec01, upd.shape).copy() @ h0hi)
+        sec01p = mm(h0h, db) + mm(mm(h0h, p.sec01), h0hi)
 
     # the transformed section data is holomorphic up to the backend's
     # derivative truncation: spectral leaves near machine level, the
@@ -628,7 +627,7 @@ def diagnostics_check(p, eps, st, prev_st=None, newton_iters=0, cfg=None):
     if prev_st is not None:
         # relative increment sup|log(f_prev^(-1/2) f f_prev^(-1/2))|,
         # the symmetric form of sup|log(f_prev^-1 f)|
-        m = herm_part(prev_st.fsri @ st.f @ prev_st.fsri)
+        m = herm_part(mm(mm(prev_st.fsri, st.f), prev_st.fsri))
         cauchy = sup_norm(fiber.herm_log(m, what="cauchy increment"))
     else:
         cauchy = 0.0
@@ -757,7 +756,7 @@ def run_continuation(p, cfg=None, h_start=None):
 def final_metric_original_frame(gauge, st):
     """Final deformed metric pulled back to the frame of the original
     problem: h0^(1/2) f h0^(1/2)."""
-    return herm_part(gauge.h0h @ st.f @ gauge.h0h)
+    return herm_part(mm(mm(gauge.h0h, st.f), gauge.h0h))
 
 
 def uniqueness_probe(p, cfg=None, h_a=None, h_b=None):

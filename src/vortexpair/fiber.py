@@ -4,12 +4,19 @@ Fields keep grid axes first and matrix axes last. Everything here is
 pointwise in the grid: eigendecompositions, matrix exp/log, and the one
 and two variable transforms built on eigenvalue kernels.
 
+Every field-valued matrix product of the solver goes through mm, the
+batched product of _fiber_np: elementwise at rank 1, written out entry
+by entry at rank 2, np.matmul at rank 3 and up. The eigendecomposition
+and the two functional calculi come from _kernels, which takes rank-1
+fields elementwise and hands every other rank to _fiber_np.
+
 Norms: unless stated otherwise, pointwise norms are Frobenius norms and
 sup norms are the grid max of the pointwise norm.
 """
 
 import numpy as np
 
+from ._fiber_np import mm
 from ._kernels import apply_one, apply_two, eigh_batch
 
 # positivity clamp policy for logarithms of metric factors:
@@ -158,7 +165,7 @@ def funcalc_two(fn, s, a):
 
 def comm(a, b):
     """Matrix commutator a b - b a, broadcasting over grid axes."""
-    return a @ b - b @ a
+    return mm(a, b) - mm(b, a)
 
 
 def herm_exp(s):

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fiber import comm
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -45,7 +47,7 @@ class GridBackend:
         acting on an endomorphism valued (1,0) field g10."""
         if twist01 is None:
             return w
-        return w + twist01 @ g10 - g10 @ twist01
+        return w + comm(twist01, g10)
 
     def lam_wedge_trace(self, g10, b01):
         """Contraction of tr(g10 wedge b01), a complex scalar field."""

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import fiber
 from ._kernels import apply_one
+from .fiber import mm
 from .pair import PairProblem
 
 
@@ -59,26 +60,25 @@ class HiggsProblem(PairProblem):
         """theta*_h = f^-1 theta^H f for h = f = st.f over the identity
         reference, built once per state."""
         return st.field(self, "adjoint",
-                        lambda: st.finv @ self.theta_dag @ st.f)
+                        lambda: mm(mm(st.finv, self.theta_dag), st.f))
 
     def zero_order_id(self):
-        b = self.theta @ self.theta_dag - self.theta_dag @ self.theta
-        return self.geom.lam11(b)
+        return self.geom.lam11(fiber.comm(self.theta, self.theta_dag))
 
     def zero_order(self, st):
         m = self.adjoint_field(st)
-        return self.geom.lam11(self.theta @ m - m @ self.theta)
+        return self.geom.lam11(fiber.comm(self.theta, m))
 
     def zero_order_lin(self, st, v):
         m = self.adjoint_field(st)
-        dm = st.finv @ (self.theta_dag @ v - v @ m)
-        return self.geom.lam11(self.theta @ dm - dm @ self.theta)
+        dm = mm(st.finv, mm(self.theta_dag, v) - mm(v, m))
+        return self.geom.lam11(fiber.comm(self.theta, dm))
 
     # -- gauge transport -----------------------------------------------------
 
     def _transformed_clone(self, ilf0p, phip, a01p, a10p, sec01p, h0h, h0hi,
                            tol):
-        thetap = h0h @ self.theta @ h0hi
+        thetap = mm(mm(h0h, self.theta), h0hi)
         return HiggsProblem(self.geom, self.rank, ilf0p, thetap, self.lam,
                             a01=a01p, a10=a10p, split=self.split,
                             theta_tol=max(self.theta_tol, tol), check=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fiber
-from .fiber import comm
+from .fiber import comm, mm
 
 TWO_PI = 2.0 * math.pi
 
@@ -241,11 +241,11 @@ class PairProblem:
         return 0.5 * self.phi_outer0
 
     def zero_order(self, st):
-        return 0.5 * (self.phi_outer0 @ st.f)
+        return 0.5 * mm(self.phi_outer0, st.f)
 
     def zero_order_lin(self, st, v):
         """Derivative of zero_order(st) along the f-direction v."""
-        return 0.5 * (self.phi_outer0 @ v)
+        return 0.5 * mm(self.phi_outer0, v)
 
     def k0_field(self):
         """Mean curvature of the reference metric itself. Exactly

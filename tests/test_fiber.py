@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vortexpair import _fiber_np, _kernels, fiber
 from vortexpair.fiber import (ClampError, dexp_kernel, dd_kernel, frob,
@@ -282,3 +283,62 @@ def test_rank1_fast_paths_match_generic(fields):
     g = w[..., 0]
     _assert_close(_kernels.apply_one(g, v), _fiber_np.apply_one(g, v))
     _assert_close(_kernels.apply_two(k, v, b), _fiber_np.apply_two(k, v, b))
+
+
+# ---------------------------------------------------------------------------
+# the batched product mm against np.matmul
+
+_MM_VALUES = st.one_of(st.just(0.0), st.floats(1e-100, 1e3),
+                       st.floats(-1e3, -1e-100))
+
+
+@st.composite
+def _mm_operands(draw):
+    """Two operands of rank 1, 2 or 3 on an (n,) or (n, n) grid: fields
+    or a constant (r, r) on either side, each real or complex."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    grid = draw(st.sampled_from([(n,), (n, n)]))
+    layout = draw(st.sampled_from(["field-field", "const-field",
+                                   "field-const"]))
+
+    def operand(const):
+        shape = (r, r) if const else grid + (r, r)
+        x = draw(hnp.arrays(np.float64, shape, elements=_MM_VALUES))
+        if draw(st.booleans()):
+            x = x + 1j * draw(hnp.arrays(np.float64, shape,
+                                         elements=_MM_VALUES))
+        return x
+
+    return (operand(layout == "const-field"),
+            operand(layout == "field-const"))
+
+
+def _assert_scaled(got, want, scale):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mm_operands(), st.sampled_from([0.0, 1e-9]), st.integers(0, 2 ** 32))
+def test_mm_and_rank2_calculus_match_matmul(operands, split, seed):
+    a, b = operands
+    _assert_scaled(fiber.mm(a, b), np.matmul(a, b),
+                   np.max(np.abs(a)) * np.max(np.abs(b)))
+
+    # rank-2 functional calculus on exactly coincident and 1e-9-split
+    # eigenvalues, against the same formulas written with @
+    rng = np.random.default_rng(seed)
+    w0 = rng.uniform(-3.0, 3.0, size=(3, 3, 1)) + np.array([0.0, split])
+    q = np.linalg.qr(rng.standard_normal((3, 3, 2, 2))
+                     + 1j * rng.standard_normal((3, 3, 2, 2)))[0]
+    qh = np.conjugate(np.swapaxes(q, -1, -2))
+    w, v = _kernels.eigh_batch(herm_part((q * w0[..., None, :]) @ qh))
+    vh = np.conjugate(np.swapaxes(v, -1, -2))
+    g = np.exp(w)
+    _assert_scaled(_kernels.apply_one(g, v),
+                   (v * g[..., None, :]) @ vh, np.max(g))
+    k = fiber.kernel_matrix(psi_kernel, w)
+    c = rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))
+    _assert_scaled(_kernels.apply_two(k, v, c), v @ (k * (vh @ c @ v)) @ vh,
+                   np.max(k) * np.max(np.abs(c)))
