@@ -193,9 +193,7 @@ def cmd_sweep_tau(args):
         "analyzer": analyzer,
         "runs": runs,
     }
-    base = os.path.join(outdir, "%s-sweep" % name)
-    os.makedirs(base, exist_ok=True)
-    path = os.path.join(base, "sweep.json")
+    path = os.path.join(outdir, "%s-sweep" % name, "sweep.json")
     reporting.write_text(path, reporting.dump_json(doc))
     print("threshold estimate %.6f (bracket [%.6f, %.6f]); wrote %s"
           % (midpoint, lo, hi, path))
@@ -212,9 +210,7 @@ def cmd_stability(args):
     doc = {"schema": "vortexpair-stability-1", "instance": name,
            "tau": prob.tau, "report": rep.to_dict()}
     outdir = resolve_out(args, conf)
-    base = os.path.join(outdir, "%s-stability" % name)
-    os.makedirs(base, exist_ok=True)
-    path = os.path.join(base, "stability.json")
+    path = os.path.join(outdir, "%s-stability" % name, "stability.json")
     reporting.write_text(path, reporting.dump_json(doc))
     print(reporting.dump_json(doc).rstrip())
     print("wrote %s" % path)

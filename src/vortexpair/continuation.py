@@ -31,7 +31,7 @@ dominant operator.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -67,7 +67,6 @@ class ContinuationConfig:
     newton_max: int = 50
     linear_rtol: float = 1e-8
     cap: float = 50.0             # sup|log f| divergence cap
-    polish: bool = True           # final eps = 0 Newton
     full_diagnostics: bool = True
 
     def __post_init__(self):
@@ -122,28 +121,17 @@ class SolveReport:
     newton_total: int
 
     def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "cause": self.cause,
-            "final_residual": self.final_residual,
-            "final_sup_log_f": self.final_sup_log_f,
-            "degree": self.degree,
-            "phi_l2": self.phi_l2,
-            "window": list(self.window),
-            "eps_reached": self.eps_reached,
-            "wall_time": self.wall_time,
-            "gauge_pre_residual": self.gauge_pre_residual,
-            "gauge_post_residual": self.gauge_post_residual,
-            "newton_total": self.newton_total,
-            "steps": len(self.trace),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "trace"}
+        out["steps"] = len(self.trace)
+        return out
 
 
 @dataclass
 class RunOutcome:
     report: SolveReport
-    gauge: "GaugeResult"
-    state: "MetricState"
+    gauge: "GaugeResult"          # None when the initial gauge failed
+    state: "MetricState"          # None when the initial gauge failed
 
     @property
     def verdict(self):
@@ -185,14 +173,6 @@ class MetricState:
 
     def sup_s(self):
         return sup_norm(self.s)
-
-
-def lhat_raw(p, eps, st):
-    """f L_eps(f), unsymmetrized."""
-    out = mm(st.f, st.kraw(p))
-    if eps != 0.0:
-        out = out + eps * mm(st.f, st.s)
-    return out
 
 
 def residual_parts(p, eps, st):
@@ -493,22 +473,14 @@ def initial_gauge(p, h=None, cfg=None):
             "of the commutant of the declared background curvature; use "
             "summand-diagonal probes, constant ones when couplings are "
             "stored" % (skew, scale))
-    db = geom.dbar(h0hi)
-    a01p = mm(h0h, db)
+    # only a01 is pushed forward: the new frame again has an identity
+    # reference, so the clone pins its Chern (1,0) coefficient to
+    # -a01p^H. Pushing the old a10 forward instead would give the Chern
+    # connection of the old reference, which is h0^{-1} in this frame
+    a01p = mm(h0h, geom.dbar(h0hi))
     if p.a01 is not None:
         a01p = a01p + mm(mm(h0h, p.a01), h0hi)
-    # the new frame again has an identity reference, so its Chern (1,0)
-    # coefficient is pinned to the (0,1) one; pushing the old a10
-    # forward instead would give the Chern connection of the old
-    # reference, which is h0^{-1} in this frame, and the mean curvature
-    # assembly would be inconsistent as soon as a01 and h0 fail to
-    # commute
-    a10p = -np.conjugate(np.swapaxes(a01p, -1, -2))
     phip = np.einsum("...ij,...j->...i", h0h, p.phi)
-    if p.sec01 is None:
-        sec01p = None  # sections keep inheriting the endomorphism twist
-    else:
-        sec01p = mm(h0h, db) + mm(mm(h0h, p.sec01), h0hi)
 
     # the transformed section data is holomorphic up to the backend's
     # derivative truncation: spectral leaves near machine level, the
@@ -519,8 +491,7 @@ def initial_gauge(p, h=None, cfg=None):
                         40.0 * geom.h ** 2 * (1.0 + sup_norm(khat)) ** 3)
     else:
         clone_tol = 1e-6
-    gauged = p._transformed_clone(ilf0p, phip, a01p, a10p, sec01p,
-                                  h0h, h0hi, clone_tol)
+    gauged = p._transformed_clone(ilf0p, phip, a01p, h0h, h0hi, clone_tol)
 
     st = MetricState(s1)
     r0, _ = residual_parts(gauged, 1.0, st)
@@ -569,20 +540,6 @@ def energy_identity_gap(p, eps, st):
     return gap, scale
 
 
-def nie_zhang_check(p, st):
-    """Integrated absolute gap of the pointwise contraction identity
-
-        iL tr((f^-1 d0 f) wedge dbar_A s) = <Psi(s)(dbar_A s), dbar_A s>.
-    """
-    geom = p.geom
-    g10 = st.g_field(p)
-    bs = p.dbar_end(st.s)
-    lhs = geom.lam_wedge_trace(g10, bs)
-    psib = apply_two(fiber.kernel_matrix(fiber.psi_kernel, st.w), st.v, bs)
-    rhs = geom.pair_01(psib, bs)
-    return float(geom.integrate(np.abs(lhs - rhs)).real)
-
-
 def monotone_gap(p, st):
     """Integrated pairing of the zero-order-term increment against s;
     nonnegative by the monotonicity of the fiberwise pairing path."""
@@ -601,18 +558,6 @@ def calc_inequality_margin(p, eps, st):
     k0n = frob(p.k0_field())
     lhs = pterm + eps * ns ** 2
     return float(np.max(lhs - k0n * ns))
-
-
-def discretization_slack(p, st):
-    """Self-declared slack for the pointwise inequality checks.
-
-    Spectral backend: roundoff-level. Finite-difference backend: an
-    O(h^2) envelope scaled by the field size. Engineering constant, not
-    a theorem; documented with the check it guards."""
-    if p.geom.kind == "torus":
-        return 1e-8 * max(1.0, st.sup_s()) ** 2
-    h = p.geom.h
-    return 50.0 * h ** 2 * max(1.0, st.sup_s()) ** 3 * max(1.0, sup_norm(p.k0_field()))
 
 
 def diagnostics_check(p, eps, st, prev_st=None, newton_iters=0, cfg=None):
@@ -663,20 +608,31 @@ def run_continuation(p, cfg=None, h_start=None):
     Verdicts: converged (polish met tolerance), diverged (cap crossed,
     the operational no-solution signal), boundary (schedule completed
     but the polish failed, the semistable signature), failed
-    (operational error).
+    (operational error). A start the initial gauge cannot rebase fails
+    with an empty trace, NaN residuals and no gauge or state.
     """
     if cfg is None:
         cfg = ContinuationConfig()
     t0 = time.perf_counter()
-    gauge = initial_gauge(p, h=h_start, cfg=cfg)
+    window = (math.nan, math.nan)
+    if p.split is not None:
+        window = pair_mod.stability_window(p.split, p.geom)
+    try:
+        gauge = initial_gauge(p, h=h_start, cfg=cfg)
+    except (fiber.ClampError, GaugeDomainError) as e:
+        rep = SolveReport(
+            verdict="failed", cause="gauge: %s: %s" % (type(e).__name__, e),
+            final_residual=math.nan, final_sup_log_f=math.nan,
+            degree=p.degree(), phi_l2=p.phi_l2, window=window,
+            eps_reached=math.nan, trace=[],
+            wall_time=time.perf_counter() - t0,
+            gauge_pre_residual=math.nan, gauge_post_residual=math.nan,
+            newton_total=0)
+        return RunOutcome(rep, None, None)
     gp = gauge.problem
     st = MetricState(gauge.s1)
     trace = []
     newton_total = 0
-
-    window = (math.nan, math.nan)
-    if p.split is not None:
-        window = pair_mod.stability_window(p.split, p.geom)
 
     rec = diagnostics_check(gp, 1.0, st, None, 0, cfg)
     trace.append(rec)
@@ -717,14 +673,7 @@ def run_continuation(p, cfg=None, h_start=None):
         rec = diagnostics_check(gp, target, st_new, st, iters, cfg)
         st = st_new
         trace.append(rec)
-        if st.sup_s() > cfg.cap:
-            return build_report("diverged", "cap at eps=%.4g" % target, target,
-                                rec.residual_sup)
         eps_prev = target
-
-    if not cfg.polish:
-        return build_report("converged", "eps_min reached, polish disabled",
-                            eps_prev, trace[-1].residual_sup)
 
     try:
         st_new, iters = newton_solve_at(gp, 0.0, st, cfg, cap=cfg.cap)

@@ -36,11 +36,6 @@ class ClampError(ValueError):
 clamp_events = 0
 
 
-def reset_clamp_counter():
-    global clamp_events
-    clamp_events = 0
-
-
 def frob(a):
     """Pointwise Frobenius norm of a matrix field."""
     a = np.asarray(a)
@@ -172,14 +167,6 @@ def herm_exp(s):
     return funcalc_one(np.exp, s)
 
 
-def herm_sqrt(f, what="herm_sqrt"):
-    """Positive square root of a positive definite Hermitian field."""
-    w, v = herm_eig(f)
-    if float(np.min(w)) < -CLAMP_HARD_REL * max(1.0, float(np.max(np.abs(w)))):
-        raise ClampError("%s: input is not positive definite" % what)
-    return apply_one(np.sqrt(np.maximum(w, EIG_FLOOR)), v)
-
-
 def herm_log(f, what="herm_log"):
     """Matrix log of a Hermitian positive definite field, with clamping.
 
@@ -201,7 +188,7 @@ def herm_log(f, what="herm_log"):
 
 
 # ---------------------------------------------------------------------------
-# section pairings
+# section term
 
 def phi_outer(phi):
     """Section outer product phi phi^H as an endomorphism field.
@@ -212,50 +199,3 @@ def phi_outer(phi):
     """
     phi = np.asarray(phi, dtype=np.complex128)
     return phi[..., :, None] * np.conjugate(phi[..., None, :])
-
-
-def _to_identity_frame(phi, s, h0):
-    """Reduce (phi, s) over a general reference metric to the identity
-    frame: s is h0-Hermitian, conjugation by h0^(1/2) makes it Hermitian."""
-    w0, v0 = herm_eig(h0)
-    if np.min(w0) <= 0:
-        raise ClampError("reference metric is not positive definite")
-    h0h = apply_one(np.sqrt(w0), v0)
-    h0hi = apply_one(1.0 / np.sqrt(w0), v0)
-    s_id = herm_part(h0h @ s @ h0hi)
-    phi_id = np.einsum("...ij,...j->...i", h0h, phi)
-    return phi_id, s_id
-
-
-def xi_path(phi, s, t, h0=None):
-    """Real scalar field xi(t) = h0 pairing of the section term against s
-    along the metric path h0 exp(t s).
-
-    With h0 the identity this is phi^H exp(t s) s phi.
-    """
-    if h0 is not None:
-        phi, s = _to_identity_frame(phi, s, h0)
-    w, v = herm_eig(s)
-    es = apply_one(np.exp(t * w) * w, v)
-    out = np.einsum("...i,...ij,...j->...", np.conjugate(phi), es, phi)
-    return out.real
-
-
-def xi_derivative(phi, s, t):
-    """d/dt of xi_path at h0 = id, in closed form: |s exp(t s / 2) phi|^2
-    pointwise."""
-    w, v = herm_eig(s)
-    m = apply_one(w * np.exp(0.5 * t * w), v)
-    vec = np.einsum("...ij,...j->...i", m, phi)
-    return np.sum(np.abs(vec) ** 2, axis=-1)
-
-
-def higgs_xi_derivative(theta, s, t):
-    """Pointwise |[s, exp(ts/2) theta exp(-ts/2)]|_F^2, the field analogue
-    of xi_derivative for a bracket term instead of a section."""
-    w, v = herm_eig(s)
-    e = apply_one(np.exp(0.5 * t * w), v)
-    ei = apply_one(np.exp(-0.5 * t * w), v)
-    th = e @ theta @ ei
-    br = s @ th - th @ s
-    return np.sum(np.abs(br) ** 2, axis=(-2, -1))

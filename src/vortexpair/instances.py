@@ -32,7 +32,7 @@ def _hopf(n):
     return make_backend("hopf", HOPF_N if n is None else n)
 
 
-def trivial(n=None, tau=None):
+def trivial(n, tau):
     """Degree zero, unit section, tau = 2: the closed-form target is
     f = 2 id."""
     g = _torus(n)
@@ -40,21 +40,21 @@ def trivial(n=None, tau=None):
                        split=SplitModel((0.0,), 0))
 
 
-def torus_stable(n=None, tau=None):
+def torus_stable(n, tau):
     g = _torus(n)
     return PairProblem(g, 1, [[2.0 * math.pi]], [1.0],
                        1.2 * FOUR_PI if tau is None else tau,
                        split=SplitModel((1.0,), 0))
 
 
-def torus_unstable(n=None, tau=None):
+def torus_unstable(n, tau):
     g = _torus(n)
     return PairProblem(g, 1, [[2.0 * math.pi]], [1.0],
                        0.8 * FOUR_PI if tau is None else tau,
                        split=SplitModel((1.0,), 0))
 
 
-def torus_wave(n=None, tau=None):
+def torus_wave(n, tau):
     """Degree one with a spatially varying background: the constant
     curvature representative plus an exact potential bump, so the degree
     is unchanged but nothing is translation invariant."""
@@ -70,21 +70,21 @@ def torus_wave(n=None, tau=None):
                        split=SplitModel((1.0,), 0))
 
 
-def hopf_stable(n=None, tau=None):
+def hopf_stable(n, tau):
     g = _hopf(n)
     deg = g.vol / (2.0 * math.pi)
     return PairProblem(g, 1, [[1.0]], [1.0], 2.4 if tau is None else tau,
                        split=SplitModel((deg,), 0))
 
 
-def hopf_unstable(n=None, tau=None):
+def hopf_unstable(n, tau):
     g = _hopf(n)
     deg = g.vol / (2.0 * math.pi)
     return PairProblem(g, 1, [[1.0]], [1.0], 0.5 if tau is None else tau,
                        split=SplitModel((deg,), 0))
 
 
-def hopf_wave(n=None, tau=None):
+def hopf_wave(n, tau):
     """Weight one with a reflection-even potential bump; evenness keeps
     the finite-difference degree bookkeeping exact."""
     g = _hopf(n)
@@ -97,7 +97,7 @@ def hopf_wave(n=None, tau=None):
                        split=SplitModel((deg,), 0))
 
 
-def rank2_caseb(n=None, tau=None):
+def rank2_caseb(n, tau):
     """Block split of degrees (0, 1) with the section in the degree
     zero summand, run exactly at tau = 4 pi: the degree one block sits
     on the threshold and its factor stays identity, so the solution is
@@ -109,7 +109,7 @@ def rank2_caseb(n=None, tau=None):
                        split=SplitModel((0.0, 1.0), 0))
 
 
-def rank2_extension(n=None, tau=None):
+def rank2_extension(n, tau):
     """Nonsplit extension model: degrees (0, 1) with coupling from the
     degree one summand into the degree zero one. The background
     curvature carries the wedge term of the coupling, which keeps the
@@ -125,7 +125,7 @@ def rank2_extension(n=None, tau=None):
                        split=SplitModel((0.0, 1.0), 0, ((0, 1),)))
 
 
-def higgs_nilpotent(n=None, lam=None):
+def higgs_nilpotent(n, lam):
     """Strictly triangular Higgs field on the trivial rank two
     background. Semistable but not polystable: the continuation is
     expected to end with a boundary verdict, not convergence."""
@@ -136,7 +136,7 @@ def higgs_nilpotent(n=None, lam=None):
                         0.0 if lam is None else lam)
 
 
-def higgs_theta_zero(n=None, lam=None):
+def higgs_theta_zero(n, lam):
     """Zero Higgs field; must reduce exactly to the vortex machinery
     with no section and tau = 2 lam."""
     g = _torus(n)

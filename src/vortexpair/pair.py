@@ -21,8 +21,6 @@ import numpy as np
 from . import fiber
 from .fiber import comm, mm
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class SplitModel:
@@ -98,16 +96,13 @@ class PairProblem:
     tau         equation parameter
     a01         optional (0,1) connection coefficient (matrix or field);
                 acts on sections by multiplication, on endomorphisms by
-                commutator
-    a10         optional (1,0) connection coefficient; defaults to -a01^H,
-                the Chern convention for an identity reference metric
-    sec01       optional section twist when it differs from a01 (weight
-                bookkeeping on the curved backend); None inherits a01
+                commutator. The (1,0) coefficient a10 is -a01^H, the
+                Chern convention for an identity reference metric
     split       optional SplitModel consistency declaration
     """
 
-    def __init__(self, geom, rank, ilf0, phi, tau, a01=None, a10=None,
-                 sec01=None, split=None, holomorphy_tol=None, check=True):
+    def __init__(self, geom, rank, ilf0, phi, tau, a01=None, split=None,
+                 holomorphy_tol=None):
         self.geom = geom
         self.rank = int(rank)
         self.tau = float(tau)
@@ -117,28 +112,19 @@ class PairProblem:
         self.ilf0 = self._expand_matrix(ilf0, gshape)
         self.phi = self._expand_section(phi, gshape)
         self.a01 = None if a01 is None else np.asarray(a01, dtype=np.complex128)
-        if a10 is not None:
-            self.a10 = np.asarray(a10, dtype=np.complex128)
-        elif self.a01 is not None:
-            self.a10 = -np.conjugate(np.swapaxes(self.a01, -1, -2))
-        else:
-            self.a10 = None
-        self.sec01 = None if sec01 is None else np.asarray(sec01,
-                                                           dtype=np.complex128)
+        self.a10 = (None if a01 is None
+                    else -np.conjugate(np.swapaxes(self.a01, -1, -2)))
 
         if holomorphy_tol is None:
             holomorphy_tol = geom.holomorphy_tol
         self.holomorphy_tol = holomorphy_tol
 
         # reject non-finite data before any field is derived from it
-        if check:
-            self._check_finite("tau", "ilf0", "phi", "a01", "a10", "sec01")
+        self._check_finite("tau", "ilf0", "phi", "a01")
         self.phi_outer0 = fiber.phi_outer(self.phi)
         self.phi_l2 = float(geom.integrate(
             np.sum(np.abs(self.phi) ** 2, axis=-1)).real)
-
-        if check:
-            self._validate()
+        self._validate()
 
     def _expand_matrix(self, m, gshape):
         m = np.asarray(m, dtype=np.complex128)
@@ -189,10 +175,9 @@ class PairProblem:
     # -- background operators ------------------------------------------------
 
     def dbar_section(self, sec):
-        tw = self.sec01 if self.sec01 is not None else self.a01
         out = self.geom.dbar(sec)
-        if tw is not None:
-            out = out + np.einsum("...ij,...j->...i", tw, sec)
+        if self.a01 is not None:
+            out = out + np.einsum("...ij,...j->...i", self.a01, sec)
         return out
 
     def holomorphy_defect(self):
@@ -219,14 +204,12 @@ class PairProblem:
     def degree(self):
         return self.geom.degree(self.ilf0)
 
-    def _transformed_clone(self, ilf0p, phip, a01p, a10p, sec01p, h0h, h0hi,
-                           tol):
+    def _transformed_clone(self, ilf0p, phip, a01p, h0h, h0hi, tol):
         """Rebuild the same kind of problem from frame-transformed data;
         subclasses transport their extra fields here."""
         return PairProblem(self.geom, self.rank, ilf0p, phip, self.tau,
-                           a01=a01p, a10=a10p, sec01=sec01p, split=self.split,
-                           holomorphy_tol=max(self.holomorphy_tol, tol),
-                           check=True)
+                           a01=a01p, split=self.split,
+                           holomorphy_tol=max(self.holomorphy_tol, tol))
 
     # -- equation pieces -----------------------------------------------------
 
@@ -331,104 +314,3 @@ def stability_report(split, geom, tau=None):
         tau=tau,
         audited=audited,
     )
-
-
-# ---------------------------------------------------------------------------
-# destabilization quantities
-
-def nu_case1(lam, split_or_mu, geom, tau):
-    """Single eigenvalue case: nu = lam * rank * (mu(E) - (tau/4pi) Vol)."""
-    if isinstance(split_or_mu, SplitModel):
-        r = split_or_mu.rank
-        mu = _slope(split_or_mu.degrees, range(r))
-    else:
-        r, mu = split_or_mu
-    t = tau * geom.vol / (4.0 * math.pi)
-    return lam * r * (mu - t)
-
-
-def nu_case2(lams, ranks, slopes, geom, tau, total_rank=None, total_slope=None):
-    """Eigenvalue chain case.
-
-    lams: increasing eigenvalues lam_1 < ... < lam_l of the limit object.
-    ranks, slopes: R_i and mu_i of the partial subobjects for i < l
-    (length l-1 each). total_rank / total_slope describe the whole
-    object; they default to the last chain entry extended by nothing,
-    so they must be supplied when l > 1.
-
-    nu = lam_l * R * (mu - T) - sum_i (lam_{i+1} - lam_i) R_i (mu_i - T)
-    with T = tau Vol / 4 pi. Collapses to the single eigenvalue form
-    when all lams coincide.
-    """
-    lams = list(lams)
-    ranks = list(ranks)
-    slopes = list(slopes)
-    if len(ranks) != len(lams) - 1 or len(slopes) != len(lams) - 1:
-        raise ValueError("chain lists must have length len(lams) - 1")
-    if total_rank is None or total_slope is None:
-        raise ValueError("total rank and slope are required")
-    t = tau * geom.vol / (4.0 * math.pi)
-    out = lams[-1] * total_rank * (total_slope - t)
-    for i in range(len(lams) - 1):
-        out -= (lams[i + 1] - lams[i]) * ranks[i] * (slopes[i] - t)
-    return out
-
-
-def nu_trace_oracle(p, u_const):
-    """Trace pairing (1/2pi) * integral of tr((iLF0 - tau/2) u) for a
-    constant Hermitian u; equals the destabilization quantity when u is
-    the limit object. Used as an independent cross-check."""
-    eye = np.eye(p.rank)
-    integrand = np.einsum("...ij,...ji->...", p.ilf0 - (p.tau / 2.0) * eye, u_const)
-    return float(p.geom.integrate(integrand).real) / TWO_PI
-
-
-# ---------------------------------------------------------------------------
-# simplicity probe
-
-def phi_simple_check(p):
-    """Desk-scale simplicity check on constant-coefficient torus models.
-
-    Audits the finite-dimensional space of constant endomorphisms that
-    commute with the background (curvature and twists) and annihilate
-    the section pointwise. Returns (simple, nullity, smallest_sv).
-    """
-    if p.geom.kind != "torus":
-        raise ValueError("phi_simple_check supports the torus backend only")
-    r = p.rank
-    rows = []
-
-    ilf = p.ilf0
-    npts = int(np.prod(p.geom.shape))
-    flat_ilf = ilf.reshape(npts, r, r)
-    # subsample grid points for the commutation constraints
-    take = np.linspace(0, npts - 1, min(npts, 32)).astype(int)
-
-    def comm_rows(m):
-        # rows of u -> m u - u m as a linear map on vec(u)
-        eye = np.eye(r)
-        return np.kron(m, eye) - np.kron(eye, m.T)
-
-    for idx in take:
-        rows.append(comm_rows(flat_ilf[idx]))
-    if p.a01 is not None:
-        a = p.a01 if p.a01.ndim == 2 else p.a01.reshape(npts, r, r)[0]
-        rows.append(comm_rows(np.asarray(a)))
-    if p.a10 is not None:
-        a = p.a10 if p.a10.ndim == 2 else p.a10.reshape(npts, r, r)[0]
-        rows.append(comm_rows(np.asarray(a)))
-
-    flat_phi = p.phi.reshape(npts, r)
-    for idx in take:
-        v = flat_phi[idx]
-        # u(phi) = 0: rows indexed by output component
-        block = np.zeros((r, r * r), dtype=np.complex128)
-        for i in range(r):
-            block[i, i * r:(i + 1) * r] = v
-        rows.append(block)
-
-    mat = np.vstack(rows)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    nullity = int(np.sum(sv < 1e-10 * max(1.0, sv[0])))
-    smallest = float(sv[-1])
-    return nullity == 0, nullity, smallest

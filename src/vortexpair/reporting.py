@@ -63,6 +63,12 @@ def dump_json(obj):
 
 def run_report(instance_name, cfg, outcome):
     rep = outcome.report
+    tail = None  # a run whose initial gauge failed has no trace
+    if rep.trace:
+        last = rep.trace[-1]
+        tail = {key: getattr(last, key) for key in (
+            "eps", "residual_sup", "sup_log_f", "min_ritz", "skew_defect",
+            "l2_log_f")}
     return {
         "schema": "vortexpair-run-1",
         "instance": instance_name,
@@ -74,14 +80,7 @@ def run_report(instance_name, cfg, outcome):
             "cap": cfg.cap,
         },
         "result": rep.to_dict(),
-        "trace_tail": {
-            "eps": rep.trace[-1].eps,
-            "residual_sup": rep.trace[-1].residual_sup,
-            "sup_log_f": rep.trace[-1].sup_log_f,
-            "min_ritz": rep.trace[-1].min_ritz,
-            "skew_defect": rep.trace[-1].skew_defect,
-            "l2_log_f": rep.trace[-1].l2_log_f,
-        },
+        "trace_tail": tail,
     }
 
 
@@ -117,7 +116,7 @@ def _ymap(vals, top, bot, logscale):
         tv = [_log10(v) for v in vals]
     else:
         tv = list(vals)
-    lo, hi = min(tv), max(tv)
+    lo, hi = min(tv, default=0.0), max(tv, default=0.0)
     if hi - lo < 1e-12:
         hi = lo + 1.0
     span = hi - lo
@@ -202,7 +201,6 @@ def render_run_svg(trace, title="continuation run"):
 def write_run_outputs(outdir, name, outcome, cfg):
     """Writes trace.csv, run.json, run.svg under outdir/name/."""
     base = os.path.join(outdir, name)
-    os.makedirs(base, exist_ok=True)
     paths = {}
     rep = outcome.report
     paths["csv"] = os.path.join(base, "trace.csv")

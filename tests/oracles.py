@@ -1,0 +1,243 @@
+"""Test-side oracles: the lemma checks and closed forms that the tests
+compare the solver against. The library never calls them.
+
+    fiber level      the pair path xi and its closed-form derivative,
+                     the Higgs path and bracket derivative, the
+                     curvature semipositivity pairing, herm_sqrt
+    pair level       the destabilising quantities nu, the trace-pairing
+                     cross-check, the simplicity probe
+    solver level     the unsymmetrized f L_eps(f), the contraction
+                     identity gap, the slack of the pointwise
+                     inequality checks
+"""
+
+import math
+
+import numpy as np
+
+from vortexpair._kernels import apply_one, apply_two
+from vortexpair.fiber import (CLAMP_HARD_REL, EIG_FLOOR, ClampError,
+                              herm_eig, herm_part, kernel_matrix, mm,
+                              psi_kernel, sup_norm)
+from vortexpair.pair import SplitModel
+
+TWO_PI = 2.0 * math.pi
+
+
+# ---------------------------------------------------------------------------
+# fiber level
+
+def herm_sqrt(f, what="herm_sqrt"):
+    """Positive square root of a positive definite Hermitian field."""
+    w, v = herm_eig(f)
+    if float(np.min(w)) < -CLAMP_HARD_REL * max(1.0, float(np.max(np.abs(w)))):
+        raise ClampError("%s: input is not positive definite" % what)
+    return apply_one(np.sqrt(np.maximum(w, EIG_FLOOR)), v)
+
+
+def _to_identity_frame(phi, s, h0):
+    """Reduce (phi, s) over a general reference metric to the identity
+    frame: s is h0-Hermitian, conjugation by h0^(1/2) makes it Hermitian."""
+    w0, v0 = herm_eig(h0)
+    if np.min(w0) <= 0:
+        raise ClampError("reference metric is not positive definite")
+    h0h = apply_one(np.sqrt(w0), v0)
+    h0hi = apply_one(1.0 / np.sqrt(w0), v0)
+    s_id = herm_part(h0h @ s @ h0hi)
+    phi_id = np.einsum("...ij,...j->...i", h0h, phi)
+    return phi_id, s_id
+
+
+def xi_path(phi, s, t, h0=None):
+    """Real scalar field xi(t) = h0 pairing of the section term against s
+    along the metric path h0 exp(t s).
+
+    With h0 the identity this is phi^H exp(t s) s phi.
+    """
+    if h0 is not None:
+        phi, s = _to_identity_frame(phi, s, h0)
+    w, v = herm_eig(s)
+    es = apply_one(np.exp(t * w) * w, v)
+    out = np.einsum("...i,...ij,...j->...", np.conjugate(phi), es, phi)
+    return out.real
+
+
+def xi_derivative(phi, s, t):
+    """d/dt of xi_path at h0 = id, in closed form: |s exp(t s / 2) phi|^2
+    pointwise."""
+    w, v = herm_eig(s)
+    m = apply_one(w * np.exp(0.5 * t * w), v)
+    vec = np.einsum("...ij,...j->...i", m, phi)
+    return np.sum(np.abs(vec) ** 2, axis=-1)
+
+
+def higgs_xi_derivative(theta, s, t):
+    """Pointwise |[s, exp(ts/2) theta exp(-ts/2)]|_F^2, the field analogue
+    of xi_derivative for a bracket term instead of a section."""
+    w, v = herm_eig(s)
+    e = apply_one(np.exp(0.5 * t * w), v)
+    ei = apply_one(np.exp(-0.5 * t * w), v)
+    th = e @ theta @ ei
+    br = s @ th - th @ s
+    return np.sum(np.abs(br) ** 2, axis=(-2, -1))
+
+
+def higgs_xi_path(theta_mat, s_mat, t):
+    """Fiber pairing path xi(t) = Re tr(s (th_t th_t^H - th_t^H th_t))
+    with th_t = exp(ts/2) theta exp(-ts/2); its derivative is the
+    squared commutator norm computed by higgs_xi_derivative."""
+    w, v = herm_eig(s_mat)
+    ep = apply_one(np.exp(0.5 * t * w), v)
+    em = apply_one(np.exp(-0.5 * t * w), v)
+    th = ep @ theta_mat @ em
+    thd = np.conjugate(np.swapaxes(th, -1, -2))
+    b = th @ thd - thd @ th
+    return float(np.real(np.trace(s_mat @ b)))
+
+
+def semipositivity_pair(theta_mat, f_mat, eta):
+    """Fiberwise curvature pairing against a probe endomorphism.
+
+    With mtil = f^(1/2) theta f^(-1/2) and T(eta) = [mtil^H, [mtil, eta]],
+    the pairing <T(eta), eta> equals |[mtil, eta]|_F^2, hence is
+    nonnegative. Returns (pairing, norm_sq)."""
+    fsr = herm_sqrt(f_mat, what="semipositivity probe")
+    fsri = np.linalg.inv(fsr)
+    mt = fsr @ theta_mat @ fsri
+    c = mt @ eta - eta @ mt
+    t_eta = np.conjugate(mt.T) @ c - c @ np.conjugate(mt.T)
+    pairing = float(np.real(np.trace(t_eta @ np.conjugate(eta.T))))
+    nsq = float(np.real(np.trace(c @ np.conjugate(c.T))))
+    return pairing, nsq
+
+
+# ---------------------------------------------------------------------------
+# destabilization quantities and the simplicity probe
+
+def nu_case1(lam, split_or_mu, geom, tau):
+    """Single eigenvalue case: nu = lam * rank * (mu(E) - (tau/4pi) Vol)."""
+    if isinstance(split_or_mu, SplitModel):
+        r = split_or_mu.rank
+        mu = sum(split_or_mu.degrees) / float(r)
+    else:
+        r, mu = split_or_mu
+    t = tau * geom.vol / (4.0 * math.pi)
+    return lam * r * (mu - t)
+
+
+def nu_case2(lams, ranks, slopes, geom, tau, total_rank, total_slope):
+    """Eigenvalue chain case.
+
+    lams: increasing eigenvalues lam_1 < ... < lam_l of the limit object.
+    ranks, slopes: R_i and mu_i of the partial subobjects for i < l
+    (length l-1 each). total_rank, total_slope: R and mu of the whole
+    object.
+
+    nu = lam_l * R * (mu - T) - sum_i (lam_{i+1} - lam_i) R_i (mu_i - T)
+    with T = tau Vol / 4 pi. Collapses to the single eigenvalue form
+    when all lams coincide.
+    """
+    lams = list(lams)
+    ranks = list(ranks)
+    slopes = list(slopes)
+    if len(ranks) != len(lams) - 1 or len(slopes) != len(lams) - 1:
+        raise ValueError("chain lists must have length len(lams) - 1")
+    t = tau * geom.vol / (4.0 * math.pi)
+    out = lams[-1] * total_rank * (total_slope - t)
+    for i in range(len(lams) - 1):
+        out -= (lams[i + 1] - lams[i]) * ranks[i] * (slopes[i] - t)
+    return out
+
+
+def nu_trace_oracle(p, u_const):
+    """Trace pairing (1/2pi) * integral of tr((iLF0 - tau/2) u) for a
+    constant Hermitian u; equals the destabilization quantity when u is
+    the limit object. Used as an independent cross-check."""
+    eye = np.eye(p.rank)
+    integrand = np.einsum("...ij,...ji->...", p.ilf0 - (p.tau / 2.0) * eye, u_const)
+    return float(p.geom.integrate(integrand).real) / TWO_PI
+
+
+def phi_simple_check(p):
+    """Desk-scale simplicity check on constant-coefficient torus models.
+
+    Audits the finite-dimensional space of constant endomorphisms that
+    commute with the background (curvature and twists) and annihilate
+    the section pointwise. Returns (simple, nullity, smallest_sv).
+    """
+    if p.geom.kind != "torus":
+        raise ValueError("phi_simple_check supports the torus backend only")
+    r = p.rank
+    rows = []
+
+    ilf = p.ilf0
+    npts = int(np.prod(p.geom.shape))
+    flat_ilf = ilf.reshape(npts, r, r)
+    # subsample grid points for the commutation constraints
+    take = np.linspace(0, npts - 1, min(npts, 32)).astype(int)
+
+    def comm_rows(m):
+        # rows of u -> m u - u m as a linear map on vec(u)
+        eye = np.eye(r)
+        return np.kron(m, eye) - np.kron(eye, m.T)
+
+    for idx in take:
+        rows.append(comm_rows(flat_ilf[idx]))
+    if p.a01 is not None:
+        a = p.a01 if p.a01.ndim == 2 else p.a01.reshape(npts, r, r)[0]
+        rows.append(comm_rows(np.asarray(a)))
+    if p.a10 is not None:
+        a = p.a10 if p.a10.ndim == 2 else p.a10.reshape(npts, r, r)[0]
+        rows.append(comm_rows(np.asarray(a)))
+
+    flat_phi = p.phi.reshape(npts, r)
+    for idx in take:
+        v = flat_phi[idx]
+        # u(phi) = 0: rows indexed by output component
+        block = np.zeros((r, r * r), dtype=np.complex128)
+        for i in range(r):
+            block[i, i * r:(i + 1) * r] = v
+        rows.append(block)
+
+    mat = np.vstack(rows)
+    sv = np.linalg.svd(mat, compute_uv=False)
+    nullity = int(np.sum(sv < 1e-10 * max(1.0, sv[0])))
+    smallest = float(sv[-1])
+    return nullity == 0, nullity, smallest
+
+
+# ---------------------------------------------------------------------------
+# solver level
+
+def lhat_raw(p, eps, st):
+    """f L_eps(f), unsymmetrized."""
+    out = mm(st.f, st.kraw(p))
+    if eps != 0.0:
+        out = out + eps * mm(st.f, st.s)
+    return out
+
+
+def nie_zhang_check(p, st):
+    """Integrated absolute gap of the pointwise contraction identity
+
+        iL tr((f^-1 d0 f) wedge dbar_A s) = <Psi(s)(dbar_A s), dbar_A s>.
+    """
+    geom = p.geom
+    g10 = st.g_field(p)
+    bs = p.dbar_end(st.s)
+    lhs = geom.lam_wedge_trace(g10, bs)
+    psib = apply_two(kernel_matrix(psi_kernel, st.w), st.v, bs)
+    rhs = geom.pair_01(psib, bs)
+    return float(geom.integrate(np.abs(lhs - rhs)).real)
+
+
+def discretization_slack(p, st):
+    """Self-declared slack for the pointwise inequality checks.
+
+    Spectral backend: roundoff-level. Finite-difference backend: an
+    O(h^2) envelope scaled by the field size. Engineering constant, not
+    a theorem; documented with the check it guards."""
+    if p.geom.kind == "torus":
+        return 1e-8 * max(1.0, st.sup_s()) ** 2
+    h = p.geom.h
+    return 50.0 * h ** 2 * max(1.0, st.sup_s()) ** 3 * max(1.0, sup_norm(p.k0_field()))

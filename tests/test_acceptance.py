@@ -18,14 +18,14 @@ from vortexpair import continuation as C
 from vortexpair import fiber, instances
 from vortexpair.continuation import (ContinuationConfig, MetricState,
                                      final_metric_original_frame,
-                                     nie_zhang_check, run_continuation,
-                                     uniqueness_probe)
+                                     run_continuation, uniqueness_probe)
 from vortexpair.geometry import random_band_scalar
-from vortexpair.higgs import semipositivity_pair
 from vortexpair.instances import gauge_probe
 from vortexpair.pair import PairProblem
 
 from conftest import rand_band_herm
+from oracles import (higgs_xi_derivative, lhat_raw, nie_zhang_check,
+                     semipositivity_pair, xi_path)
 
 FOUR_PI = 4.0 * math.pi
 STABLE = ("torus-stable", "torus-wave", "hopf-stable", "hopf-wave",
@@ -220,7 +220,7 @@ def test_c09_degree_well_defined_both_backends():
     for _ in range(3):
         u = random_band_scalar(p.geom, rng, kmax=3, amp=0.6)
         ilf = p.ilf0 + p.geom.p_op(u).real[..., None, None]
-        q = PairProblem(p.geom, 1, ilf, [1.0], p.tau, check=False)
+        q = PairProblem(p.geom, 1, ilf, [1.0], p.tau)
         assert abs(q.degree() - d0) <= 1e-8, abs(q.degree() - d0)
     h = instances.make("hopf-wave", n=512)
     d0 = h.degree()
@@ -230,7 +230,7 @@ def test_c09_degree_well_defined_both_backends():
     # exact for it (generic factors drift at O(h^2); see the pair tests)
     u = 0.4 * np.cos(2.0 * w0 * t + 0.7)
     ilf = h.ilf0 + h.geom.p_op(u).real[..., None, None]
-    q = PairProblem(h.geom, 1, ilf, [1.0], h.tau, check=False)
+    q = PairProblem(h.geom, 1, ilf, [1.0], h.tau)
     assert abs(q.degree() - d0) <= 1e-8, abs(q.degree() - d0)
 
 
@@ -270,7 +270,7 @@ def _fd_lhat(p, eps, st, v, t=1e-6):
         e = (np.eye(p.rank) + tx + 0.5 * (tx @ tx)
              + (tx @ tx @ tx) / 6.0)
         f_t = fiber.herm_part(st.f @ e)
-        return C.lhat_raw(p, eps, MetricState(fiber.herm_log(f_t)))
+        return lhat_raw(p, eps, MetricState(fiber.herm_log(f_t)))
 
     return (lhat_at(1.0) - lhat_at(-1.0)) / (2.0 * t)
 
@@ -301,7 +301,7 @@ def test_c13_monotonicity_suites():
         s = fiber.herm_part(rng.standard_normal((r, r))
                             + 1j * rng.standard_normal((r, r)))
         phi = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        inc = fiber.xi_path(phi, s, 1.0) - fiber.xi_path(phi, s, 0.0)
+        inc = xi_path(phi, s, 1.0) - xi_path(phi, s, 0.0)
         worst = min(worst, inc)
     assert worst >= -1e-12, "fiber increment %.3e" % worst
     # matrix-field analogue: derivative nonnegative, curvature pairing
@@ -320,6 +320,6 @@ def test_c13_monotonicity_suites():
         pairing, nsq = semipositivity_pair(th, f, eta)
         worst_pair = min(worst_pair, pairing)
         worst_xi = min(worst_xi,
-                       fiber.higgs_xi_derivative(th, s, float(rng.uniform())))
+                       higgs_xi_derivative(th, s, float(rng.uniform())))
     assert worst_pair >= -1e-12, "curvature pairing %.3e" % worst_pair
     assert worst_xi >= -1e-12, "path derivative %.3e" % worst_xi

@@ -14,9 +14,10 @@ import shutil
 
 import pytest
 
-from vortexpair import __version__, reporting
+from vortexpair import __version__, instances, reporting
 from vortexpair.cli import (EXIT_FAIL, EXIT_OK, EXIT_SCIENCE, build_config,
                             main, parse_config, quick_grid, resolve_out)
+from vortexpair.continuation import ContinuationConfig, run_continuation
 from vortexpair.geometry import HopfBackend, TorusBackend
 
 FOUR_PI = 4.0 * math.pi
@@ -242,6 +243,21 @@ def test_report_without_json_titles_by_dirname(tmp_path, capsys):
     capsys.readouterr()
     assert rc == EXIT_OK
     assert ">strays</text>" in (d / "run.svg").read_text()
+
+
+def test_failed_gauge_outcome_writes_its_report(tmp_path):
+    # a run whose initial gauge failed has no trace: the CSV is the
+    # header alone and run.json has no trace tail
+    cfg = ContinuationConfig(eps_min=1e-2, full_diagnostics=False)
+    out = run_continuation(instances.make("trivial", n=16), cfg, h_start=-1.0)
+    paths = reporting.write_run_outputs(str(tmp_path), "trivial", out, cfg)
+    with open(paths["json"], "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["result"]["verdict"] == "failed"
+    assert doc["result"]["steps"] == 0 and doc["trace_tail"] is None
+    with open(paths["csv"], "r", encoding="utf-8") as fh:
+        assert fh.read() == ",".join(reporting.CSV_COLUMNS) + "\n"
+    assert os.path.getsize(paths["svg"]) > 0
 
 
 def test_report_missing_trace(tmp_path, capsys):

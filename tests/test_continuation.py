@@ -13,13 +13,14 @@ from vortexpair.continuation import (ContinuationConfig, GaugeDomainError,
                                      diagnostics_check, energy_identity_gap,
                                      final_metric_original_frame,
                                      initial_gauge, newton_solve_at,
-                                     nie_zhang_check, residual_parts,
-                                     run_continuation, uniqueness_probe)
+                                     residual_parts, run_continuation,
+                                     uniqueness_probe)
 from vortexpair.geometry import random_band_scalar
 from vortexpair.instances import gauge_probe
 from vortexpair.pair import PairProblem
 
 from conftest import rand_band_herm
+from oracles import discretization_slack, lhat_raw, nie_zhang_check
 
 
 def _state_rank1(geom, rng, amp=0.5, kmax=2):
@@ -79,8 +80,8 @@ def test_state_cache_follows_the_problem(rng):
             for got, want in zip(residual_parts(p, 0.5, shared),
                                  residual_parts(p, 0.5, MetricState(s))):
                 assert np.array_equal(got, want)
-            assert np.array_equal(C.lhat_raw(p, 0.5, shared),
-                                  C.lhat_raw(p, 0.5, MetricState(s)))
+            assert np.array_equal(lhat_raw(p, 0.5, shared),
+                                  lhat_raw(p, 0.5, MetricState(s)))
 
 
 def test_state_assembles_its_curvature_once(rng, monkeypatch):
@@ -174,7 +175,7 @@ def _fd_lhat(p, eps, st, v, t=1e-6):
         e = (np.eye(p.rank) + tx + 0.5 * (tx @ tx)
              + (tx @ tx @ tx) / 6.0)
         f_t = fiber.herm_part(st.f @ e)
-        return C.lhat_raw(p, eps, MetricState(fiber.herm_log(f_t)))
+        return lhat_raw(p, eps, MetricState(fiber.herm_log(f_t)))
 
     return (lhat_at(1.0) - lhat_at(-1.0)) / (2.0 * t)
 
@@ -244,6 +245,32 @@ def test_gauge_domain_guard_raises():
         initial_gauge(pb, h=fiber.herm_exp(s))
 
 
+def _assert_failed_gauge(out, exc_name):
+    rep = out.report
+    assert out.verdict == "failed"
+    assert rep.cause.startswith("gauge: %s: " % exc_name), rep.cause
+    assert rep.trace == [] and rep.newton_total == 0
+    assert math.isnan(rep.final_residual)
+    assert math.isnan(rep.final_sup_log_f)
+    assert out.gauge is None and out.state is None
+
+
+def test_non_positive_start_is_a_failed_verdict():
+    cfg = ContinuationConfig(eps_min=1e-2, full_diagnostics=False)
+    out = run_continuation(instances.make("trivial", n=16), cfg, h_start=-1.0)
+    _assert_failed_gauge(out, "ClampError")
+    assert "not positive definite" in out.report.cause
+
+
+def test_gauge_domain_error_is_a_failed_verdict():
+    rng = np.random.default_rng(4)
+    p = instances.make("rank2-extension", n=16)
+    cfg = ContinuationConfig(eps_min=1e-2, full_diagnostics=False)
+    out = run_continuation(p, cfg,
+                           h_start=gauge_probe(p.geom, 2, rng, constant=False))
+    _assert_failed_gauge(out, "GaugeDomainError")
+
+
 # ---------------------------------------------------------------------------
 # full continuation runs (small grids)
 
@@ -279,7 +306,7 @@ def test_trace_schedule_and_diagnostics(stable_run):
         assert r.monotone_gap >= -1e-12
         if r.eps > 0.0:
             assert r.min_ritz > 0.0
-        assert r.calc_margin <= C.discretization_slack(
+        assert r.calc_margin <= discretization_slack(
             stable_run.gauge.problem, stable_run.state)
     assert rep.gauge_post_residual <= 1e-10
     assert rep.newton_total > 0
@@ -293,14 +320,6 @@ def test_unstable_run_caps_late():
     # the cap must hit before the schedule reaches eps = 1e-2: the
     # blowup is the no-solution signal, not a late-schedule artifact
     assert out.report.eps_reached >= 1e-2
-
-
-def test_polish_disabled_stops_at_eps_min():
-    cfg = ContinuationConfig(eps_min=0.1, polish=False, full_diagnostics=False)
-    out = run_continuation(instances.make("trivial", n=16), cfg=cfg)
-    assert out.verdict == "converged"
-    assert out.report.eps_reached == pytest.approx(0.1)
-    assert out.report.trace[-1].eps == pytest.approx(0.1)
 
 
 def test_uniqueness_two_starts():

@@ -1,0 +1,79 @@
+"""The library is what the CLI, the solver and the benchmark run.
+
+Every public top-level function and class of src/vortexpair must be
+referenced somewhere else in the package or in perfbench/ (by name, by
+attribute or by import), or be exported through vortexpair.__all__.
+Code that only tests call belongs in tests/oracles.py.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "vortexpair"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _references(tree, skip=None):
+    """Names a tree refers to, leaving out the subtree skip."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _exported():
+    for node in _parse(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_public_definition_has_a_library_caller():
+    modules = {p: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+    others = [_parse(p) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    exported = _exported()
+    unused = []
+    for path, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in exported:
+                continue
+            refs = _references(tree, skip=node)
+            for other_path, other in modules.items():
+                if other_path != path:
+                    refs |= _references(other)
+            for other in others:
+                refs |= _references(other)
+            if node.name not in refs:
+                unused.append("%s.%s" % (path.stem, node.name))
+    assert not unused, ("only tests call these library definitions; move "
+                        "them to tests/oracles.py: %s" % ", ".join(unused))
+
+
+def test_benchmark_tracer_patch_sites_exist(monkeypatch):
+    # the traced benchmark patches names at their import sites (such as
+    # apply_one in higgs); a library edit that drops one breaks --trace 1
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracer import Tracer
+    tr = Tracer()
+    try:
+        tr.install()
+    finally:
+        tr.uninstall()
