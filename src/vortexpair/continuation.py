@@ -140,8 +140,9 @@ class RunOutcome:
 
 class MetricState:
     """One metric deformation point: s, its eigendecomposition, the
-    powers of f = exp(s), and the fields of f that depend on a problem,
-    each computed once for the last problem asked."""
+    powers of f = exp(s), and one memo of the fields the solver asks of
+    it (the curvature, f^-1 d0 f, the dexp and 1/Psi kernel matrices of
+    its spectrum), each computed once for the last problem asked."""
 
     __slots__ = ("s", "w", "v", "f", "finv", "fsr", "fsri", "_p", "_memo")
 
@@ -208,7 +209,8 @@ def d2lhat_apply(p, eps, st, v):
     t3 = mm(st.f, p.zero_order_lin(st, v))
     out = t1 + t2 + t3
     if eps != 0.0:
-        kmat = fiber.inv_psi_kernel(st.w[..., :, None], st.w[..., None, :])
+        kmat = st.field(p, "k_inv_psi", lambda: fiber.inv_psi_kernel(
+            st.w[..., :, None], st.w[..., None, :]))
         out = out + eps * apply_two(kmat, st.v, v)
     return out
 
@@ -219,9 +221,10 @@ def linearization_apply(p, eps, f, v):
     return d2lhat_apply(p, eps, st, v)
 
 
-def dexp_direction(st, w_dir):
+def dexp_direction(p, st, w_dir):
     """Derivative of exp at s along the Hermitian direction w_dir."""
-    kmat = fiber.kernel_matrix(fiber.dexp_kernel, st.w)
+    kmat = st.field(p, "k_dexp",
+                    lambda: fiber.kernel_matrix(fiber.dexp_kernel, st.w))
     return apply_two(kmat, st.v, w_dir)
 
 
@@ -233,15 +236,16 @@ class HermPacker:
         self.gshape = tuple(gshape)
         self.r = r
         self.npts = int(np.prod(gshape))
+        self._dg = np.arange(r)
         self.iu = np.triu_indices(r, 1)
         self.noff = len(self.iu[0])
         self.size = self.npts * (r + 2 * self.noff)
         self._sq2 = math.sqrt(2.0)
 
     def pack(self, h):
-        r = self.r
+        r, dg = self.r, self._dg
         flat = h.reshape(self.npts, r, r)
-        parts = [flat[:, np.arange(r), np.arange(r)].real]
+        parts = [flat[:, dg, dg].real]
         if self.noff:
             off = flat[:, self.iu[0], self.iu[1]]
             parts.append(self._sq2 * off.real)
@@ -249,11 +253,10 @@ class HermPacker:
         return np.concatenate([q.ravel() for q in parts])
 
     def unpack(self, x):
-        r = self.r
+        r, dg = self.r, self._dg
         nd = self.npts * r
         out = np.zeros((self.npts, r, r), dtype=np.complex128)
-        diag = x[:nd].reshape(self.npts, r)
-        out[:, np.arange(r), np.arange(r)] = diag
+        out[:, dg, dg] = x[:nd].reshape(self.npts, r)
         if self.noff:
             no = self.npts * self.noff
             re = x[nd:nd + no].reshape(self.npts, self.noff) / self._sq2
@@ -285,7 +288,7 @@ class CapExceeded(Exception):
 def _newton_operator(p, eps, st, packer):
     def mv(x):
         vh = packer.unpack(x)
-        w_dir = dexp_direction(st, vh)
+        w_dir = dexp_direction(p, st, vh)
         out = d2lhat_apply(p, eps, st, w_dir)
         out = herm_part(mm(mm(st.fsri, out), st.fsri))
         return packer.pack(out)

@@ -49,15 +49,6 @@ class GridBackend:
             return w
         return w + comm(twist01, g10)
 
-    def lam_wedge_trace(self, g10, b01):
-        """Contraction of tr(g10 wedge b01), a complex scalar field."""
-        g10 = np.asarray(g10)
-        if g10.ndim > len(self.shape) and g10.shape[-1] == g10.shape[-2]:
-            c = np.einsum("...ij,...ji->...", g10, b01)
-        else:
-            c = g10 * b01
-        return self.cg * c
-
     def pair_01(self, b1, b2):
         """Pointwise real inner product of two (0,1) coefficient fields."""
         b1 = np.asarray(b1)
@@ -99,11 +90,10 @@ class TorusBackend(GridBackend):
         self.cell = self.vol / self.n ** 2
         k = TWO_PI * np.fft.fftfreq(self.n, d=self.period / self.n)
         k[self.n // 2] = 0.0  # Nyquist mode carries no odd derivative
-        self._kx = k.copy()
-        self._ky = k.copy()
-        # d has symbol (i kx + ky) / 2 and dbar (i kx - ky) / 2
-        self.p_symbol = self.cg * (self._kx[:, None] ** 2
-                                   + self._ky[None, :] ** 2) / 4.0
+        kx, ky = k[:, None], k[None, :]
+        self._sym_d = 0.5 * (1j * kx + ky)  # d/dz
+        self._sym_dbar = 0.5 * (1j * kx - ky)  # d/dzbar
+        self.p_symbol = self.cg * (kx ** 2 + ky ** 2) / 4.0
 
     @property
     def shape(self):
@@ -113,20 +103,11 @@ class TorusBackend(GridBackend):
         x = np.arange(self.n) * (self.period / self.n)
         return np.meshgrid(x, x, indexing="ij")
 
-    def _expand(self, k, axis, ndim):
-        shp = [1] * ndim
-        shp[axis] = self.n
-        return k.reshape(shp)
-
     def _deriv(self, u, conj):
         u = np.asarray(u, dtype=np.complex128)
         uh = np.fft.fft2(u, axes=(0, 1))
-        kx = self._expand(self._kx, 0, u.ndim)
-        ky = self._expand(self._ky, 1, u.ndim)
-        if conj:
-            sym = 0.5 * (1j * kx - ky)  # d/dzbar
-        else:
-            sym = 0.5 * (1j * kx + ky)  # d/dz
+        sym = self._sym_dbar if conj else self._sym_d
+        sym = sym.reshape(sym.shape + (1,) * (u.ndim - 2))
         return np.fft.ifft2(sym * uh, axes=(0, 1))
 
     def d(self, u):
@@ -181,8 +162,14 @@ class HopfBackend(GridBackend):
         return np.arange(self.n) * self.h
 
     def _d1(self, u):
+        # centered difference (u[i+1] - u[i-1]) / 2h, periodic in i
         u = np.asarray(u, dtype=np.complex128)
-        return (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2.0 * self.h)
+        out = np.empty_like(u)
+        np.subtract(u[2:], u[:-2], out=out[1:-1])
+        np.subtract(u[1:2], u[-1:], out=out[:1])
+        np.subtract(u[:1], u[-2:-1], out=out[-1:])
+        out /= 2.0 * self.h
+        return out
 
     def d(self, u):
         return self._d1(u)

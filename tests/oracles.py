@@ -6,9 +6,9 @@ compare the solver against. The library never calls them.
                      curvature semipositivity pairing, herm_sqrt
     pair level       the destabilising quantities nu, the trace-pairing
                      cross-check, the simplicity probe
-    solver level     the unsymmetrized f L_eps(f), the contraction
-                     identity gap, the slack of the pointwise
-                     inequality checks
+    solver level     the unsymmetrized f L_eps(f), the contraction of
+                     tr(g10 wedge b01), the contraction identity gap,
+                     the slack of the pointwise inequality checks
 """
 
 import math
@@ -217,6 +217,16 @@ def lhat_raw(p, eps, st):
     return out
 
 
+def lam_wedge_trace(geom, g10, b01):
+    """Contraction of tr(g10 wedge b01) on geom, a complex scalar field."""
+    g10 = np.asarray(g10)
+    if g10.ndim > len(geom.shape) and g10.shape[-1] == g10.shape[-2]:
+        c = np.einsum("...ij,...ji->...", g10, b01)
+    else:
+        c = g10 * b01
+    return geom.cg * c
+
+
 def nie_zhang_check(p, st):
     """Integrated absolute gap of the pointwise contraction identity
 
@@ -225,7 +235,7 @@ def nie_zhang_check(p, st):
     geom = p.geom
     g10 = st.g_field(p)
     bs = p.dbar_end(st.s)
-    lhs = geom.lam_wedge_trace(g10, bs)
+    lhs = lam_wedge_trace(geom, g10, bs)
     psib = apply_two(kernel_matrix(psi_kernel, st.w), st.v, bs)
     rhs = geom.pair_01(psib, bs)
     return float(geom.integrate(np.abs(lhs - rhs)).real)

@@ -19,7 +19,7 @@ from vortexpair.geometry import random_band_scalar
 from vortexpair.instances import gauge_probe
 from vortexpair.pair import PairProblem
 
-from conftest import rand_band_herm
+from conftest import rand_band_herm, rand_herm
 from oracles import discretization_slack, lhat_raw, nie_zhang_check
 
 
@@ -56,6 +56,31 @@ def test_herm_packer_roundtrip_and_isometry(rng):
     # packing preserves the Frobenius inner product
     frob2 = float(np.sum(fiber.frob(m) ** 2))
     assert np.dot(x, x) == pytest.approx(frob2, rel=1e-12)
+
+
+def test_herm_packer_round_trip_at_each_rank(rng):
+    # pack reads the diagonal and the upper triangle, sqrt(2)-scaled,
+    # and unpack writes them back, bit for bit at every rank
+    for r in (1, 2, 3):
+        packer = HermPacker((4, 3), r)
+        x = rng.standard_normal(packer.size)
+        h = packer.unpack(x)
+        nd, no = 12 * r, 12 * packer.noff
+        iu = np.triu_indices(r, 1)
+        sq2 = math.sqrt(2.0)
+        assert np.array_equal(
+            np.diagonal(h, axis1=-2, axis2=-1).reshape(-1), x[:nd])
+        off = x[nd:nd + no] / sq2 + 1j * (x[nd + no:] / sq2)
+        assert np.array_equal(h[..., iu[0], iu[1]].reshape(-1), off)
+        assert np.array_equal(h[..., iu[1], iu[0]].reshape(-1),
+                              np.conjugate(off))
+        m = rand_herm(rng, (4, 3), r)
+        off = m[..., iu[0], iu[1]].reshape(-1)
+        want = np.concatenate([
+            np.diagonal(m, axis1=-2, axis2=-1).real.reshape(-1),
+            (sq2 * off.real).reshape(-1), (sq2 * off.imag).reshape(-1)])
+        assert np.array_equal(packer.pack(m), want)
+        assert np.allclose(packer.pack(h), x, rtol=1e-15, atol=0.0)
 
 
 def test_state_cache_follows_the_problem(rng):
@@ -119,6 +144,40 @@ def test_state_assembles_its_curvature_once(rng, monkeypatch):
         C.monotone_gap(p, st)
         assert (counts["update"], counts["d0 f"], counts["adjoint"]) \
             == (1, 1, int(higgs)), name
+
+
+def test_state_builds_its_kernels_once(rng, monkeypatch):
+    # the dexp and 1/Psi kernel matrices depend only on the spectrum of
+    # s: one state through several Newton matvecs and a Ritz probe
+    # builds each once, and every matvec is the one a fresh state gives
+    counts = Counter()
+    dexp_kernel, inv_psi_kernel = fiber.dexp_kernel, fiber.inv_psi_kernel
+
+    def counted_dexp(x, y):
+        counts["dexp"] += 1
+        return dexp_kernel(x, y)
+
+    def counted_inv_psi(x, y):
+        counts["inv_psi"] += 1
+        return inv_psi_kernel(x, y)
+
+    monkeypatch.setattr(fiber, "dexp_kernel", counted_dexp)
+    monkeypatch.setattr(fiber, "inv_psi_kernel", counted_inv_psi)
+    eps = 0.5
+    for name in ("rank2-extension", "torus-stable"):
+        p = instances.make(name, n=8)
+        packer = HermPacker(p.geom.shape, p.rank)
+        s = rand_band_herm(p.geom, rng, p.rank, amp=0.3)
+        st = MetricState(s)
+        mv = C._newton_operator(p, eps, st, packer)
+        xs = [rng.standard_normal(packer.size) for _ in range(3)]
+        counts.clear()
+        got = [mv(x) for x in xs]
+        C.min_ritz_estimate(p, eps, st, packer)
+        assert (counts["dexp"], counts["inv_psi"]) == (1, 1), name
+        for x, y in zip(xs, got):
+            fresh = C._newton_operator(p, eps, MetricState(s), packer)
+            assert np.array_equal(y, fresh(x)), name
 
 
 # ---------------------------------------------------------------------------

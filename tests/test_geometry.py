@@ -5,6 +5,7 @@ from vortexpair.geometry import (HopfBackend, TorusBackend, make_backend,
                                  random_band_scalar, trace_field)
 
 from conftest import rand_band_herm
+from oracles import lam_wedge_trace
 
 TWO_PI = 2.0 * np.pi
 
@@ -61,6 +62,41 @@ def test_torus_first_derivatives_on_modes():
     # hand pin: the (1,0) derivative of cos(2 pi x) is -pi sin(2 pi x)
     u = np.cos(TWO_PI * x)
     assert np.max(np.abs(g.d(u) + np.pi * np.sin(TWO_PI * x))) < 1e-11
+
+
+def _fields(rng, gshape):
+    """A complex scalar, section (..., 2) and endomorphism (..., 2, 2)
+    field on a grid."""
+    for tail in ((), (2,), (2, 2)):
+        shp = gshape + tail
+        yield rng.standard_normal(shp) + 1j * rng.standard_normal(shp)
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_torus_derivatives_match_the_broadcast_symbol(rng, n):
+    # d and dbar multiply by 0.5 (i kx +- ky), built here per call with
+    # kx on axis 0 and ky on axis 1 broadcast to the operand's rank
+    g = TorusBackend(n)
+    k = TWO_PI * np.fft.fftfreq(n, d=g.period / n)
+    k[n // 2] = 0.0
+    for u in _fields(rng, g.shape):
+        tail = (1,) * (u.ndim - 2)
+        kx = k.reshape((n, 1) + tail)
+        ky = k.reshape((1, n) + tail)
+        uh = np.fft.fft2(u, axes=(0, 1))
+        d = np.fft.ifft2(0.5 * (1j * kx + ky) * uh, axes=(0, 1))
+        dbar = np.fft.ifft2(0.5 * (1j * kx - ky) * uh, axes=(0, 1))
+        assert np.array_equal(g.d(u), d)
+        assert np.array_equal(g.dbar(u), dbar)
+
+
+@pytest.mark.parametrize("n", [3, 4, 16])
+def test_hopf_derivatives_match_the_rolled_stencil(rng, n):
+    g = HopfBackend(n)
+    for u in _fields(rng, g.shape):
+        want = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2.0 * g.h)
+        assert np.array_equal(g.d(u), want)
+        assert np.array_equal(g.dbar(u), want)
 
 
 def test_torus_nyquist_mode_dropped():
@@ -220,8 +256,8 @@ def test_lam_wedge_trace_scalar_vs_matrix(rng, geom):
     m2 = np.zeros_like(m1)
     m1[..., 0, 0] = s1
     m2[..., 0, 0] = s2
-    a = geom.lam_wedge_trace(m1, m2)
-    b = geom.lam_wedge_trace(s1, s2)
+    a = lam_wedge_trace(geom, m1, m2)
+    b = lam_wedge_trace(geom, s1, s2)
     assert np.max(np.abs(a - b)) < 1e-12 * (1.0 + np.max(np.abs(b)))
 
 

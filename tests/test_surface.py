@@ -1,9 +1,10 @@
 """The library is what the CLI, the solver and the benchmark run.
 
-Every public top-level function and class of src/vortexpair must be
-referenced somewhere else in the package or in perfbench/ (by name, by
-attribute or by import), or be exported through vortexpair.__all__.
-Code that only tests call belongs in tests/oracles.py.
+Every public top-level function and class of src/vortexpair, and every
+public method of its classes, must be referenced somewhere else in the
+package or in perfbench/ (by name, by attribute or by import), or be
+exported through vortexpair.__all__. Code that only tests call belongs
+in tests/oracles.py.
 """
 
 import ast
@@ -44,16 +45,30 @@ def _exported():
     return set()
 
 
+def _public_definitions(tree):
+    """(qualified name, node) of the public top-level functions and
+    classes of a module and the public methods of its classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for meth in node.body:
+                if (isinstance(meth, ast.FunctionDef)
+                        and not meth.name.startswith("_")):
+                    yield "%s.%s" % (node.name, meth.name), meth
+
+
 def test_every_public_definition_has_a_library_caller():
     modules = {p: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
     others = [_parse(p) for p in sorted((ROOT / "perfbench").glob("*.py"))]
     exported = _exported()
     unused = []
     for path, tree in modules.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_") or node.name in exported:
+        for qualname, node in _public_definitions(tree):
+            if node.name in exported:
                 continue
             refs = _references(tree, skip=node)
             for other_path, other in modules.items():
@@ -62,7 +77,7 @@ def test_every_public_definition_has_a_library_caller():
             for other in others:
                 refs |= _references(other)
             if node.name not in refs:
-                unused.append("%s.%s" % (path.stem, node.name))
+                unused.append("%s.%s" % (path.stem, qualname))
     assert not unused, ("only tests call these library definitions; move "
                         "them to tests/oracles.py: %s" % ", ".join(unused))
 
