@@ -14,6 +14,7 @@ the config file, then ./out.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -147,7 +148,9 @@ def cmd_sweep_tau(args):
     hi = _resolve(args, conf, "tau_hi")
     if lo is None or hi is None or not (lo < hi):
         raise ValueError("sweep needs tau_lo < tau_hi")
-    cfg = build_config(args, conf)
+    # the sweep records only verdicts, so its solves skip the Ritz probe
+    cfg = dataclasses.replace(build_config(args, conf),
+                              full_diagnostics=False)
     outdir = resolve_out(args, conf)
 
     runs = []

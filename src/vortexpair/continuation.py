@@ -243,11 +243,14 @@ class HermPacker:
         self._sq2 = math.sqrt(2.0)
 
     def pack(self, h):
-        r, dg = self.r, self._dg
+        """Packs the Hermitian part of h: the real diagonal and
+        (h_ij + conj(h_ji)) / 2 above it, the same floats as
+        pack(herm_part(h)) without forming the lower half."""
+        r, dg, (i, j) = self.r, self._dg, self.iu
         flat = h.reshape(self.npts, r, r)
         parts = [flat[:, dg, dg].real]
         if self.noff:
-            off = flat[:, self.iu[0], self.iu[1]]
+            off = 0.5 * (flat[:, i, j] + np.conjugate(flat[:, j, i]))
             parts.append(self._sq2 * off.real)
             parts.append(self._sq2 * off.imag)
         return np.concatenate([q.ravel() for q in parts])
@@ -290,8 +293,7 @@ def _newton_operator(p, eps, st, packer):
         vh = packer.unpack(x)
         w_dir = dexp_direction(p, st, vh)
         out = d2lhat_apply(p, eps, st, w_dir)
-        out = herm_part(mm(mm(st.fsri, out), st.fsri))
-        return packer.pack(out)
+        return packer.pack(mm(mm(st.fsri, out), st.fsri))
     return mv
 
 
@@ -310,7 +312,7 @@ def _precond_operator(p, eps, packer):
         hh = np.fft.fftn(h, axes=axes)
         hh /= denom
         out = np.fft.ifftn(hh, axes=axes)
-        return packer.pack(herm_part(out))
+        return packer.pack(out)
     return mv
 
 

@@ -14,7 +14,7 @@ import shutil
 
 import pytest
 
-from vortexpair import __version__, instances, reporting
+from vortexpair import __version__, continuation, instances, reporting
 from vortexpair.cli import (EXIT_FAIL, EXIT_OK, EXIT_SCIENCE, build_config,
                             main, parse_config, quick_grid, resolve_out)
 from vortexpair.continuation import ContinuationConfig, run_continuation
@@ -290,6 +290,34 @@ def test_sweep_threshold_brackets_window_edge(tmp_path, capsys):
     assert doc["runs"][0]["verdict"] != "converged"
     assert doc["runs"][1]["tau"] == 14.0
     assert doc["runs"][1]["verdict"] == "converged"
+
+
+def test_sweep_runs_no_ritz_probe(tmp_path, capsys, monkeypatch):
+    # sweep.json records only verdicts, so the bisection solves skip the
+    # Ritz probe and still record what full-diagnostics solves find
+    probes = []
+    probe = continuation.min_ritz_estimate
+
+    def counting(*args):
+        probes.append(args[1])
+        return probe(*args)
+    monkeypatch.setattr(continuation, "min_ritz_estimate", counting)
+    rc = main(["sweep-tau", "--instance", "torus-stable", "--grid", "16",
+               "--eps-min", "0.1", "--tau-lo", "11", "--tau-hi", "14",
+               "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == EXIT_OK
+    assert probes == []
+    doc = json.loads((tmp_path / "torus-stable-sweep" /
+                      "sweep.json").read_text())
+    verdicts = set()
+    for run in doc["runs"]:
+        prob = instances.make("torus-stable", n=16, tau=run["tau"])
+        rep = run_continuation(prob, ContinuationConfig(eps_min=0.1)).report
+        assert (run["verdict"], run["sup_log_f"], run["eps_reached"]) == (
+            rep.verdict, rep.final_sup_log_f, rep.eps_reached)
+        verdicts.add(rep.verdict)
+    assert probes and len(verdicts) == 2
 
 
 def test_sweep_bracket_error(tmp_path, capsys):

@@ -81,6 +81,39 @@ def test_herm_packer_round_trip_at_each_rank(rng):
             (sq2 * off.real).reshape(-1), (sq2 * off.imag).reshape(-1)])
         assert np.array_equal(packer.pack(m), want)
         assert np.allclose(packer.pack(h), x, rtol=1e-15, atol=0.0)
+        # pack reads the Hermitian part itself: the same floats as
+        # packing herm_part, and a Hermitian field packs unchanged
+        a = (rng.standard_normal((4, 3, r, r))
+             + 1j * rng.standard_normal((4, 3, r, r)))
+        assert np.array_equal(packer.pack(a), packer.pack(fiber.herm_part(a)))
+        assert np.array_equal(packer.pack(fiber.herm_part(m)), want)
+
+
+@pytest.mark.parametrize("name,n", [("rank2-extension", 8),
+                                    ("torus-stable", 8), ("hopf-stable", 16)])
+def test_operators_pack_the_hermitian_part_bit_for_bit(rng, name, n):
+    # the Newton matvec and the preconditioner hand their raw field to
+    # pack; the result equals packing its Hermitian part explicitly
+    p = instances.make(name, n=n)
+    eps = 0.3
+    st = MetricState(rand_band_herm(p.geom, rng, p.rank, amp=0.3))
+    packer = HermPacker(p.geom.shape, p.rank)
+    x = packer.pack(rand_band_herm(p.geom, rng, p.rank, amp=0.3))
+
+    out = C.d2lhat_apply(p, eps, st,
+                         C.dexp_direction(p, st, packer.unpack(x)))
+    want = packer.pack(fiber.herm_part(fiber.mm(fiber.mm(st.fsri, out),
+                                                st.fsri)))
+    assert np.array_equal(C._newton_operator(p, eps, st, packer)(x), want)
+
+    c = float(np.mean(np.trace(p.zero_order_id(),
+                               axis1=-2, axis2=-1).real)) / p.rank
+    sym = p.geom.p_symbol + (eps + max(c, 0.0) + 1e-12)
+    axes = tuple(range(len(p.geom.shape)))
+    hh = np.fft.fftn(packer.unpack(x), axes=axes)
+    hh /= sym.reshape(sym.shape + (1, 1))
+    want = packer.pack(fiber.herm_part(np.fft.ifftn(hh, axes=axes)))
+    assert np.array_equal(C._precond_operator(p, eps, packer)(x), want)
 
 
 def test_state_cache_follows_the_problem(rng):
