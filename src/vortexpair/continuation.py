@@ -92,7 +92,7 @@ class DiagnosticsRecord:
     energy_scale: float
     cauchy_increment: float       # sup|log(f_prev^-1 f)| between accepted states
     newton_iters: int
-    min_ritz: float               # smallest Ritz singular value estimate
+    min_ritz: float               # Krylov upper bound on sigma_min(M dL), NaN unprobed
     skew_defect: float            # anti-Hermitian truncation defect of R
     monotone_gap: float           # pairing of section term increments, >= -tol
     l2_log_f: float
@@ -317,35 +317,42 @@ def _precond_operator(p, eps, packer):
 
 
 def min_ritz_estimate(p, eps, st, packer):
-    """Smallest Ritz singular value of the preconditioned Newton
-    operator on a small Krylov space. A subspace quantity, so an
-    overestimate of the true minimum; its sign is the useful part
-    (strictly positive on every probe at an accepted state)."""
+    """Smallest singular value of the Arnoldi matrix H_k of the
+    preconditioned Newton operator A = M dL on at most RITZ_STEPS
+    Krylov vectors.
+
+    The basis V is kept orthonormal by classical Gram-Schmidt run twice,
+    so A V_k = V_(k+1) H_k and sigma_min(H_k) = min |A V_k y| over unit
+    y: an upper bound on sigma_min(A). Arnoldi stops when the new
+    vector's remainder is at most 1e-12 |A q_j|, i.e. A q_j lies in the
+    span and the Krylov space is invariant; an exact zero image stops
+    there with the estimate 0.0. Strictly positive on every probe at an
+    accepted state."""
     amv = _newton_operator(p, eps, st, packer)
     mop = _precond_operator(p, eps, packer)
-
-    def mv(x):
-        return mop(amv(x))
 
     # a fixed start vector, so a state always gets the same estimate
     rng = np.random.default_rng(7)
     n = packer.size
     steps = min(RITZ_STEPS, n)
+    basis = np.empty((steps + 1, n))
     q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    basis = [q]
+    basis[0] = q / np.linalg.norm(q)
     hmat = np.zeros((steps + 1, steps))
     for j in range(steps):
-        w = mv(basis[j])
-        for i in range(len(basis)):
-            hmat[i, j] = np.dot(basis[i], w)
-            w = w - hmat[i, j] * basis[i]
+        w = mop(amv(basis[j]))
+        wn = np.linalg.norm(w)
+        vj = basis[:j + 1]
+        for _ in range(2):
+            c = vj @ w
+            w -= c @ vj
+            hmat[:j + 1, j] += c
         nrm = np.linalg.norm(w)
         hmat[j + 1, j] = nrm
-        if nrm < 1e-13:
+        if nrm <= 1e-12 * wn:
             hmat = hmat[:j + 2, :j + 1]
             break
-        basis.append(w / nrm)
+        basis[j + 1] = w / nrm
     sv = np.linalg.svd(hmat, compute_uv=False)
     return float(sv[-1])
 

@@ -69,6 +69,9 @@ def run_report(instance_name, cfg, outcome):
         tail = {key: getattr(last, key) for key in (
             "eps", "residual_sup", "sup_log_f", "min_ritz", "skew_defect",
             "l2_log_f")}
+    # the eps = 0 polish record carries no probe, so the tail's
+    # min_ritz is null on a converged run; the floor is over the probes
+    probed = [r.min_ritz for r in rep.trace if not math.isnan(r.min_ritz)]
     return {
         "schema": "vortexpair-run-1",
         "instance": instance_name,
@@ -81,6 +84,7 @@ def run_report(instance_name, cfg, outcome):
         },
         "result": rep.to_dict(),
         "trace_tail": tail,
+        "ritz_floor": min(probed) if probed else None,
     }
 
 

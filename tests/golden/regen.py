@@ -1,21 +1,24 @@
-"""Rewrite the golden traces in this directory, or report their drift.
+"""Rewrite the golden traces and certificates in this directory, or
+report their drift.
 
     python tests/golden/regen.py
     python tests/golden/regen.py --check
 
 Both solve every shipped instance at the `vortexpair solve --quick`
-settings.
+settings with full diagnostics.
 
 Without flags, the script prints each instance's verdict and every row
 whose text changed (old and new), and writes
-tests/golden/<instance>.csv. Run it only for a change that is meant to
-move a trace, and list its output with the change.
+tests/golden/<instance>.csv and tests/golden/<instance>.cert.csv. Run
+it only for a change that is meant to move a trace or a certificate,
+and list its output with the change.
 
-With --check it writes nothing. For each trace column it prints the
-largest difference from the committed goldens (relative for the columns
-the gate compares relatively, absolute for the others), the gate's
-tolerance and the instance and row where it occurs, then every mismatch
-the gate would report. It exits 1 when the gate fails on any instance.
+With --check it writes nothing. For each trace and certificate column
+it prints the largest difference from the committed goldens (relative
+for the columns the gate compares relatively, absolute for the others),
+the gate's tolerance and the instance and row where it occurs, then
+every mismatch the gate would report. It exits 1 when the gate fails on
+any instance.
 """
 
 import argparse
@@ -29,12 +32,20 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.dirname(HERE)]
 
 from vortexpair import instances, reporting  # noqa: E402
-from test_golden import (ATOL, RTOL, golden_text, mismatches,  # noqa: E402
-                         parse_golden, solve_quick)
+from test_golden import (ATOL, CERT_COLUMNS, RTOL,  # noqa: E402
+                         cert_mismatches, cert_text, golden_text,
+                         mismatches, parse_cert, parse_golden, solve_quick)
+
+# (file suffix, text of a report, rows of a text, mismatches, columns)
+KINDS = [
+    (".csv", golden_text, lambda text: parse_golden(text)[1], mismatches,
+     reporting.CSV_COLUMNS),
+    (".cert.csv", cert_text, parse_cert, cert_mismatches, CERT_COLUMNS[1:]),
+]
 
 
-def read_golden(name):
-    path = os.path.join(HERE, name + ".csv")
+def read_golden(name, suffix):
+    path = os.path.join(HERE, name + suffix)
     if not os.path.exists(path):
         return ""
     with open(path, encoding="utf-8") as fh:
@@ -52,22 +63,25 @@ def drift(col, a, b):
 
 
 def check():
-    worst = {col: (0.0, "-") for col in reporting.CSV_COLUMNS}
+    columns = [col for kind in KINDS for col in kind[4]]
+    worst = {col: (0.0, "-") for col in columns}
     failures = []
     for name in instances.names():
-        want, got = read_golden(name), golden_text(solve_quick(name))
-        if not want:
-            failures.append("%s: no golden file" % name)
-            continue
-        failures += ["%s: %s" % (name, m) for m in mismatches(want, got)]
-        for i, (w, g) in enumerate(zip(parse_golden(want)[1],
-                                       parse_golden(got)[1])):
-            for col in reporting.CSV_COLUMNS:
-                d = drift(col, g[col], w[col])
-                if d > worst[col][0]:
-                    worst[col] = (d, "%s row %d" % (name, i))
+        rep = solve_quick(name)
+        for suffix, text, rows, compare, cols in KINDS:
+            want, got = read_golden(name, suffix), text(rep)
+            if not want:
+                failures.append("%s: no golden file %s" % (name, suffix))
+                continue
+            failures += ["%s%s: %s" % (name, suffix, m)
+                         for m in compare(want, got)]
+            for i, (w, g) in enumerate(zip(rows(want), rows(got))):
+                for col in cols:
+                    d = drift(col, g[col], w[col])
+                    if d > worst[col][0]:
+                        worst[col] = (d, "%s row %d" % (name, i))
     print("%-17s %-9s %-11s %s" % ("column", "drift", "tolerance", "where"))
-    for col in reporting.CSV_COLUMNS:
+    for col in columns:
         tol = ("%.0e rel" % RTOL[col] if col in RTOL else
                "%.0e abs" % ATOL[col] if col in ATOL else "exact")
         d, where = worst[col]
@@ -80,13 +94,16 @@ def check():
 
 def regen():
     for name in instances.names():
-        old, new = read_golden(name), golden_text(solve_quick(name))
-        print("%s: %s" % (name, new.split("\n", 1)[0].lstrip("# ")))
-        for line in difflib.unified_diff(old.splitlines(), new.splitlines(),
-                                         "old", "new", lineterm="", n=0):
-            print("  " + line)
-        with open(os.path.join(HERE, name + ".csv"), "wb") as fh:
-            fh.write(new.encode("utf-8"))
+        rep = solve_quick(name)
+        print("%s: %s" % (name, golden_text(rep).split("\n", 1)[0].lstrip("# ")))
+        for suffix, text, _, _, _ in KINDS:
+            old, new = read_golden(name, suffix), text(rep)
+            for line in difflib.unified_diff(
+                    old.splitlines(), new.splitlines(), "old" + suffix,
+                    "new" + suffix, lineterm="", n=0):
+                print("  " + line)
+            with open(os.path.join(HERE, name + suffix), "wb") as fh:
+                fh.write(new.encode("utf-8"))
     return 0
 
 

@@ -116,6 +116,32 @@ def test_solve_trivial_artifacts(tmp_path, capsys):
     assert doc["trace_tail"]["eps"] == 0.0
 
 
+def test_run_json_ritz_floor(tmp_path):
+    # the eps = 0 polish record carries no probe, so a converged run's
+    # trace tail has min_ritz null; ritz_floor is the minimum over the
+    # probed records, and null when nothing was probed
+    p = instances.make("trivial", n=16)
+    for full in (True, False):
+        cfg = ContinuationConfig(eps_min=1e-2, full_diagnostics=full)
+        out = run_continuation(p, cfg)
+        assert out.verdict == "converged"
+        paths = reporting.write_run_outputs(str(tmp_path / str(full)),
+                                            "trivial", out, cfg)
+        with open(paths["json"], "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert doc["schema"] == "vortexpair-run-1"
+        assert doc["trace_tail"]["eps"] == 0.0
+        assert doc["trace_tail"]["min_ritz"] is None
+        probed = [r.min_ritz for r in out.report.trace if r.eps > 0.0]
+        if full:
+            assert len(probed) == len(out.report.trace) - 1
+            assert doc["ritz_floor"] == min(probed)
+            assert abs(doc["ritz_floor"] - 1.0) < 1e-3
+        else:
+            assert all(math.isnan(r) for r in probed)
+            assert doc["ritz_floor"] is None
+
+
 def test_solve_repeat_runs_byte_identical(tmp_path):
     assert _solve_trivial(tmp_path / "a") == EXIT_OK
     assert _solve_trivial(tmp_path / "b") == EXIT_OK

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from vortexpair import continuation as C
-from vortexpair import fiber, instances
+from vortexpair import cli, fiber, instances
 from vortexpair import higgs as higgs_mod
 from vortexpair.continuation import (ContinuationConfig, GaugeDomainError,
                                      HermPacker, MetricState, NewtonFailure,
@@ -466,6 +466,73 @@ def test_min_ritz_positive_at_stable_solution(stable_run):
     packer = HermPacker(gp.geom.shape, gp.rank)
     r = C.min_ritz_estimate(gp, 1e-3, stable_run.state, packer)
     assert r > 0.0
+
+
+@pytest.mark.parametrize("name,n", [
+    ("higgs-theta-zero", 4), ("trivial", 8), ("torus-stable", 8),
+    ("hopf-stable", 16), ("rank2-extension", 4)])
+@pytest.mark.parametrize("eps", [0.5, 0.01])
+def test_min_ritz_bounds_dense_smallest_singular_value(name, n, eps):
+    # the probe is sigma_min of the Arnoldi matrix over an orthonormal
+    # Krylov basis, so it cannot lie below the smallest singular value
+    # of the preconditioned Newton operator, assembled here densely
+    gauge = initial_gauge(instances.make(name, n=n))
+    gp, st = gauge.problem, MetricState(gauge.s1)
+    packer = HermPacker(gp.geom.shape, gp.rank)
+    assert packer.size <= 128
+    amv = C._newton_operator(gp, eps, st, packer)
+    mop = C._precond_operator(gp, eps, packer)
+    dense = np.column_stack([mop(amv(e)) for e in np.eye(packer.size)])
+    smin = np.linalg.svd(dense, compute_uv=False)[-1]
+    assert smin > 0.0
+    probe = C.min_ritz_estimate(gp, eps, st, packer)
+    assert probe >= smin * (1.0 - 1e-10), (probe, smin)
+
+
+def test_min_ritz_floor_is_one_on_identity_operator(monkeypatch):
+    # higgs-theta-zero has K0 = 0, so s = 0 at every eps and the
+    # preconditioned Newton operator is the identity: each probe stops
+    # at its invariant subspace after at most two matvecs, at 1
+    matvecs, probes = [0], []
+    newton_operator, probe = C._newton_operator, C.min_ritz_estimate
+
+    def counting_operator(*args):
+        mv = newton_operator(*args)
+
+        def counted(x):
+            matvecs[0] += 1
+            return mv(x)
+        return counted
+
+    def recording_probe(*args):
+        matvecs[0] = 0
+        r = probe(*args)
+        probes.append((r, matvecs[0]))
+        return r
+
+    monkeypatch.setattr(C, "_newton_operator", counting_operator)
+    monkeypatch.setattr(C, "min_ritz_estimate", recording_probe)
+    name = "higgs-theta-zero"
+    out = run_continuation(instances.make(name, n=cli.quick_grid(name)),
+                           ContinuationConfig(eps_min=1e-2))
+    assert out.verdict == "converged"
+    probed = [r.min_ritz for r in out.report.trace if r.eps > 0.0]
+    assert len(probes) == len(probed) > 0
+    assert [r for r, _ in probes] == probed
+    for r, k in probes:
+        assert abs(r - 1.0) <= 1e-8
+        assert 1 <= k <= 2
+
+
+def test_min_ritz_zero_operator_is_exactly_zero(monkeypatch):
+    # an exact zero image breaks down at once: 0.0, not NaN or a
+    # division by zero (RuntimeWarning is an error under pytest)
+    p = instances.make("torus-stable", n=8)
+    packer = HermPacker(p.geom.shape, p.rank)
+    monkeypatch.setattr(C, "_newton_operator",
+                        lambda *args: lambda x: np.zeros_like(x))
+    st = MetricState(np.zeros(tuple(p.geom.shape) + (1, 1), dtype=complex))
+    assert C.min_ritz_estimate(p, 0.5, st, packer) == 0.0
 
 
 def test_diagnostics_record_fields(stable_run):
