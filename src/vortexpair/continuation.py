@@ -24,9 +24,9 @@ eigenbasis of s. The commonly quoted form replaces the last term by
 eps v, which is only exact when [f, v] = 0; the exact kernel is what
 makes the finite-difference consistency check pass at 1e-5.
 
-Linear solves are GMRES on a real isometric packing of Hermitian
-fields, preconditioned by the constant-coefficient symbol of the
-dominant operator.
+Linear solves are right-preconditioned GMRES on a real isometric
+packing of Hermitian fields; the preconditioner divides by the
+constant-coefficient symbol of the dominant operator.
 """
 
 import math
@@ -34,7 +34,6 @@ import time
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import fiber, pair as pair_mod
 from ._kernels import apply_one, apply_two
@@ -45,18 +44,81 @@ from .pair import PairProblem
 ARMIJO_FACTOR = 0.5
 ARMIJO_MIN = 2.0 ** -10
 ARMIJO_C1 = 1e-4
-GMRES_MAXITER = 400
+GMRES_MAXITER = 400               # matvecs per linear solve
+GMRES_RESTART = 80                # Krylov steps per restart cycle
 HALVINGS_MAX = 8
 RITZ_STEPS = 10                   # Arnoldi size for the injectivity probe
 
 
-def _gmres(amat, b, rtol, maxiter, mmat):
-    # scipy's maxiter counts restart cycles, not matvecs; convert so
-    # maxiter bounds the total work
-    restart = 80
-    cycles = max(1, -(-maxiter // restart))
-    return gmres(amat, b, rtol=rtol, atol=0.0, restart=restart,
-                 maxiter=cycles, M=mmat)
+class _Operator:
+    """A square real linear map given by its matvec; shape and dtype let
+    a wrapper, such as the benchmark's counting tracer, rebuild it."""
+
+    __slots__ = ("matvec", "shape", "dtype")
+
+    def __init__(self, matvec, n):
+        self.matvec = matvec
+        self.shape = (n, n)
+        self.dtype = np.dtype(np.float64)
+
+
+def gmres(amat, b, rtol, maxiter, mmat):
+    """Restarted GMRES with right preconditioning (Saad & Schultz 1986):
+    solves A M y = b and returns x = M y.
+
+    Arnoldi on A M runs with modified Gram-Schmidt, and Givens rotations
+    carry |b - A x| of the current iterate, which under right
+    preconditioning is the true linear residual. The solve stops once
+    that is at most rtol |b|. A cycle keeps z_j = M v_j, so x costs no
+    further M application; a restart costs one matvec for its residual.
+    maxiter bounds the matvecs. Returns (x, info): info = 0 on
+    convergence, the matvecs spent (> 0) on a partial solve, -1 when
+    A M is singular on the Krylov space."""
+    x = np.zeros(b.size)
+    tol = rtol * np.linalg.norm(b)
+    r, used = b, 0
+    while True:
+        beta = np.linalg.norm(r)
+        if beta <= tol:
+            return x, 0
+        if used >= maxiter:
+            return x, used
+        m = min(GMRES_RESTART, maxiter - used)
+        basis, zs = [r / beta], []
+        hmat = np.zeros((m, m))
+        cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+        g[0] = beta
+        for j in range(m):
+            zs.append(mmat.matvec(basis[j]))
+            w = amat.matvec(zs[j])
+            used += 1
+            col = hmat[:, j]
+            for i, v in enumerate(basis):
+                col[i] = v @ w
+                w = w - col[i] * v
+            hnext = np.linalg.norm(w)
+            for i in range(j):
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      cs[i] * col[i + 1] - sn[i] * col[i])
+            d = math.hypot(col[j], hnext)
+            if d == 0.0:
+                return x, -1
+            cs[j], sn[j] = col[j] / d, hnext / d
+            col[j] = d
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            # hnext = 0 makes g[j + 1] = 0: the space is invariant and x exact
+            if abs(g[j + 1]) <= tol:
+                break
+            basis.append(w / hnext)
+        k = len(zs)
+        y = np.linalg.solve(hmat[:k, :k], g[:k])
+        x = x + y @ np.asarray(zs)
+        if abs(g[k]) <= tol:
+            return x, 0
+        if used >= maxiter:
+            return x, used
+        r = b - amat.matvec(x)
+        used += 1
 
 
 @dataclass
@@ -371,7 +433,7 @@ def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
     floor of the transformed data is not a failure).
     """
     packer = HermPacker(p.geom.shape, p.rank)
-    mop = _precond_operator(p, eps, packer)
+    mmat = _Operator(_precond_operator(p, eps, packer), packer.size)
     for it in range(cfg.newton_max + 1):
         r, _ = residual_parts(p, eps, st)
         rn = sup_norm(r)
@@ -384,13 +446,9 @@ def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
                 return st, it
             raise NewtonFailure("newton budget exhausted at eps=%g (residual %.3e)"
                                 % (eps, rn))
-        amat = LinearOperator((packer.size, packer.size),
-                              matvec=_newton_operator(p, eps, st, packer),
-                              dtype=np.float64)
-        mmat = LinearOperator((packer.size, packer.size), matvec=mop,
-                              dtype=np.float64)
+        amat = _Operator(_newton_operator(p, eps, st, packer), packer.size)
         b = packer.pack(-r)
-        x, info = _gmres(amat, b, cfg.linear_rtol, GMRES_MAXITER, mmat)
+        x, info = gmres(amat, b, cfg.linear_rtol, GMRES_MAXITER, mmat)
         # info > 0 is a partial solve: accept it, Armijo decides whether
         # it helps
         if info < 0:

@@ -2,7 +2,8 @@
 
 Everything runs in process through main(argv) with tmp_path output
 directories; solves use grid 16 and --quick so the whole file stays
-fast.
+fast. The runtime-dependency check alone starts a fresh interpreter,
+since the test process has scipy imported already.
 """
 
 import argparse
@@ -11,6 +12,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +24,8 @@ from vortexpair.continuation import ContinuationConfig, run_continuation
 from vortexpair.geometry import HopfBackend, TorusBackend
 
 FOUR_PI = 4.0 * math.pi
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def _solve_trivial(outdir, grid=16):
@@ -425,3 +430,24 @@ def test_verify_catches_sign_flip_drill(monkeypatch, capsys):
     assert rc == EXIT_FAIL
     assert re.search(r"geometry-max-principle\s+FAIL", out)
     assert "verify check(s) failed" in out
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # the package depends on numpy alone; scipy is a test dependency
+    code = ("import sys\n"
+            "import vortexpair.cli\n"
+            "rc = vortexpair.cli.main(['solve', '--instance', 'trivial', "
+            "'--quick', '--out', sys.argv[1]])\n"
+            "print(rc, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "%d []" % EXIT_OK, proc.stdout

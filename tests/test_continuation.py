@@ -248,6 +248,126 @@ def test_newton_failure_and_best_effort():
     assert it == 0 and fiber.sup_norm(st.s) == 0.0
 
 
+# ---------------------------------------------------------------------------
+# the linear solver
+
+class _Dense:
+    """A dense matrix as an operator object that counts its matvecs."""
+
+    def __init__(self, mat):
+        self.mat, self.calls = mat, 0
+        self.shape, self.dtype = mat.shape, mat.dtype
+
+    def matvec(self, x):
+        self.calls += 1
+        return self.mat @ x
+
+
+def _spread_system(rng, n=200):
+    # eigenvalues from 1 to 1000 and a small nonsymmetric part: GMRES
+    # needs about 100 steps for 1e-10, so it has to cross a restart
+    a = np.diag(np.linspace(1.0, 1000.0, n))
+    a += 0.1 * rng.standard_normal((n, n)) / math.sqrt(n)
+    return _Dense(a), _Dense(np.eye(n)), rng.standard_normal(n)
+
+
+def test_gmres_matches_dense_solve(rng):
+    n = 60
+    a = np.eye(n) * 4.0 + rng.standard_normal((n, n)) / math.sqrt(n)
+    a *= rng.uniform(0.5, 2.0, n)[:, None]
+    amat = _Dense(a)
+    mmat = _Dense(np.diag(1.0 / np.diag(a)))
+    b = rng.standard_normal(n)
+    rtol = 1e-10
+    x, info = C.gmres(amat, b, rtol, C.GMRES_MAXITER, mmat)
+    assert info == 0
+    assert 0 < amat.calls == mmat.calls <= n
+    bn = np.linalg.norm(b)
+    assert np.linalg.norm(b - a @ x) <= rtol * bn * (1.0 + 1e-8)
+    want = np.linalg.solve(a, b)
+    cond = np.linalg.cond(a)
+    assert np.linalg.norm(x - want) <= 10.0 * cond * rtol * np.linalg.norm(want)
+
+
+def test_gmres_converges_across_a_restart(rng):
+    amat, mmat, b = _spread_system(rng)
+    rtol = 1e-10
+    x, info = C.gmres(amat, b, rtol, C.GMRES_MAXITER, mmat)
+    assert info == 0
+    # one residual matvec per restart on top of the Krylov steps
+    assert mmat.calls > C.GMRES_RESTART
+    assert amat.calls > mmat.calls
+    assert np.linalg.norm(b - amat.mat @ x) <= (
+        rtol * np.linalg.norm(b) * (1.0 + 1e-8))
+
+
+@pytest.mark.parametrize("maxiter", [30, 80, 81, 85])
+def test_gmres_partial_solve_spends_at_most_maxiter(rng, maxiter):
+    amat, mmat, b = _spread_system(rng)
+    x, info = C.gmres(amat, b, 1e-10, maxiter, mmat)
+    assert info > 0
+    assert amat.calls <= maxiter and mmat.calls <= maxiter
+    # the partial step still lowers the residual
+    assert np.linalg.norm(b - amat.mat @ x) < np.linalg.norm(b)
+
+
+def test_gmres_zero_rhs_spends_no_matvec():
+    amat, mmat = _Dense(np.eye(5)), _Dense(np.eye(5))
+    x, info = C.gmres(amat, np.zeros(5), 1e-8, C.GMRES_MAXITER, mmat)
+    assert info == 0 and amat.calls == mmat.calls == 0
+    assert np.array_equal(x, np.zeros(5))
+
+
+def test_gmres_identity_stops_after_one_matvec(rng):
+    # the second Arnoldi vector vanishes: no division by its zero norm
+    # (RuntimeWarning is an error under pytest)
+    amat, mmat = _Dense(np.eye(7)), _Dense(np.eye(7))
+    b = rng.standard_normal(7)
+    x, info = C.gmres(amat, b, 1e-12, C.GMRES_MAXITER, mmat)
+    assert info == 0 and amat.calls == mmat.calls == 1
+    assert np.allclose(x, b, rtol=1e-14, atol=0.0)
+
+
+def test_gmres_singular_operator_is_a_breakdown():
+    amat, mmat = _Dense(np.zeros((4, 4))), _Dense(np.eye(4))
+    _, info = C.gmres(amat, np.ones(4), 1e-8, C.GMRES_MAXITER, mmat)
+    assert info < 0 and amat.calls == 1
+
+
+def test_newton_turns_a_linear_breakdown_into_failure(monkeypatch):
+    p = instances.make("trivial", n=16)
+    st0 = MetricState(np.zeros(tuple(p.geom.shape) + (1, 1)))
+    monkeypatch.setattr(C, "gmres",
+                        lambda amat, b, *args: (np.zeros_like(b), -1))
+    with pytest.raises(NewtonFailure, match="breakdown"):
+        newton_solve_at(p, 1.0, st0, ContinuationConfig())
+
+
+@pytest.mark.parametrize("name", ["rank2-extension", "torus-stable"])
+def test_newton_linear_solve_meets_the_true_residual(name, monkeypatch):
+    # right preconditioning bounds |b - A x| itself; a left-preconditioned
+    # solver bounds only |M (b - A x)|
+    gauge = initial_gauge(instances.make(name, n=8))
+    gp, st = gauge.problem, MetricState(gauge.s1)
+    cfg = ContinuationConfig()
+    solves, solve = [], C.gmres
+
+    def recording(amat, b, *args):
+        x, info = solve(amat, b, *args)
+        solves.append((amat, b, x, info))
+        return x, info
+
+    monkeypatch.setattr(C, "gmres", recording)
+    # the Armijo search may stall this far from the start; every linear
+    # solve up to there counts
+    newton_solve_at(gp, 0.5, st, cfg, best_effort=True)
+    assert solves
+    for amat, b, x, info in solves:
+        assert info == 0
+        res = np.linalg.norm(b - amat.matvec(x))
+        assert res <= cfg.linear_rtol * np.linalg.norm(b) * (1.0 + 1e-6)
+
+
 def test_residual_public_vs_state_route(rng):
     p = instances.make("torus-wave", n=16)
     st = _state_rank1(p.geom, rng)

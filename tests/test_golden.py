@@ -45,10 +45,19 @@ to the third digit, while the probe at a fixed state and operator is
 reproducible.
 
 Each tolerance is at least 3x those drifts, and the residual_sup floor
-sits 100x below the 1e-9 polish acceptance (10 * newton_tol). The gate
-does not absorb every last-bit change: replacing every np.fft call of
-the solver by scipy.fft moves apriori_margin on torus-wave by 2.6e-12
-relative and fails it. `python tests/golden/regen.py --check` prints
+sits 100x below the 1e-9 polish acceptance (10 * newton_tol).
+
+Measured since, against the same goldens and without changing a
+tolerance: the library's right-preconditioned GMRES in place of scipy's
+left-preconditioned one moves residual_sup 2.1e-12 (torus-wave row 7),
+energy_gap 6.8e-13 (hopf-unstable row 10, 0.68 of its floor),
+cauchy_increment 1.1e-14, sup_log_f 1.1e-15 relative, min_ritz 7.2e-5
+relative (rank2-extension row 11), skew_defect 3.9e-13 and l2_log_f
+6.5e-16 relative, and no Newton count.
+
+The gate does not absorb every last-bit change: replacing every np.fft
+call of the solver by scipy.fft moves apriori_margin on torus-wave by
+2.6e-12 relative and fails it. `python tests/golden/regen.py --check` prints
 the current drift per column. Do not loosen the tolerances; a change
 that moves a trace or a certificate on purpose regenerates the goldens
 with `python tests/golden/regen.py` and lists what changed.

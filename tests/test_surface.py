@@ -92,3 +92,31 @@ def test_benchmark_tracer_patch_sites_exist(monkeypatch):
         tr.install()
     finally:
         tr.uninstall()
+
+
+def test_benchmark_tracer_counts_match_the_run(monkeypatch):
+    # the tracer wraps continuation.gmres with a counting operator built
+    # from amat.matvec, amat.shape and amat.dtype; with right
+    # preconditioning each Krylov step is one matvec and one
+    # preconditioner application, and a quick solve needs no partial
+    # linear solve
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracer import Tracer
+    from vortexpair import cli, continuation, instances
+    name = "rank2-extension"
+    p = instances.make(name, n=cli.quick_grid(name))
+    cfg = continuation.ContinuationConfig(eps_min=1e-2,
+                                          full_diagnostics=False)
+    tr = Tracer()
+    tr.install()
+    try:
+        rep = continuation.run_continuation(p, cfg).report
+    finally:
+        tr.uninstall()
+    got = tr.summary()
+    matvecs = got["continuation.gmres.matvecs"]
+    assert matvecs > 0
+    assert matvecs == got["continuation.linearization.calls"]
+    assert got["continuation.precond.calls"] == matvecs
+    assert got["continuation.gmres.partial"] == 0
+    assert got["continuation.newton.iters"] == rep.newton_total
