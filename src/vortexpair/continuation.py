@@ -47,6 +47,7 @@ ARMIJO_C1 = 1e-4
 GMRES_MAXITER = 400               # matvecs per linear solve
 GMRES_RESTART = 80                # Krylov steps per restart cycle
 HALVINGS_MAX = 8
+EPS_MIN_SNAP = 1.01               # a target below this x eps_min is eps_min
 RITZ_STEPS = 10                   # Arnoldi size for the injectivity probe
 
 
@@ -343,7 +344,9 @@ class GaugeDomainError(ValueError):
     transform consistently under references that commute with them;
     a rebasing that mixes the declared summands leaves an order-one
     non-Hermitian part in the pushed background curvature, which no
-    refinement removes."""
+    refinement removes. Rebased data that the problem's own validation
+    rejects, such as a section no longer holomorphic to the clone
+    tolerance on a coarse grid, raises it too."""
 
 
 class CapExceeded(Exception):
@@ -561,7 +564,10 @@ def initial_gauge(p, h=None, cfg=None):
                         40.0 * geom.h ** 2 * (1.0 + sup_norm(khat)) ** 3)
     else:
         clone_tol = 1e-6
-    gauged = p._transformed_clone(ilf0p, phip, a01p, h0h, h0hi, clone_tol)
+    try:
+        gauged = p._transformed_clone(ilf0p, phip, a01p, h0h, h0hi, clone_tol)
+    except ValueError as e:
+        raise GaugeDomainError("rebased problem rejected: %s" % e) from e
 
     st = MetricState(s1)
     r0, _ = residual_parts(gauged, 1.0, st)
@@ -672,8 +678,44 @@ def diagnostics_check(p, eps, st, prev_st=None, newton_iters=0, cfg=None):
 # ---------------------------------------------------------------------------
 # the homotopy driver
 
+def _predicted_start(p, target, st, rec, s_back, eps_back, cfg):
+    """Newton's start at eps = target after the accepted state st, whose
+    diagnostics record is rec: the secant predictor s + t (s - s_back),
+    t = (target - eps) / (eps - eps_back) with eps = rec.eps, through st
+    and the accepted s_back at eps_back (Allgower & Georg 2003, section
+    2).
+
+    st itself is the start at the first stop (no s_back), when it
+    already meets newton_tol at target, and when the prediction crosses
+    cfg.cap, so that only a Newton iterate can make a run diverge. The
+    residual at target is the one at eps plus (target - eps) s, so the
+    record bounds its sup to within rec.residual_sup of |target - eps|
+    rec.sup_log_f; it is evaluated only when those bounds straddle
+    newton_tol."""
+    if s_back is None:
+        return st
+    eps, tol = rec.eps, cfg.newton_tol
+    shift = abs(target - eps) * rec.sup_log_f
+    if shift + rec.residual_sup <= tol:
+        return st
+    if (shift - rec.residual_sup <= tol
+            and sup_norm(residual_parts(p, target, st)[0]) <= tol):
+        return st
+    s = st.s + ((target - eps) / (eps - eps_back)) * (st.s - s_back)
+    if sup_norm(s) > cfg.cap:
+        return st
+    return MetricState(s)
+
+
 def run_continuation(p, cfg=None, h_start=None):
     """Continuation from eps = 1 to cfg.eps_min, then an eps = 0 polish.
+
+    The stops follow the geometric schedule eps -> cfg.ratio * eps,
+    with a target within EPS_MIN_SNAP of eps_min snapped to it, and a
+    stop whose Newton solve fails is halved towards the last accepted
+    eps. Newton starts from _predicted_start; the polish starts from the
+    eps_min state itself, because the boundary verdict reads how far
+    the polish moves from it.
 
     Verdicts: converged (polish met tolerance), diverged (cap crossed,
     the operational no-solution signal), boundary (schedule completed
@@ -721,13 +763,18 @@ def run_continuation(p, cfg=None, h_start=None):
         )
         return RunOutcome(rep, gauge, st)
 
-    eps_prev = 1.0
+    eps_prev, eps_back, s_back = 1.0, None, None
     while eps_prev > cfg.eps_min:
-        target = max(eps_prev * cfg.ratio, cfg.eps_min)
+        target = eps_prev * cfg.ratio
+        if target < EPS_MIN_SNAP * cfg.eps_min:
+            target = cfg.eps_min
         halvings = 0
         while True:
+            start = _predicted_start(gp, target, st, trace[-1], s_back,
+                                     eps_back, cfg)
             try:
-                st_new, iters = newton_solve_at(gp, target, st, cfg, cap=cfg.cap)
+                st_new, iters = newton_solve_at(gp, target, start, cfg,
+                                                cap=cfg.cap)
                 break
             except CapExceeded:
                 r_at, _ = residual_parts(gp, target, st)
@@ -741,6 +788,7 @@ def run_continuation(p, cfg=None, h_start=None):
                 target = eps_prev - 0.5 * (eps_prev - target)
         newton_total += iters
         rec = diagnostics_check(gp, target, st_new, st, iters, cfg)
+        eps_back, s_back = eps_prev, st.s
         st = st_new
         trace.append(rec)
         eps_prev = target

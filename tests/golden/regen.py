@@ -7,8 +7,11 @@ report their drift.
 Both solve every shipped instance at the `vortexpair solve --quick`
 settings with full diagnostics.
 
-Without flags, the script prints each instance's verdict and every row
-whose text changed (old and new), and writes
+Without flags, the script first solves every instance. When a verdict
+differs from instances.EXPECTED_VERDICTS it prints each such instance
+and exits 1 without writing anything: a change that moves a verdict is
+a fault, not a new golden. Otherwise it prints each instance's verdict
+and every row whose text changed (old and new), and writes
 tests/golden/<instance>.csv and tests/golden/<instance>.cert.csv. Run
 it only for a change that is meant to move a trace or a certificate,
 and list its output with the change.
@@ -93,8 +96,16 @@ def check():
 
 
 def regen():
-    for name in instances.names():
-        rep = solve_quick(name)
+    reps = {name: solve_quick(name) for name in instances.names()}
+    moved = [(name, rep.verdict, instances.EXPECTED_VERDICTS[name])
+             for name, rep in reps.items()
+             if rep.verdict != instances.EXPECTED_VERDICTS[name]]
+    for name, got, want in moved:
+        print("%s: verdict %s, expected %s" % (name, got, want))
+    if moved:
+        print("a verdict changed; no golden file written")
+        return 1
+    for name, rep in reps.items():
         print("%s: %s" % (name, golden_text(rep).split("\n", 1)[0].lstrip("# ")))
         for suffix, text, _, _, _ in KINDS:
             old, new = read_golden(name, suffix), text(rep)

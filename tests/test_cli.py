@@ -291,6 +291,22 @@ def test_failed_gauge_outcome_writes_its_report(tmp_path):
     assert os.path.getsize(paths["svg"]) > 0
 
 
+def test_solve_rejected_rebased_section_is_a_failed_verdict(tmp_path, capsys):
+    # at grid 16 the rebased torus-wave section misses the clone's
+    # holomorphy tolerance: the gauge fails, and the run still reports
+    rc = main(["solve", "--instance", "torus-wave", "--grid", "16",
+               "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == EXIT_FAIL
+    assert "torus-wave: verdict=failed" in out
+    doc = json.loads((tmp_path / "torus-wave" / "run.json").read_text())
+    assert doc["result"]["verdict"] == "failed"
+    cause = doc["result"]["cause"]
+    assert cause.startswith("gauge: GaugeDomainError: "), cause
+    assert "section is not holomorphic" in cause
+    assert doc["result"]["steps"] == 0
+
+
 def test_report_missing_trace(tmp_path, capsys):
     rc = main(["report", str(tmp_path)])
     out = capsys.readouterr().out

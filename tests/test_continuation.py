@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -481,6 +482,114 @@ def test_gauge_domain_error_is_a_failed_verdict():
     out = run_continuation(p, cfg,
                            h_start=gauge_probe(p.geom, 2, rng, constant=False))
     _assert_failed_gauge(out, "GaugeDomainError")
+
+
+# ---------------------------------------------------------------------------
+# the schedule and the secant predictor
+
+def _quick(name):
+    args = cli.build_parser().parse_args(["solve", "--instance", name,
+                                          "--quick"])
+    _, prob = cli.load_instance(args, {})
+    return prob, cli.build_config(args, {})
+
+
+def test_schedule_snaps_a_target_next_to_eps_min():
+    # 0.5 * 0.5 = 0.25 lies within EPS_MIN_SNAP of 0.2499: no stop at
+    # 0.25 followed by a one-iteration stop at 0.2499
+    cfg = ContinuationConfig(ratio=0.5, eps_min=0.2499,
+                             full_diagnostics=False)
+    out = run_continuation(instances.make("trivial", n=8), cfg)
+    assert out.verdict == "converged"
+    assert [rec.eps for rec in out.report.trace] == [1.0, 0.5, 0.2499, 0.0]
+
+
+def test_predicted_start_is_closer_than_the_accepted_state(monkeypatch):
+    prob, cfg = _quick("torus-wave")
+    seen = []
+    predict = C._predicted_start
+
+    def recording(p, target, st, *args):
+        start = predict(p, target, st, *args)
+        seen.append([fiber.sup_norm(residual_parts(p, target, x)[0])
+                     for x in (start, st)] + [start is st])
+        return start
+
+    monkeypatch.setattr(C, "_predicted_start", recording)
+    out = run_continuation(prob, cfg)
+    assert out.verdict == "converged"
+    # every stop but the first starts from a prediction, and the
+    # prediction lowers the residual Newton starts from
+    assert len(seen) == len(out.report.trace) - 2
+    assert seen[0][2]
+    for i, (r_start, r_accepted, same) in enumerate(seen[1:], 1):
+        assert not same and r_start < r_accepted, (i, r_start, r_accepted)
+
+
+def test_no_prediction_where_the_accepted_state_already_solves(monkeypatch):
+    # theta = 0 makes s = 0 the solution at every eps: each stop keeps
+    # the accepted state and builds no new one
+    prob, cfg = _quick("higgs-theta-zero")
+    built = Counter()
+
+    class Counted(MetricState):
+        __slots__ = ()
+
+        def __init__(self, s):
+            built["states"] += 1
+            super().__init__(s)
+
+    monkeypatch.setattr(C, "MetricState", Counted)
+    out = run_continuation(prob, cfg)
+    assert out.verdict == "converged" and out.report.newton_total == 0
+    assert built["states"] == 4
+
+
+def _trivial_stops(*eps_list):
+    # accepted states of trivial (n=8) at each eps, each from the last
+    p = instances.make("trivial", n=8)
+    cfg = ContinuationConfig(newton_tol=1e-12, full_diagnostics=False)
+    st = MetricState(np.zeros(tuple(p.geom.shape) + (1, 1)))
+    out = []
+    for eps in eps_list:
+        st, _ = newton_solve_at(p, eps, st, cfg)
+        out.append((st, diagnostics_check(p, eps, st, None, 0, cfg)))
+    return p, cfg, out
+
+
+def test_predictor_skip_rule_reads_the_record(monkeypatch):
+    # the record bounds the residual at the new target; only where the
+    # bounds straddle newton_tol is the residual itself evaluated
+    p, cfg, [(st1, _), (st, rec)] = _trivial_stops(1.0, 0.5)
+    loose = dataclasses.replace(rec, eps=0.75, residual_sup=1.0)
+    assert C._predicted_start(p, 0.5, st, loose, st1.s, 1.0, cfg) is st
+    assert C._predicted_start(p, 0.4, st, loose, st1.s, 1.0, cfg) is not st
+
+    def no_residual(*args):
+        raise AssertionError("the record decides")
+
+    monkeypatch.setattr(C, "residual_parts", no_residual)
+    solved = dataclasses.replace(rec, sup_log_f=0.0)
+    assert C._predicted_start(p, 0.25, st, solved, st1.s, 1.0, cfg) is st
+    assert C._predicted_start(p, 0.25, st, rec, st1.s, 1.0, cfg) is not st
+
+
+def test_a_prediction_beyond_the_cap_is_not_used():
+    # on trivial, s grows as eps falls, so the secant from eps 1 and 0.5
+    # to 0.25 lies above the state at 0.5; a cap between the two drops
+    # the prediction, and only a Newton iterate may then cross the cap
+    p, tight, [(st1, _), (st, rec)] = _trivial_stops(1.0, 0.5)
+    pred = C._predicted_start(p, 0.25, st, rec, st1.s, 1.0, tight)
+    assert np.array_equal(pred.s, st.s + 0.5 * (st.s - st1.s))
+    assert pred.sup_s() > st.sup_s()
+
+    cap = 0.5 * (st.sup_s() + pred.sup_s())
+    cfg = ContinuationConfig(newton_tol=1e-12, newton_max=0, cap=cap)
+    assert C._predicted_start(p, 0.25, st, rec, st1.s, 1.0, cfg) is st
+    with pytest.raises(C.CapExceeded):
+        newton_solve_at(p, 0.25, pred, cfg, cap=cap)
+    start, it = newton_solve_at(p, 0.25, st, cfg, cap=cap, best_effort=True)
+    assert start is st and it == 0
 
 
 # ---------------------------------------------------------------------------

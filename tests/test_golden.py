@@ -47,13 +47,20 @@ reproducible.
 Each tolerance is at least 3x those drifts, and the residual_sup floor
 sits 100x below the 1e-9 polish acceptance (10 * newton_tol).
 
-Measured since, against the same goldens and without changing a
-tolerance: the library's right-preconditioned GMRES in place of scipy's
-left-preconditioned one moves residual_sup 2.1e-12 (torus-wave row 7),
-energy_gap 6.8e-13 (hopf-unstable row 10, 0.68 of its floor),
-cauchy_increment 1.1e-14, sup_log_f 1.1e-15 relative, min_ritz 7.2e-5
-relative (rank2-extension row 11), skew_defect 3.9e-13 and l2_log_f
-6.5e-16 relative, and no Newton count.
+The goldens were regenerated once since, at unchanged tolerances, for
+the secant predictor of the eps continuation, which moves where Newton
+starts at each stop and so where it stops. Against the goldens before
+it, on the ten instances whose schedule it leaves as it was: eps none,
+newton_iters up to 8 per row (torus-unstable row 10, 21 -> 13),
+residual_sup 9.7e-11 (torus-stable row 13), energy_gap 6.3e-8
+(hopf-unstable row 8), cauchy_increment 2.7e-9 (hopf-unstable row 8),
+sup_log_f and l2_log_f 2.3e-10 relative (hopf-stable row 10),
+apriori_margin 5.4e-11 relative (hopf-unstable row 7), min_ritz 1.3e-2
+relative (rank2-extension row 6) and skew_defect 4.8e-13 (torus-wave
+row 10). These track the newton_tol = 1e-10 acceptance, not roundoff.
+rank2-caseb takes 16 rows instead of 17: its second stop halves once
+instead of twice. Every verdict is unchanged; regen.py refuses to
+write goldens in which one moved.
 
 The gate does not absorb every last-bit change: replacing every np.fft
 call of the solver by scipy.fft moves apriori_margin on torus-wave by
@@ -65,8 +72,11 @@ with `python tests/golden/regen.py` and lists what changed.
 
 import dataclasses
 import functools
+import importlib.util
 import math
 import os
+import sys
+import types
 
 import pytest
 
@@ -178,3 +188,22 @@ def test_quick_trace_matches_golden(name):
 def test_quick_certificates_match_golden(name):
     want = read_golden(name, ".cert.csv")
     assert cert_mismatches(want, cert_text(solve_quick(name))) == []
+
+
+def test_regen_refuses_a_verdict_change(tmp_path, monkeypatch, capsys):
+    # regen solves every instance before it writes, and a verdict that
+    # differs from the shipped expectation stops it with nothing written
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "regen", os.path.join(GOLDEN_DIR, "regen.py"))
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    shipped = dict(instances.EXPECTED_VERDICTS)
+    monkeypatch.setattr(regen, "solve_quick", lambda name:
+                        types.SimpleNamespace(verdict=shipped[name]))
+    monkeypatch.setattr(regen, "HERE", str(tmp_path))
+    monkeypatch.setitem(instances.EXPECTED_VERDICTS, "trivial", "diverged")
+    assert regen.main([]) == 1
+    assert os.listdir(tmp_path) == []
+    out = capsys.readouterr().out
+    assert "trivial: verdict converged, expected diverged" in out
