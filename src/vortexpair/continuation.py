@@ -137,8 +137,8 @@ class ContinuationConfig:
             raise ValueError("schedule ratio must be in (0, 1)")
         for name in ("eps_min", "newton_tol", "linear_rtol", "cap"):
             # written so that NaN fails too
-            if not getattr(self, name) > 0:
-                raise ValueError("%s must be positive" % name)
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be positive and finite" % name)
         if not self.eps_min < 1.0:
             raise ValueError("eps_min must be below 1, where the schedule "
                              "starts")
@@ -149,22 +149,14 @@ class DiagnosticsRecord:
     eps: float
     residual_sup: float
     sup_log_f: float
-    apriori_bound: float          # sup|K0| / eps (inf at eps = 0)
-    apriori_margin: float         # sup_log_f - apriori_bound, <= slack
+    apriori_margin: float         # sup_log_f - sup|K0|/eps, -inf at eps = 0
     energy_gap: float
     energy_scale: float
     cauchy_increment: float       # sup|log(f_prev^-1 f)| between accepted states
     newton_iters: int
     min_ritz: float               # Krylov upper bound on sigma_min(M dL), NaN unprobed
     skew_defect: float            # anti-Hermitian truncation defect of R
-    monotone_gap: float           # pairing of section term increments, >= -tol
     l2_log_f: float
-    calc_margin: float            # max pointwise violation of the P-inequality
-
-    def row(self):
-        return [self.eps, self.residual_sup, self.sup_log_f,
-                self.apriori_margin, self.energy_gap,
-                self.cauchy_increment, self.newton_iters]
 
 
 @dataclass
@@ -616,34 +608,13 @@ def energy_identity_gap(p, eps, st):
     return gap, scale
 
 
-def monotone_gap(p, st):
-    """Integrated pairing of the zero-order-term increment against s;
-    nonnegative by the monotonicity of the fiberwise pairing path."""
-    geom = p.geom
-    inc = np.einsum("...ij,...ji->...",
-                    p.zero_order(st) - p.zero_order_id(),
-                    st.s).real
-    return float(geom.integrate(inc).real)
-
-
-def calc_inequality_margin(p, eps, st):
-    """Max pointwise violation of (1/2) P(|s|^2) + eps |s|^2 <= |K0||s|."""
-    geom = p.geom
-    ns = frob(st.s)
-    pterm = 0.5 * geom.p_op(ns ** 2).real
-    k0n = frob(p.k0_field())
-    lhs = pterm + eps * ns ** 2
-    return float(np.max(lhs - k0n * ns))
-
-
-def diagnostics_check(p, eps, st, prev_st=None, newton_iters=0, cfg=None):
-    if cfg is None:
-        cfg = ContinuationConfig()
+def diagnostics_check(p, eps, st, prev_st, newton_iters, cfg):
     res, skew = residual_parts(p, eps, st)
     rsup = sup_norm(res)
     sup_s = st.sup_s()
-    k0sup = sup_norm(p.k0_field())
-    bound = math.inf if eps == 0.0 else k0sup / eps
+    margin = -math.inf
+    if eps > 0.0:
+        margin = sup_s - sup_norm(p.k0_field()) / eps
     gap, scale = energy_identity_gap(p, eps, st)
     if prev_st is not None:
         # relative increment sup|log(f_prev^(-1/2) f f_prev^(-1/2))|,
@@ -661,17 +632,14 @@ def diagnostics_check(p, eps, st, prev_st=None, newton_iters=0, cfg=None):
         eps=eps,
         residual_sup=rsup,
         sup_log_f=sup_s,
-        apriori_bound=bound,
-        apriori_margin=sup_s - bound if math.isfinite(bound) else -math.inf,
+        apriori_margin=margin,
         energy_gap=gap,
         energy_scale=scale,
         cauchy_increment=cauchy,
         newton_iters=newton_iters,
         min_ritz=ritz,
         skew_defect=skew,
-        monotone_gap=monotone_gap(p, st),
         l2_log_f=l2,
-        calc_margin=calc_inequality_margin(p, eps, st),
     )
 
 

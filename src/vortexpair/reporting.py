@@ -8,6 +8,7 @@ timestamps inside the CSV (wall time lives in the JSON report only).
 import json
 import math
 import os
+import types
 
 CSV_COLUMNS = ["eps", "residual_sup", "sup_log_f", "apriori_margin",
                "energy_gap", "cauchy_increment", "newton_iters"]
@@ -24,7 +25,7 @@ def _g17(x):
 def trace_csv(trace):
     lines = [",".join(CSV_COLUMNS)]
     for rec in trace:
-        lines.append(",".join(_g17(v) for v in rec.row()))
+        lines.append(",".join(_g17(getattr(rec, col)) for col in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -224,14 +225,6 @@ def svg_from_csv(csv_text, title="continuation run"):
     if header != CSV_COLUMNS:
         raise ValueError("unexpected trace columns: %s" % ",".join(header))
 
-    class Row:
-        def __init__(self, vals):
-            self.eps = vals[0]
-            self.residual_sup = vals[1]
-            self.sup_log_f = vals[2]
-
-    trace = []
-    for ln in lines[1:]:
-        vals = [float(v) for v in ln.split(",")]
-        trace.append(Row(vals))
+    rows = [map(float, ln.split(",")) for ln in lines[1:]]
+    trace = [types.SimpleNamespace(**dict(zip(header, r))) for r in rows]
     return render_run_svg(trace, title=title)

@@ -8,15 +8,20 @@ compare the solver against. The library never calls them.
                      cross-check, the simplicity probe
     solver level     the unsymmetrized f L_eps(f), the contraction of
                      tr(g10 wedge b01), the contraction identity gap,
-                     the slack of the pointwise inequality checks
+                     the monotone pairing gap, the margin of the
+                     pointwise P-inequality and the slack of the
+                     pointwise inequality checks, and a tap that hands
+                     each accepted state of a run to these checks
 """
 
 import math
 
 import numpy as np
+import pytest
 
+from vortexpair import continuation
 from vortexpair._kernels import apply_one, apply_two
-from vortexpair.fiber import (CLAMP_HARD_REL, EIG_FLOOR, ClampError,
+from vortexpair.fiber import (CLAMP_HARD_REL, EIG_FLOOR, ClampError, frob,
                               herm_eig, herm_part, kernel_matrix, mm,
                               psi_kernel, sup_norm)
 from vortexpair.pair import SplitModel
@@ -251,3 +256,41 @@ def discretization_slack(p, st):
         return 1e-8 * max(1.0, st.sup_s()) ** 2
     h = p.geom.h
     return 50.0 * h ** 2 * max(1.0, st.sup_s()) ** 3 * max(1.0, sup_norm(p.k0_field()))
+
+
+def monotone_gap(p, st):
+    """Integrated pairing of the zero-order-term increment against s;
+    nonnegative by the monotonicity of the fiberwise pairing path."""
+    geom = p.geom
+    inc = np.einsum("...ij,...ji->...",
+                    p.zero_order(st) - p.zero_order_id(),
+                    st.s).real
+    return float(geom.integrate(inc).real)
+
+
+def calc_inequality_margin(p, eps, st):
+    """Max pointwise violation of (1/2) P(|s|^2) + eps |s|^2 <= |K0||s|."""
+    geom = p.geom
+    ns = frob(st.s)
+    pterm = 0.5 * geom.p_op(ns ** 2).real
+    k0n = frob(p.k0_field())
+    lhs = pterm + eps * ns ** 2
+    return float(np.max(lhs - k0n * ns))
+
+
+def tapped(run, *args):
+    """run(*args) with a tap on continuation.diagnostics_check. Returns
+    the result and, for every accepted state the run records, the triple
+    (problem, state, record), so tests can check certificates the record
+    does not carry."""
+    check = continuation.diagnostics_check
+    taps = []
+
+    def tap(p, eps, st, *rest):
+        rec = check(p, eps, st, *rest)
+        taps.append((p, st, rec))
+        return rec
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "diagnostics_check", tap)
+        return run(*args), taps

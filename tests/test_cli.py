@@ -236,6 +236,20 @@ def test_solve_rejects_bad_numbers(tmp_path, capsys, argv, cause):
     assert err.startswith("error:") and cause in err
 
 
+def test_solve_rejects_an_infinite_tolerance(tmp_path, capsys):
+    # an input error, not a scientific verdict: with this tolerance every
+    # residual would count as converged
+    p = tmp_path / "run.cfg"
+    p.write_text("newton_tol = inf\n")
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(p), "--instance", "torus-unstable",
+               "--quick", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAIL
+    assert err.startswith("error:") and "newton_tol" in err
+    assert not out.exists()
+
+
 def test_parser_rejects_unknown_instance_flag(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["solve", "--instance", "moebius"])

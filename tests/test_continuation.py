@@ -21,7 +21,8 @@ from vortexpair.instances import gauge_probe
 from vortexpair.pair import PairProblem
 
 from conftest import rand_band_herm, rand_herm
-from oracles import discretization_slack, lhat_raw, nie_zhang_check
+from oracles import (calc_inequality_margin, discretization_slack, lhat_raw,
+                     monotone_gap, nie_zhang_check, tapped)
 
 
 def _state_rank1(geom, rng, amp=0.5, kmax=2):
@@ -34,8 +35,8 @@ def _state_rank1(geom, rng, amp=0.5, kmax=2):
 
 @pytest.mark.parametrize("name,bad", [
     (name, bad) for name in ("eps_min", "newton_tol", "linear_rtol", "cap")
-    for bad in (0.0, math.nan)
-] + [("eps_min", 1.0), ("eps_min", 5.0), ("eps_min", math.inf)])
+    for bad in (0.0, math.nan, math.inf)
+] + [("eps_min", 1.0), ("eps_min", 5.0)])
 def test_config_rejects_non_positive_values(name, bad):
     with pytest.raises(ValueError, match=name):
         ContinuationConfig(**{name: bad})
@@ -175,7 +176,7 @@ def test_state_assembles_its_curvature_once(rng, monkeypatch):
         for _ in range(3):
             C.d2lhat_apply(p, 0.5, st, rand_band_herm(p.geom, rng, 2, amp=0.3))
         energy_identity_gap(p, 0.5, st)
-        C.monotone_gap(p, st)
+        monotone_gap(p, st)
         assert (counts["update"], counts["d0 f"], counts["adjoint"]) \
             == (1, 1, int(higgs)), name
 
@@ -601,8 +602,22 @@ def trivial_run():
 
 
 @pytest.fixture(scope="module")
-def stable_run():
-    return run_continuation(instances.make("torus-stable", n=16))
+def stable_tapped():
+    return tapped(run_continuation, instances.make("torus-stable", n=16))
+
+
+@pytest.fixture(scope="module")
+def stable_run(stable_tapped):
+    return stable_tapped[0]
+
+
+def _check_state_certificates(taps):
+    # the monotone pairing and the pointwise P-inequality at every
+    # accepted state, which the run itself does not record
+    for p, st, rec in taps:
+        assert monotone_gap(p, st) >= -1e-12, rec.eps
+        assert calc_inequality_margin(p, rec.eps, st) <= discretization_slack(
+            p, st), rec.eps
 
 
 def test_trivial_run_converges_to_two(trivial_run):
@@ -613,7 +628,8 @@ def test_trivial_run_converges_to_two(trivial_run):
     assert fiber.sup_norm(m - 2.0) < 1e-8
 
 
-def test_trace_schedule_and_diagnostics(stable_run):
+def test_trace_schedule_and_diagnostics(stable_tapped):
+    stable_run, taps = stable_tapped
     rep = stable_run.report
     assert stable_run.verdict == "converged"
     eps_seq = [r.eps for r in rep.trace]
@@ -624,14 +640,24 @@ def test_trace_schedule_and_diagnostics(stable_run):
     for r in rep.trace:
         assert r.apriori_margin <= 1e-6
         assert r.energy_gap <= 1e-4 * r.energy_scale
-        assert r.monotone_gap >= -1e-12
         if r.eps > 0.0:
             assert r.min_ritz > 0.0
-        assert r.calc_margin <= discretization_slack(
-            stable_run.gauge.problem, stable_run.state)
+    assert [id(rec) for _, _, rec in taps] == [id(r) for r in rep.trace]
+    _check_state_certificates(taps)
     assert rep.gauge_post_residual <= 1e-10
     assert rep.newton_total > 0
     assert rep.window[0] == pytest.approx(4.0 * math.pi)
+
+
+@pytest.mark.parametrize("name", ["hopf-stable", "hopf-wave", "torus-wave",
+                                  "rank2-extension", "higgs-nilpotent"])
+def test_state_certificates_on_quick_runs(name):
+    # the same checks at the `solve --quick` settings on the Hopf
+    # torsion backend, at rank 2 and with a Higgs field
+    out, taps = tapped(run_continuation, *_quick(name))
+    assert out.verdict == instances.EXPECTED_VERDICTS[name]
+    assert len(taps) == len(out.report.trace)
+    _check_state_certificates(taps)
 
 
 def test_unstable_run_caps_late():
@@ -657,11 +683,7 @@ def test_uniqueness_two_starts():
 
 def test_energy_identity_at_solution(stable_run):
     gp = stable_run.gauge.problem
-    # recompute at the final eps_min state recorded before the polish
-    rec = stable_run.report.trace[-2]
-    assert rec.eps == pytest.approx(1e-3)
-    gap, scale = energy_identity_gap(gp, rec.eps, stable_run.state)
-    # state is the polished one; use the identity at eps = 0 as well
+    # the identity at eps = 0, at the polished final state
     gap0, scale0 = energy_identity_gap(gp, 0.0, stable_run.state)
     assert gap0 <= 1e-6 * scale0
 
@@ -766,13 +788,12 @@ def test_min_ritz_zero_operator_is_exactly_zero(monkeypatch):
 
 def test_diagnostics_record_fields(stable_run):
     gp = stable_run.gauge.problem
-    rec = diagnostics_check(gp, 0.5, stable_run.state)
+    rec = diagnostics_check(gp, 0.5, stable_run.state, None, 0,
+                            ContinuationConfig())
     assert rec.eps == 0.5
-    assert rec.apriori_bound == pytest.approx(
-        fiber.sup_norm(gp.k0_field()) / 0.5)
+    assert rec.apriori_margin == (
+        rec.sup_log_f - fiber.sup_norm(gp.k0_field()) / 0.5)
     assert math.isfinite(rec.min_ritz)
-    row = rec.row()
-    assert len(row) == 7
 
 
 def test_cauchy_increment_symmetric_form(rng):
@@ -780,8 +801,8 @@ def test_cauchy_increment_symmetric_form(rng):
     p = instances.make("trivial", n=16)
     st_prev = _state_rank1(p.geom, rng, amp=0.2)
     st = _state_rank1(p.geom, rng, amp=0.25)
-    rec = diagnostics_check(p, 0.5, st, prev_st=st_prev,
-                            cfg=ContinuationConfig(full_diagnostics=False))
+    rec = diagnostics_check(p, 0.5, st, st_prev, 0,
+                            ContinuationConfig(full_diagnostics=False))
     m = fiber.herm_part(st_prev.fsri @ st.f @ st_prev.fsri)
     want = fiber.sup_norm(fiber.herm_log(m))
     assert rec.cauchy_increment == pytest.approx(want, rel=1e-12)

@@ -75,6 +75,7 @@ import functools
 import importlib.util
 import math
 import os
+import re
 import sys
 import types
 
@@ -190,14 +191,19 @@ def test_quick_certificates_match_golden(name):
     assert cert_mismatches(want, cert_text(solve_quick(name))) == []
 
 
-def test_regen_refuses_a_verdict_change(tmp_path, monkeypatch, capsys):
-    # regen solves every instance before it writes, and a verdict that
-    # differs from the shipped expectation stops it with nothing written
+def _load_regen(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location(
         "regen", os.path.join(GOLDEN_DIR, "regen.py"))
     regen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(regen)
+    return regen
+
+
+def test_regen_refuses_a_verdict_change(tmp_path, monkeypatch, capsys):
+    # regen solves every instance before it writes, and a verdict that
+    # differs from the shipped expectation stops it with nothing written
+    regen = _load_regen(monkeypatch)
     shipped = dict(instances.EXPECTED_VERDICTS)
     monkeypatch.setattr(regen, "solve_quick", lambda name:
                         types.SimpleNamespace(verdict=shipped[name]))
@@ -207,3 +213,29 @@ def test_regen_refuses_a_verdict_change(tmp_path, monkeypatch, capsys):
     assert os.listdir(tmp_path) == []
     out = capsys.readouterr().out
     assert "trivial: verdict converged, expected diverged" in out
+
+
+def test_regen_check_leaves_a_row_count_change_out_of_the_drift(
+        monkeypatch, capsys):
+    # a golden one row short fails on its row count; pairing its rows by
+    # index would compare different eps stops, so the instance stays out
+    # of the per-column drift table
+    regen = _load_regen(monkeypatch)
+    monkeypatch.setattr(instances, "names",
+                        lambda: ["trivial", "torus-stable"])
+    read = regen.read_golden
+
+    def one_row_short(name, suffix):
+        lines = read(name, suffix).split("\n")
+        if (name, suffix) == ("trivial", ".csv"):
+            del lines[4]
+        return "\n".join(lines)
+
+    monkeypatch.setattr(regen, "read_golden", one_row_short)
+    assert regen.check() == 1
+    out = capsys.readouterr().out
+    n = len(parse_golden(read("trivial", ".csv"))[1])
+    assert "trivial.csv: rows: %d != %d" % (n, n - 1) in out
+    assert "row counts differ, not in the drift table: trivial\n" in out
+    assert "trivial row" not in out
+    assert re.search(r"^eps +0 ", out, re.M)
