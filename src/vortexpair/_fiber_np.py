@@ -8,11 +8,14 @@ It picks its path from the matrix size of its operands: rank 1 is an
 elementwise product, rank 2 writes the four entries out, and every other
 rank falls through to the generic `a @ b`. The written-out rank-2
 product avoids the per-matrix overhead of np.matmul on tiny matrices; it
-matches `@` to roundoff, not bit for bit.
+matches `@` to roundoff, not bit for bit. Each entry is formed in place
+in the output with one scratch array, in the same IEEE operations as the
+expression a_i0 * b_0j + a_i1 * b_1j.
 
-eigh_batch, apply_one and apply_two are the generic kernels for every
-rank, and apply_one/apply_two form their products with mm. _kernels adds
-the rank-1 fast paths on top of them.
+eigh_batch (LAPACK), apply_one and apply_two are the generic kernels
+for every rank, and apply_one/apply_two form their products with mm.
+_kernels writes ranks 1 and 2 out in closed form on top of them; these
+generic kernels are the reference its tests compare against.
 """
 
 import numpy as np
@@ -30,15 +33,27 @@ def mm(a, b):
         return a @ b
     out = np.empty(np.broadcast_shapes(a.shape, b.shape),
                    dtype=np.result_type(a, b))
-    a00, a01 = a[..., 0, 0], a[..., 0, 1]
-    a10, a11 = a[..., 1, 0], a[..., 1, 1]
-    b00, b01 = b[..., 0, 0], b[..., 0, 1]
-    b10, b11 = b[..., 1, 0], b[..., 1, 1]
-    out[..., 0, 0] = a00 * b00 + a01 * b10
-    out[..., 0, 1] = a00 * b01 + a01 * b11
-    out[..., 1, 0] = a10 * b00 + a11 * b10
-    out[..., 1, 1] = a10 * b01 + a11 * b11
+    _mm2(entries(a), entries(b), entries(out),
+         np.empty(out.shape[:-2], dtype=out.dtype))
     return out
+
+
+def entries(a):
+    """The four entries of a 2x2 field as nested lists of views."""
+    return [[a[..., 0, 0], a[..., 0, 1]], [a[..., 1, 0], a[..., 1, 1]]]
+
+
+def _mm2(x, y, out, tmp):
+    """out = x y for 2x2 fields given by their entries, written in place.
+
+    Entry (i, j) is x_i0 * y_0j + x_i1 * y_1j, in exactly the IEEE
+    operations of that expression; tmp is one scratch entry.
+    """
+    for i in (0, 1):
+        for j in (0, 1):
+            np.multiply(x[i][0], y[0][j], out=out[i][j])
+            np.multiply(x[i][1], y[1][j], out=tmp)
+            out[i][j] += tmp
 
 
 def eigh_batch(a):

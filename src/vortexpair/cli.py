@@ -258,7 +258,13 @@ def _check_fiber_roundtrip(rng):
         back = fiber.herm_log(fiber.herm_exp(s), what="verify")
         if fiber.sup_norm(back - s) > 1e-10 * max(1.0, fiber.sup_norm(s)):
             return False, "log(exp(s)) drifted"
-    return True, "40 spectra in [-5, 5]"
+    # exactly repeated rank-2 spectra reach the closed form's scalar branch
+    for c in (0.0, 1.5, -4.0):
+        s = np.diag([c, c]).astype(np.complex128)
+        back = fiber.herm_log(fiber.herm_exp(s), what="verify")
+        if fiber.sup_norm(back - s) > 1e-10 * max(1.0, abs(c)):
+            return False, "log(exp(c I)) drifted at c = %g" % c
+    return True, "40 spectra in [-5, 5], 3 repeated rank-2 spectra"
 
 
 def _check_fiber_kernel(rng):

@@ -8,7 +8,9 @@ Every field-valued matrix product of the solver goes through mm, the
 batched product of _fiber_np: elementwise at rank 1, written out entry
 by entry at rank 2, np.matmul at rank 3 and up. The eigendecomposition
 and the two functional calculi come from _kernels, which takes rank-1
-fields elementwise and hands every other rank to _fiber_np.
+fields elementwise, writes all three out in closed form at rank 2 (the
+eigenvectors are a Givens rotation) and hands rank 3 and up to the
+generic LAPACK path of _fiber_np.
 
 Norms: unless stated otherwise, pointwise norms are Frobenius norms and
 sup norms are the grid max of the pointwise norm.

@@ -15,9 +15,11 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from vortexpair import __version__, continuation, instances, reporting
+from vortexpair import (__version__, _kernels, cli, continuation, instances,
+                        reporting)
 from vortexpair.cli import (EXIT_FAIL, EXIT_OK, EXIT_SCIENCE, build_config,
                             main, parse_config, quick_grid, resolve_out)
 from vortexpair.continuation import ContinuationConfig, run_continuation
@@ -438,6 +440,23 @@ def test_verify_all_green(capsys):
                  "reporting-determinism"):
         assert name in out
     assert "FAIL" not in out
+
+
+def test_verify_fiber_roundtrip_reaches_rank2_scalar_branch(monkeypatch):
+    # a closed-form eigh whose scalar branch returns V = I / sqrt(2)
+    # passes every random spectrum; only the repeated ones catch it
+    eigh2 = _kernels._eigh2
+
+    def broken(a):
+        w, v = eigh2(a)
+        scalar = (a[..., 1, 0] == 0) & (a[..., 0, 0] == a[..., 1, 1])
+        v[scalar] = np.eye(2) / math.sqrt(2.0)
+        return w, v
+
+    monkeypatch.setattr(_kernels, "_eigh2", broken)
+    ok, detail = cli._check_fiber_roundtrip(np.random.default_rng(0))
+    assert not ok
+    assert "log(exp(c I)) drifted" in detail
 
 
 def test_verify_rejects_flags_it_does_not_read(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -293,10 +294,11 @@ _MM_VALUES = st.one_of(st.just(0.0), st.floats(1e-100, 1e3),
 
 
 @st.composite
-def _mm_operands(draw):
-    """Two operands of rank 1, 2 or 3 on an (n,) or (n, n) grid: fields
-    or a constant (r, r) on either side, each real or complex."""
-    r = draw(st.integers(1, 3))
+def _mm_operands(draw, ranks=st.integers(1, 3)):
+    """Two operands of a rank drawn from ranks (1, 2 or 3 by default) on
+    an (n,) or (n, n) grid: fields or a constant (r, r) on either side,
+    each real or complex."""
+    r = draw(ranks)
     n = draw(st.integers(1, 3))
     grid = draw(st.sampled_from([(n,), (n, n)]))
     layout = draw(st.sampled_from(["field-field", "const-field",
@@ -342,3 +344,140 @@ def test_mm_and_rank2_calculus_match_matmul(operands, split, seed):
     c = rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))
     _assert_scaled(_kernels.apply_two(k, v, c), v @ (k * (vh @ c @ v)) @ vh,
                    np.max(k) * np.max(np.abs(c)))
+
+
+def _mm_four_lines(a, b):
+    """The rank-2 product written as four entry expressions."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape),
+                   dtype=np.result_type(a, b))
+    out[..., 0, 0] = a[..., 0, 0] * b[..., 0, 0] + a[..., 0, 1] * b[..., 1, 0]
+    out[..., 0, 1] = a[..., 0, 0] * b[..., 0, 1] + a[..., 0, 1] * b[..., 1, 1]
+    out[..., 1, 0] = a[..., 1, 0] * b[..., 0, 0] + a[..., 1, 1] * b[..., 1, 0]
+    out[..., 1, 1] = a[..., 1, 0] * b[..., 0, 1] + a[..., 1, 1] * b[..., 1, 1]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mm_operands(ranks=st.just(2)))
+def test_rank2_mm_is_bitwise_the_four_line_form(operands):
+    # field-field, const-field and field-const, each side real or complex
+    a, b = operands
+    got, want = fiber.mm(a, b), _mm_four_lines(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# rank-2 closed forms against LAPACK and the @ formulas
+
+_E40 = math.exp(40.0)
+
+
+def _rank2_edge_points(rng):
+    """One rank-2 Hermitian matrix per grid point: coincident, nearly
+    coincident, diagonal, off-diagonal, widely split and generic
+    spectra. The first eight points are diagonal."""
+    def rotated(w):
+        return _herm_from_spectrum(rng, np.array(w))
+
+    off = np.array([[0.0, 2.0 - 1.0j], [2.0 + 1.0j, 0.0]])
+    pts = [
+        np.zeros((2, 2)),                    # the zero field
+        2.5 * np.eye(2), -1e-3 * np.eye(2),  # c I
+        np.diag([7.0, 7.0]),                 # diag(c, c)
+        np.diag([3.0, -1.0]),                # a00 > a11
+        np.diag([-1.0, 3.0]),                # a00 < a11
+        np.diag([1.3, 1.3 + 1e-9]),          # a 1e-9 split
+        np.diag([_E40, 1.0 / _E40]),         # e^40 and e^-40
+        rotated([1.3, 1.3 + 1e-9]),
+        rotated([-0.4, -0.4]),               # c I up to roundoff
+        rotated([1.0 / _E40, _E40]),
+        rotated([-_E40, 1.0 / _E40]),
+        off, -off.conj(), 1e-200 * off,      # purely off-diagonal
+        rotated([-2.0, 0.5]),
+    ]
+    return np.array(pts, dtype=np.complex128)
+
+
+def _dagger(v):
+    return np.conjugate(np.swapaxes(v, -1, -2))
+
+
+def test_rank2_eigh_closed_form_matches_lapack(rng):
+    a = _rank2_edge_points(rng)
+    w, v = _kernels.eigh_batch(a)
+    wn, _ = _fiber_np.eigh_batch(a)
+    scale = frob(a)[:, None]
+    tol = 8 * np.finfo(float).eps
+    assert np.all(w[:, 0] <= w[:, 1])
+    assert np.all(np.abs(w - wn) <= tol * scale)
+    unitary = _dagger(v) @ v - np.eye(2)
+    assert np.max(np.abs(unitary)) <= tol
+    back = (v * w[..., None, :]) @ _dagger(v)
+    assert np.all(frob(back - a) <= tol * frob(a))
+    # on diagonal points each eigenvalue is accurate relative to itself,
+    # e^-40 beside e^40 included, as LAPACK's are
+    diag = np.sort(np.diagonal(a[:8].real, axis1=-2, axis2=-1), axis=-1)
+    assert np.all(np.abs(w[:8] - diag) <= 2 * np.finfo(float).eps * np.abs(diag))
+    assert np.array_equal(wn[:8], diag)
+    # a scalar point is already diagonal: V = I exactly
+    np.testing.assert_array_equal(v[:4], np.broadcast_to(np.eye(2), (4, 2, 2)))
+
+
+def test_rank2_calculus_on_edge_spectra_matches_generic(rng):
+    a = _rank2_edge_points(rng)
+    w, v = _kernels.eigh_batch(a)
+    wn, vn = _fiber_np.eigh_batch(a)
+    # eigenvalues carry an absolute error of order eps |A|; scaled by
+    # |A| they are well conditioned, so both routes must agree
+    scale = np.maximum(1.0, frob(a))[:, None]
+    g, gn = w / scale, wn / scale
+    got = _kernels.apply_one(g, v)
+    assert np.array_equal(got[..., 1, 0], np.conjugate(got[..., 0, 1]))
+    assert np.max(np.abs(got - (v * g[..., None, :]) @ _dagger(v))) <= 1e-15
+    # v diag(g(w)) v^H does not depend on the choice of eigenvectors
+    assert np.max(np.abs(got - _fiber_np.apply_one(gn, vn))) <= 1e-14
+    c = (rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape))
+    k = fiber.kernel_matrix(psi_kernel, g)
+    two = _kernels.apply_two(k, v, c)
+    assert np.max(np.abs(two - v @ (k * (_dagger(v) @ c @ v)) @ _dagger(v))) \
+        <= 1e-13 * np.max(k) * np.max(np.abs(c))
+    kn = fiber.kernel_matrix(psi_kernel, gn)
+    assert np.max(np.abs(two - _fiber_np.apply_two(kn, vn, c))) \
+        <= 1e-13 * np.max(k) * np.max(np.abs(c))
+
+
+@pytest.mark.parametrize("kernel", [psi_kernel, inv_psi_kernel])
+def test_rank2_apply_two_non_hermitian_and_non_symmetric_kernel(rng, kernel):
+    # dbar s is not Hermitian, and psi and 1/psi are not symmetric
+    s = rand_herm(rng, (5, 4), 2, amp=2.0)
+    c = rng.standard_normal((5, 4, 2, 2)) + 1j * rng.standard_normal((5, 4, 2, 2))
+    assert skew_defect(c) > 0.1
+    w, v = _kernels.eigh_batch(s)
+    k = fiber.kernel_matrix(kernel, w)
+    assert np.max(np.abs(k - np.swapaxes(k, -1, -2))) > 0.1
+    got = _kernels.apply_two(k, v, c)
+    want = v @ (k * (_dagger(v) @ c @ v)) @ _dagger(v)
+    scale = np.max(k) * np.max(np.abs(c))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+    wn, vn = _fiber_np.eigh_batch(s)
+    generic = _fiber_np.apply_two(fiber.kernel_matrix(kernel, wn), vn, c)
+    assert np.max(np.abs(got - generic)) <= 1e-13 * scale
+
+
+def test_rank2_eigh_non_finite_points_stay_local(rng):
+    a = rand_herm(rng, (6,), 2)
+    a[1, 0, 0] = np.nan
+    a[3, 1, 0] = a[3, 0, 1] = np.inf
+    a[4, 1, 1] = -np.inf
+    bad = np.zeros(6, dtype=bool)
+    bad[[1, 3, 4]] = True
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, v = _kernels.eigh_batch(a)
+        wn, vn = _fiber_np.eigh_batch(a)
+    # the closed form leaves NaN at each non-finite point and only
+    # there (LAPACK may return finite values at a NaN point)
+    assert np.all(np.isnan(w[bad]))
+    np.testing.assert_allclose(w[~bad], wn[~bad], rtol=0, atol=1e-14)
+    assert np.all(np.isfinite(v[~bad]))
