@@ -268,22 +268,25 @@ def _check_fiber_roundtrip(rng):
 
 
 def _check_fiber_kernel(rng):
-    ker = fiber.dd_kernel(np.exp, np.exp)
-    for _ in range(20):
-        s = fiber.herm_part(rng.standard_normal((3, 3))
-                            + 1j * rng.standard_normal((3, 3)))
-        a = fiber.herm_part(rng.standard_normal((3, 3))
-                            + 1j * rng.standard_normal((3, 3)))
-        t = 1e-6
-        fd = (fiber.funcalc_one(np.exp, s + t * a)
-              - fiber.funcalc_one(np.exp, s - t * a)) / (2 * t)
-        dd = fiber.funcalc_two(ker, s=s, a=a)
-        if fiber.sup_norm(fd - dd) > 1e-5 * max(1.0, fiber.sup_norm(dd)):
-            return False, "divided-difference kernel vs finite difference"
+    # exp's derivative through the solver's own transform (as in
+    # continuation.dexp_direction): closed form at rank 2, generic at 3
+    for r in (2, 3):
+        for _ in range(10):
+            s, a = [fiber.herm_part(rng.standard_normal((r, r))
+                                    + 1j * rng.standard_normal((r, r)))
+                    for _ in range(2)]
+            t = 1e-6
+            fd = (fiber.herm_exp(s + t * a)
+                  - fiber.herm_exp(s - t * a)) / (2 * t)
+            w, v = fiber.herm_eig(s)
+            dd = fiber.apply_two(
+                fiber.kernel_matrix(fiber.dexp_kernel, w), v, a)
+            if fiber.sup_norm(fd - dd) > 1e-5 * max(1.0, fiber.sup_norm(dd)):
+                return False, "dexp vs finite difference at rank %d" % r
     ok = abs(fiber.psi_kernel(0.0, 1.0) - (math.e - 1.0)) < 1e-12
     ok = ok and abs(fiber.psi_kernel(1.0, 1.0 + 1e-9)
                     - (1.0 + 5e-10)) < 1e-12
-    return ok, "20 directional derivatives plus kernel pins"
+    return ok, "20 derivatives of exp at ranks 2 and 3 plus kernel pins"
 
 
 def _check_geometry_calculus(rng):

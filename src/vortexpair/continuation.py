@@ -697,39 +697,34 @@ def run_continuation(p, cfg=None, h_start=None):
     window = (math.nan, math.nan)
     if p.split is not None:
         window = pair_mod.stability_window(p.split, p.geom)
-    try:
-        gauge = initial_gauge(p, h=h_start, cfg=cfg)
-    except (fiber.ClampError, GaugeDomainError) as e:
-        rep = SolveReport(
-            verdict="failed", cause="gauge: %s: %s" % (type(e).__name__, e),
-            final_residual=math.nan, final_sup_log_f=math.nan,
-            degree=p.degree(), phi_l2=p.phi_l2, window=window,
-            eps_reached=math.nan, trace=[],
-            wall_time=time.perf_counter() - t0,
-            gauge_pre_residual=math.nan, gauge_post_residual=math.nan,
-            newton_total=0)
-        return RunOutcome(rep, None, None)
-    gp = gauge.problem
-    st = MetricState(gauge.s1)
+    gauge = st = None
     trace = []
     newton_total = 0
-
-    rec = diagnostics_check(gp, 1.0, st, None, 0, cfg)
-    trace.append(rec)
 
     def build_report(verdict, cause, eps_reached, final_res):
         rep = SolveReport(
             verdict=verdict, cause=cause,
             final_residual=final_res,
-            final_sup_log_f=st.sup_s(),
+            final_sup_log_f=math.nan if st is None else st.sup_s(),
             degree=p.degree(), phi_l2=p.phi_l2, window=window,
             eps_reached=eps_reached, trace=trace,
             wall_time=time.perf_counter() - t0,
-            gauge_pre_residual=gauge.pre_residual,
-            gauge_post_residual=gauge.post_residual,
+            gauge_pre_residual=getattr(gauge, "pre_residual", math.nan),
+            gauge_post_residual=getattr(gauge, "post_residual", math.nan),
             newton_total=newton_total,
         )
         return RunOutcome(rep, gauge, st)
+
+    try:
+        gauge = initial_gauge(p, h=h_start, cfg=cfg)
+    except (fiber.ClampError, GaugeDomainError) as e:
+        return build_report("failed", "gauge: %s: %s" % (type(e).__name__, e),
+                            math.nan, math.nan)
+    gp = gauge.problem
+    st = MetricState(gauge.s1)
+
+    rec = diagnostics_check(gp, 1.0, st, None, 0, cfg)
+    trace.append(rec)
 
     eps_prev, eps_back, s_back = 1.0, None, None
     while eps_prev > cfg.eps_min:

@@ -113,30 +113,8 @@ def dexp_kernel(x, y):
     return 0.5 * (a + b)
 
 
-def dd_kernel(g, dg):
-    """Divided-difference kernel (g(x)-g(y))/(x-y) with derivative rule
-    dg at the diagonal and a midpoint rule inside |x - y| < 1e-6."""
-    def k(x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        t = x - y
-        small = np.abs(t) < 1e-6
-        ts = np.where(small, 1.0, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            main = (g(x) - g(y)) / ts
-        mid = dg(0.5 * (x + y))
-        return np.where(small, mid, main)
-    return k
-
-
 # ---------------------------------------------------------------------------
 # transforms
-
-def funcalc_one(fn, a):
-    """Apply a scalar function to a Hermitian field through its spectrum."""
-    w, v = herm_eig(a)
-    return apply_one(fn(w), v)
-
 
 def kernel_matrix(fn, w):
     """Kernel matrix K[i, j] = fn(lambda_j, lambda_i) on eigenvalue pairs.
@@ -150,23 +128,15 @@ def kernel_matrix(fn, w):
     return fn(lam_j, lam_i)
 
 
-def funcalc_two(fn, s, a):
-    """Two variable transform of the field a in the eigenbasis of s.
-
-    In the eigenbasis of s, entry (i, j) of a is multiplied by
-    fn(lambda_j, lambda_i).
-    """
-    w, v = herm_eig(s)
-    return apply_two(kernel_matrix(fn, w), v, a)
-
-
 def comm(a, b):
     """Matrix commutator a b - b a, broadcasting over grid axes."""
     return mm(a, b) - mm(b, a)
 
 
 def herm_exp(s):
-    return funcalc_one(np.exp, s)
+    """Matrix exp of a Hermitian field through its spectrum."""
+    w, v = herm_eig(s)
+    return apply_one(np.exp(w), v)
 
 
 def herm_log(f, what="herm_log"):

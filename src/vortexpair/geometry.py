@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fiber import comm
-
 TWO_PI = 2.0 * np.pi
 
 
@@ -40,14 +38,8 @@ class GridBackend:
     p_symbol (the Fourier symbol of its own p_op, in numpy FFT order) and
     the class attribute holomorphy_tol (the default floor of holomorphy
     checks on its grid), and defines coords, d, dbar, lam11 and
-    lam_dbar_10."""
-
-    def _twist(self, w, g10, twist01):
-        """Add the commutator of a (0,1) connection coefficient twist01
-        acting on an endomorphism valued (1,0) field g10."""
-        if twist01 is None:
-            return w
-        return w + comm(twist01, g10)
+    lam_dbar_10. The contractions act on plain fields; a bundle's
+    connection twist is applied by PairProblem."""
 
     def pair_01(self, b1, b2):
         """Pointwise real inner product of two (0,1) coefficient fields."""
@@ -122,13 +114,9 @@ class TorusBackend(GridBackend):
         """Contraction of a (1,1) coefficient field."""
         return self.cg * np.asarray(c)
 
-    def lam_dbar_10(self, g10, twist01=None):
-        """Contraction of dbar acting on a (1,0) coefficient field.
-
-        twist01 is an optional (0,1) connection coefficient acting by
-        commutator on endomorphism valued fields.
-        """
-        return -self.cg * self._twist(self.dbar(g10), g10, twist01)
+    def lam_dbar_10(self, g10):
+        """Contraction of dbar acting on a (1,0) coefficient field."""
+        return -self.cg * self.dbar(g10)
 
 
 @dataclass
@@ -180,10 +168,10 @@ class HopfBackend(GridBackend):
     def lam11(self, c):
         return np.asarray(c)
 
-    def lam_dbar_10(self, g10, twist01=None):
+    def lam_dbar_10(self, g10):
         # the +g10 term is the torsion of the invariant reduction; it is
         # what breaks the Kahler identities on this backend
-        return -self._twist(self._d1(g10) + g10, g10, twist01)
+        return -(self._d1(g10) + g10)
 
 
 def make_backend(kind, n):

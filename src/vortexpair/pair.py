@@ -199,7 +199,10 @@ class PairProblem:
 
     def lam_dbar_end(self, g10):
         """Contraction of the twisted dbar on a (1,0) endomorphism field."""
-        return self.geom.lam_dbar_10(g10, twist01=self.a01)
+        out = self.geom.lam_dbar_10(g10)
+        if self.a01 is not None:
+            out = out - self.geom.lam11(comm(self.a01, g10))
+        return out
 
     def degree(self):
         return self.geom.degree(self.ilf0)

@@ -6,7 +6,8 @@ compare the solver against. The library never calls them.
                      curvature semipositivity pairing, herm_sqrt
     pair level       the destabilising quantities nu, the trace-pairing
                      cross-check, the simplicity probe
-    solver level     the unsymmetrized f L_eps(f), the contraction of
+    solver level     the unsymmetrized f L_eps(f) and its central
+                     difference along a metric direction, the contraction of
                      tr(g10 wedge b01), the contraction identity gap,
                      the monotone pairing gap, the margin of the
                      pointwise P-inequality and the slack of the
@@ -22,8 +23,8 @@ import pytest
 from vortexpair import continuation
 from vortexpair._kernels import apply_one, apply_two
 from vortexpair.fiber import (CLAMP_HARD_REL, EIG_FLOOR, ClampError, frob,
-                              herm_eig, herm_part, kernel_matrix, mm,
-                              psi_kernel, sup_norm)
+                              herm_eig, herm_log, herm_part, kernel_matrix,
+                              mm, psi_kernel, sup_norm)
 from vortexpair.pair import SplitModel
 
 TWO_PI = 2.0 * math.pi
@@ -220,6 +221,22 @@ def lhat_raw(p, eps, st):
     if eps != 0.0:
         out = out + eps * mm(st.f, st.s)
     return out
+
+
+def fd_lhat(p, eps, st, v, t=1e-6):
+    """Central difference of lhat_raw along f -> f exp(t f^-1 v), the
+    direction the linearization takes; exp by its cubic Taylor
+    polynomial."""
+    x = st.finv @ v
+
+    def lhat_at(sign):
+        tx = sign * t * x
+        e = (np.eye(p.rank) + tx + 0.5 * (tx @ tx)
+             + (tx @ tx @ tx) / 6.0)
+        f_t = herm_part(st.f @ e)
+        return lhat_raw(p, eps, continuation.MetricState(herm_log(f_t)))
+
+    return (lhat_at(1.0) - lhat_at(-1.0)) / (2.0 * t)
 
 
 def lam_wedge_trace(geom, g10, b01):

@@ -24,7 +24,7 @@ from vortexpair.instances import gauge_probe
 from vortexpair.pair import PairProblem
 
 from conftest import rand_band_herm
-from oracles import (higgs_xi_derivative, lhat_raw, nie_zhang_check,
+from oracles import (fd_lhat, higgs_xi_derivative, nie_zhang_check,
                      semipositivity_pair, xi_path)
 
 FOUR_PI = 4.0 * math.pi
@@ -262,19 +262,6 @@ def test_c11_uniqueness_from_independent_starts():
         assert dist < 1e-6, "%s: final metrics differ by %.3e" % (name, dist)
 
 
-def _fd_lhat(p, eps, st, v, t=1e-6):
-    x = st.finv @ v
-
-    def lhat_at(sign):
-        tx = sign * t * x
-        e = (np.eye(p.rank) + tx + 0.5 * (tx @ tx)
-             + (tx @ tx @ tx) / 6.0)
-        f_t = fiber.herm_part(st.f @ e)
-        return lhat_raw(p, eps, MetricState(fiber.herm_log(f_t)))
-
-    return (lhat_at(1.0) - lhat_at(-1.0)) / (2.0 * t)
-
-
 def test_c12_linearization_matches_finite_differences():
     eps_mix = (1.0, 0.7, 0.3, 0.05, 0.0)
     rng = np.random.default_rng(20250819)
@@ -287,7 +274,7 @@ def test_c12_linearization_matches_finite_differences():
             st = MetricState(rand_band_herm(p.geom, rng, rank, amp=0.4))
             v = rand_band_herm(p.geom, rng, rank, amp=0.3)
             got = C.d2lhat_apply(p, eps, st, v)
-            want = _fd_lhat(p, eps, st, v)
+            want = fd_lhat(p, eps, st, v)
             rel = fiber.sup_norm(got - want) / max(1.0, fiber.sup_norm(want))
             assert rel < 1e-5, "%s probe %d at eps=%g: rel %.3e" % (
                 name, i, eps, rel)

@@ -18,8 +18,8 @@ import sys
 import numpy as np
 import pytest
 
-from vortexpair import (__version__, _kernels, cli, continuation, instances,
-                        reporting)
+from vortexpair import (__version__, _kernels, cli, continuation, fiber,
+                        instances, reporting)
 from vortexpair.cli import (EXIT_FAIL, EXIT_OK, EXIT_SCIENCE, build_config,
                             main, parse_config, quick_grid, resolve_out)
 from vortexpair.continuation import ContinuationConfig, run_continuation
@@ -457,6 +457,23 @@ def test_verify_fiber_roundtrip_reaches_rank2_scalar_branch(monkeypatch):
     ok, detail = cli._check_fiber_roundtrip(np.random.default_rng(0))
     assert not ok
     assert "log(exp(c I)) drifted" in detail
+
+
+def test_verify_catches_a_swapped_dexp_kernel(monkeypatch, capsys):
+    # e^y psi(x, y) in place of e^x psi(x, y): still symmetric and exact
+    # on the diagonal, wrong everywhere else
+    def swapped(x, y):
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        a = np.exp(y) * fiber.psi_kernel(x, y)
+        b = np.exp(x) * fiber.psi_kernel(y, x)
+        return 0.5 * (a + b)
+
+    monkeypatch.setattr(fiber, "dexp_kernel", swapped)
+    rc = main(["verify"])
+    out = capsys.readouterr().out
+    assert rc == EXIT_FAIL
+    assert re.search(r"fiber-kernels\s+FAIL", out)
 
 
 def test_verify_rejects_flags_it_does_not_read(capsys):

@@ -740,6 +740,30 @@ def test_min_ritz_bounds_dense_smallest_singular_value(name, n, eps):
     assert probe >= smin * (1.0 - 1e-10), (probe, smin)
 
 
+@pytest.mark.parametrize("name,n", [
+    ("trivial", 8), ("torus-stable", 8), ("hopf-stable", 16),
+    ("torus-unstable", 8), ("hopf-unstable", 16), ("rank2-caseb", 6),
+    ("rank2-extension", 6), ("higgs-nilpotent", 6), ("higgs-theta-zero", 4)])
+def test_newton_operator_bounded_below_by_eps(name, n):
+    # the discrete openness step: at an accepted eps > 0 the packed
+    # Newton operator A, assembled densely, has sigma_min(A) >= eps. Its
+    # eps branch is eps times a symmetric map with eigenvalues >= 1, and
+    # the rest is positive semidefinite in the continuum. Rank 1 checks
+    # every eps > 0 state; rank 2 (64 or 144 matvecs per state) the
+    # first, the middle and the last
+    cfg = ContinuationConfig(eps_min=1e-2, full_diagnostics=False)
+    _, taps = tapped(run_continuation, instances.make(name, n=n), cfg)
+    states = [(p, st, rec.eps) for p, st, rec in taps if rec.eps > 0.0]
+    if states[0][0].rank > 1:
+        states = [states[0], states[len(states) // 2], states[-1]]
+    for p, st, eps in states:
+        packer = HermPacker(p.geom.shape, p.rank)
+        amv = C._newton_operator(p, eps, st, packer)
+        dense = np.column_stack([amv(e) for e in np.eye(packer.size)])
+        smin = np.linalg.svd(dense, compute_uv=False)[-1]
+        assert smin >= eps * (1.0 - 1e-8), (eps, smin / eps)
+
+
 def test_min_ritz_floor_is_one_on_identity_operator(monkeypatch):
     # higgs-theta-zero has K0 = 0, so s = 0 at every eps and the
     # preconditioned Newton operator is the identity: each probe stops

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vortexpair import _fiber_np, _kernels, fiber
-from vortexpair.fiber import (ClampError, dexp_kernel, dd_kernel, frob,
-                              herm_exp, herm_log, herm_part, inv_psi_kernel,
-                              psi_kernel, skew_defect, sup_norm)
+from vortexpair.fiber import (ClampError, dexp_kernel, frob, herm_exp,
+                              herm_log, herm_part, inv_psi_kernel,
+                              kernel_matrix, psi_kernel, skew_defect,
+                              sup_norm)
 
 from conftest import rand_herm
 from oracles import herm_sqrt, xi_derivative, xi_path
@@ -89,19 +90,21 @@ def test_dexp_kernel_symmetric(rng):
     assert np.max(np.abs(dexp_kernel(x, y) - d)) < 1e-12 * np.max(np.abs(d))
 
 
-def test_funcalc_two_matches_finite_difference(rng):
-    ker = dd_kernel(np.exp, np.exp)
-    for _ in range(30):
-        s = rand_herm(rng, (), 3)
-        a = rand_herm(rng, (), 3)
-        t = 1e-6
-        fd = (fiber.funcalc_one(np.exp, s + t * a)
-              - fiber.funcalc_one(np.exp, s - t * a)) / (2 * t)
-        dd = fiber.funcalc_two(ker, s=s, a=a)
-        assert sup_norm(fd - dd) <= 1e-5 * max(1.0, sup_norm(dd))
+def test_dexp_transform_matches_finite_difference(rng):
+    # the transform continuation.dexp_direction runs; rank 2 takes the
+    # closed-form eigh and apply_two, rank 3 the generic path
+    for r in (2, 3):
+        for _ in range(30):
+            s = rand_herm(rng, (), r)
+            a = rand_herm(rng, (), r)
+            t = 1e-6
+            fd = (herm_exp(s + t * a) - herm_exp(s - t * a)) / (2 * t)
+            w, v = fiber.herm_eig(s)
+            dd = fiber.apply_two(kernel_matrix(dexp_kernel, w), v, a)
+            assert sup_norm(fd - dd) <= 1e-5 * max(1.0, sup_norm(dd)), r
 
 
-def test_funcalc_two_against_hand_loop(rng):
+def test_kernel_transform_against_hand_loop(rng):
     # pins the orientation: entry (i, j) in the eigenbasis of s gets
     # fn(lambda_j, lambda_i)
     def fn(x, y):
@@ -115,13 +118,13 @@ def test_funcalc_two_against_hand_loop(rng):
         for j in range(3):
             out_hand[i, j] = fn(w[j], w[i]) * ah[i, j]
     out_hand = v @ out_hand @ v.conj().T
-    assert sup_norm(fiber.funcalc_two(fn, s=s, a=a) - out_hand) < 1e-13
+    got = fiber.apply_two(kernel_matrix(fn, w), v, a)
+    assert sup_norm(got - out_hand) < 1e-13
 
 
-def test_dd_kernel_near_degenerate(rng):
-    ker = dd_kernel(np.exp, np.exp)
+def test_dexp_kernel_near_degenerate():
     # two nearly equal eigenvalues: kernel must interpolate, not blow up
-    close = ker(np.array(1.0), np.array(1.0 + 1e-9))
+    close = dexp_kernel(np.array(1.0), np.array(1.0 + 1e-9))
     assert abs(close - math.e) < 1e-6
 
 

@@ -3,11 +3,20 @@ import pytest
 
 from vortexpair.geometry import (HopfBackend, TorusBackend, make_backend,
                                  random_band_scalar, trace_field)
+from vortexpair.pair import PairProblem
 
 from conftest import rand_band_herm
 from oracles import lam_wedge_trace
 
 TWO_PI = 2.0 * np.pi
+
+
+def _twisted_contraction(geom, g10, tw):
+    """The contraction of the dbar twisted by the (0,1) coefficient tw,
+    as the pair applies it: lam_dbar_10 plus the contracted commutator."""
+    r = tw.shape[-1]
+    p = PairProblem(geom, r, np.zeros((r, r)), np.zeros(r), 0.0, a01=tw)
+    return p.lam_dbar_end(g10)
 
 
 @pytest.fixture(params=["torus", "hopf"])
@@ -167,11 +176,23 @@ def test_lam_dbar_10_twist_commutator(rng, geom):
     tmat = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
     g10 = np.broadcast_to(gmat, tuple(geom.shape) + (r, r)).copy()
     tw = np.broadcast_to(tmat, tuple(geom.shape) + (r, r)).copy()
-    out = geom.lam_dbar_10(g10, twist01=tw)
+    out = _twisted_contraction(geom, g10, tw)
     torsion = 1.0 if geom.kind == "hopf" else 0.0
     scale = geom.cg if geom.kind == "torus" else 1.0
     want = -scale * (torsion * gmat + tmat @ gmat - gmat @ tmat)
     assert np.max(np.abs(out - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_twisted_contraction_where_cg_is_not_a_power_of_two(rng):
+    # the pair scales the commutator by cg separately from the
+    # derivative; at vol = 3 (cg = 2/3) that differs from scaling their
+    # sum only by roundoff
+    g = TorusBackend(32, vol=3.0)
+    g10 = rand_band_herm(g, rng, 2, amp=0.5)
+    tw = rand_band_herm(g, rng, 2, amp=0.5)
+    out = _twisted_contraction(g, g10, tw)
+    want = -g.cg * (g.dbar(g10) + tw @ g10 - g10 @ tw)
+    assert np.max(np.abs(out - want)) < 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +249,7 @@ def test_torus_contraction_image_has_zero_degree(rng):
     g = TorusBackend(32)
     g10 = rand_band_herm(g, rng, 2, amp=0.5)
     tw = rand_band_herm(g, rng, 2, amp=0.5)
-    out = g.lam_dbar_10(g10, twist01=tw)
+    out = _twisted_contraction(g, g10, tw)
     assert abs(complex(g.integrate(trace_field(out)))) < 1e-10
 
 

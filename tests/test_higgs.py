@@ -8,7 +8,7 @@ from vortexpair.geometry import make_backend
 from vortexpair.higgs import HiggsProblem, vortex_reduction_twin
 
 from conftest import rand_band_herm, rand_herm
-from oracles import (higgs_xi_derivative, higgs_xi_path, lhat_raw,
+from oracles import (fd_lhat, higgs_xi_derivative, higgs_xi_path,
                      semipositivity_pair)
 
 
@@ -91,18 +91,6 @@ def test_nilpotent_run_ends_boundary():
 # ---------------------------------------------------------------------------
 # linearization of the bracket hook
 
-def _fd_lhat(p, eps, st, v, t=1e-6):
-    x = st.finv @ v
-
-    def lhat_at(sign):
-        tx = sign * t * x
-        e = (np.eye(p.rank) + tx + 0.5 * (tx @ tx) + (tx @ tx @ tx) / 6.0)
-        f_t = fiber.herm_part(st.f @ e)
-        return lhat_raw(p, eps, MetricState(fiber.herm_log(f_t)))
-
-    return (lhat_at(1.0) - lhat_at(-1.0)) / (2.0 * t)
-
-
 def test_higgs_linearization_matches_fd(rng):
     hp = instances.make("higgs-nilpotent", n=8)
     for _ in range(5):
@@ -110,7 +98,7 @@ def test_higgs_linearization_matches_fd(rng):
         v = rand_band_herm(hp.geom, rng, 2, amp=0.3)
         for eps in (0.7, 0.0):
             got = C.d2lhat_apply(hp, eps, st, v)
-            want = _fd_lhat(hp, eps, st, v)
+            want = fd_lhat(hp, eps, st, v)
             rel = fiber.sup_norm(got - want) / max(1.0, fiber.sup_norm(want))
             assert rel < 1e-5
 
