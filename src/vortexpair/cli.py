@@ -269,7 +269,7 @@ def _check_fiber_roundtrip(rng):
 
 def _check_fiber_kernel(rng):
     # exp's derivative through the solver's own transform (as in
-    # continuation.dexp_direction): closed form at rank 2, generic at 3
+    # continuation.d2lhat_apply): closed form at rank 2, generic at 3
     for r in (2, 3):
         for _ in range(10):
             s, a = [fiber.herm_part(rng.standard_normal((r, r))

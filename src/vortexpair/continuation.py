@@ -14,15 +14,14 @@ tracked in the diagnostics. The eps s term commutes with f and is
 exact.
 
 Newton runs in s with the exact derivative of Lhat := f L_eps(f) along
-the positive path f_t = f exp(t f^-1 v):
+the path f_t = exp(s + t vh). With v = dexp_s[vh] the derivative of f,
+entries vh_ij (e^l_i - e^l_j) / (l_i - l_j) in the eigenbasis of s,
 
-    d2Lhat[v] = v L_eps(f) + f iL dbar_A(f^-1 d0 v - f^-1 v f^-1 d0 f)
-                + (1/2) f phi phi^H v + eps (f dlog_f[v])
+    d2Lhat[vh] = v L_eps(f) + f iL dbar_A(f^-1 d0 v - f^-1 v f^-1 d0 f)
+                 + (1/2) f phi phi^H v + eps f vh
 
-where (f dlog_f[v]) has entries vhat_ij / Psi(l_i, l_j) in the
-eigenbasis of s. The commonly quoted form replaces the last term by
-eps v, which is only exact when [f, v] = 0; the exact kernel is what
-makes the finite-difference consistency check pass at 1e-5.
+The eps s term differentiates to eps (v s + f vh); v L_eps(f) carries
+the first half, and the second needs no kernel in s-coordinates.
 
 Linear solves are right-preconditioned GMRES on a real isometric
 packing of Hermitian fields; the preconditioner divides by the
@@ -139,6 +138,8 @@ class ContinuationConfig:
             # written so that NaN fails too
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be positive and finite" % name)
+        if not (isinstance(self.newton_max, int) and self.newton_max >= 0):
+            raise ValueError("newton_max must be an integer >= 0")
         if not self.eps_min < 1.0:
             raise ValueError("eps_min must be below 1, where the schedule "
                              "starts")
@@ -196,8 +197,8 @@ class RunOutcome:
 class MetricState:
     """One metric deformation point: s, its eigendecomposition, the
     powers of f = exp(s), and one memo of the fields the solver asks of
-    it (the curvature, f^-1 d0 f, the dexp and 1/Psi kernel matrices of
-    its spectrum), each computed once for the last problem asked."""
+    it (the curvature, f^-1 d0 f, the dexp kernel matrix of its
+    spectrum), each computed once for the last problem asked."""
 
     __slots__ = ("s", "w", "v", "f", "finv", "fsr", "fsri", "_p", "_memo")
 
@@ -252,8 +253,11 @@ def residual_L(p, eps, f):
     return residual_parts(p, eps, st)[0]
 
 
-def d2lhat_apply(p, eps, st, v):
-    """Exact derivative of Lhat at st along the path f exp(t f^-1 v)."""
+def d2lhat_apply(p, eps, st, vh):
+    """Exact derivative of Lhat at st along the path exp(s + t vh)."""
+    kmat = st.field(p, "k_dexp",
+                    lambda: fiber.kernel_matrix(fiber.dexp_kernel, st.w))
+    v = apply_two(kmat, st.v, vh)
     lraw = st.kraw(p)
     if eps != 0.0:
         lraw = lraw + eps * st.s
@@ -264,23 +268,16 @@ def d2lhat_apply(p, eps, st, v):
     t3 = mm(st.f, p.zero_order_lin(st, v))
     out = t1 + t2 + t3
     if eps != 0.0:
-        kmat = st.field(p, "k_inv_psi", lambda: fiber.inv_psi_kernel(
-            st.w[..., :, None], st.w[..., None, :]))
-        out = out + eps * apply_two(kmat, st.v, v)
+        out = out + eps * mm(st.f, vh)
     return out
 
 
 def linearization_apply(p, eps, f, v):
-    """Public matrix-free linearization (see d2lhat_apply)."""
+    """Public matrix-free linearization: the derivative of f L_eps(f)
+    along exp(log f + t v), so v is a Hermitian direction of log f, not
+    of f (see d2lhat_apply)."""
     st = MetricState(fiber.herm_log(f, what="linearization_apply"))
     return d2lhat_apply(p, eps, st, v)
-
-
-def dexp_direction(p, st, w_dir):
-    """Derivative of exp at s along the Hermitian direction w_dir."""
-    kmat = st.field(p, "k_dexp",
-                    lambda: fiber.kernel_matrix(fiber.dexp_kernel, st.w))
-    return apply_two(kmat, st.v, w_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +344,7 @@ class CapExceeded(Exception):
 
 def _newton_operator(p, eps, st, packer):
     def mv(x):
-        vh = packer.unpack(x)
-        w_dir = dexp_direction(p, st, vh)
-        out = d2lhat_apply(p, eps, st, w_dir)
+        out = d2lhat_apply(p, eps, st, packer.unpack(x))
         return packer.pack(mm(mm(st.fsri, out), st.fsri))
     return mv
 

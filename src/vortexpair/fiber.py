@@ -97,11 +97,6 @@ def psi_kernel(x, y):
     return np.where(small, series, main)
 
 
-def inv_psi_kernel(x, y):
-    """(y - x) / (e^(y-x) - 1), the reciprocal of psi_kernel."""
-    return 1.0 / psi_kernel(x, y)
-
-
 def dexp_kernel(x, y):
     """(e^x - e^y) / (x - y), the symmetric divided difference of exp."""
     x = np.asarray(x, dtype=np.float64)

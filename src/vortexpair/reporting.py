@@ -221,10 +221,18 @@ def write_run_outputs(outdir, name, outcome, cfg):
 def svg_from_csv(csv_text, title="continuation run"):
     """Rebuild the run plot from a trace CSV (the report subcommand)."""
     lines = [ln for ln in csv_text.strip().split("\n") if ln]
+    if not lines:
+        raise ValueError("trace.csv is empty")
     header = lines[0].split(",")
     if header != CSV_COLUMNS:
         raise ValueError("unexpected trace columns: %s" % ",".join(header))
 
-    rows = [map(float, ln.split(",")) for ln in lines[1:]]
-    trace = [types.SimpleNamespace(**dict(zip(header, r))) for r in rows]
+    trace = []
+    for row, ln in enumerate(lines[1:], 1):
+        vals = ln.split(",")
+        if len(vals) != len(header):
+            raise ValueError("trace.csv row %d has %d fields, the header %d"
+                             % (row, len(vals), len(header)))
+        trace.append(types.SimpleNamespace(
+            **dict(zip(header, map(float, vals)))))
     return render_run_svg(trace, title=title)

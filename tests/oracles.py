@@ -7,7 +7,9 @@ compare the solver against. The library never calls them.
     pair level       the destabilising quantities nu, the trace-pairing
                      cross-check, the simplicity probe
     solver level     the unsymmetrized f L_eps(f) and its central
-                     difference along a metric direction, the contraction of
+                     difference along a direction of s = log f, the eps
+                     term of the linearization through the 1/Psi kernel
+                     of an f-space solver, the contraction of
                      tr(g10 wedge b01), the contraction identity gap,
                      the monotone pairing gap, the margin of the
                      pointwise P-inequality and the slack of the
@@ -22,9 +24,9 @@ import pytest
 
 from vortexpair import continuation
 from vortexpair._kernels import apply_one, apply_two
-from vortexpair.fiber import (CLAMP_HARD_REL, EIG_FLOOR, ClampError, frob,
-                              herm_eig, herm_log, herm_part, kernel_matrix,
-                              mm, psi_kernel, sup_norm)
+from vortexpair.fiber import (CLAMP_HARD_REL, EIG_FLOOR, ClampError,
+                              dexp_kernel, frob, herm_eig, herm_part,
+                              kernel_matrix, mm, psi_kernel, sup_norm)
 from vortexpair.pair import SplitModel
 
 TWO_PI = 2.0 * math.pi
@@ -224,19 +226,23 @@ def lhat_raw(p, eps, st):
 
 
 def fd_lhat(p, eps, st, v, t=1e-6):
-    """Central difference of lhat_raw along f -> f exp(t f^-1 v), the
-    direction the linearization takes; exp by its cubic Taylor
-    polynomial."""
-    x = st.finv @ v
-
+    """Central difference of lhat_raw along s -> s + t v, the direction
+    the linearization takes."""
     def lhat_at(sign):
-        tx = sign * t * x
-        e = (np.eye(p.rank) + tx + 0.5 * (tx @ tx)
-             + (tx @ tx @ tx) / 6.0)
-        f_t = herm_part(st.f @ e)
-        return lhat_raw(p, eps, continuation.MetricState(herm_log(f_t)))
+        return lhat_raw(p, eps, continuation.MetricState(st.s + sign * t * v))
 
     return (lhat_at(1.0) - lhat_at(-1.0)) / (2.0 * t)
+
+
+def eps_term_through_inverse_psi(st, vh):
+    """The eps term of the linearization, divided by eps, by the route
+    of an f-space solver: f dlog_f[v] for the metric direction
+    v = dexp_s[vh], entries v_ij / Psi(l_i, l_j) in the eigenbasis of s.
+    The 1/Psi kernel is taken row first, unlike kernel_matrix. Equal to
+    f vh by the chain rule."""
+    v = apply_two(kernel_matrix(dexp_kernel, st.w), st.v, vh)
+    kinv = 1.0 / psi_kernel(st.w[..., :, None], st.w[..., None, :])
+    return apply_two(kinv, st.v, v)
 
 
 def lam_wedge_trace(geom, g10, b01):

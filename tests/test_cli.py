@@ -330,6 +330,26 @@ def test_report_missing_trace(tmp_path, capsys):
     assert "no trace.csv" in out
 
 
+@pytest.mark.parametrize("body,what", [
+    ("", "trace.csv is empty"),
+    ("\n\n", "trace.csv is empty"),
+    ("1,2,3\n", "trace.csv row 1 has 3 fields, the header 7"),
+    ("1,2,3,4,5,6,7\n1,2,3,4,5,6,7,8\n",
+     "trace.csv row 2 has 8 fields, the header 7"),
+], ids=["empty", "blank", "short-row", "long-row"])
+def test_report_rejects_a_malformed_trace(tmp_path, capsys, body, what):
+    # an empty file or a row whose length is not the header's is an
+    # input error with a message, not a traceback
+    text = body if not body.strip() else ",".join(reporting.CSV_COLUMNS) \
+        + "\n" + body
+    (tmp_path / "trace.csv").write_text(text, encoding="utf-8")
+    rc = main(["report", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAIL
+    assert err == "error: %s\n" % what
+    assert not (tmp_path / "run.svg").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep-tau
 

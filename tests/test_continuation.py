@@ -21,7 +21,8 @@ from vortexpair.instances import gauge_probe
 from vortexpair.pair import PairProblem
 
 from conftest import rand_band_herm, rand_herm
-from oracles import (calc_inequality_margin, discretization_slack, lhat_raw,
+from oracles import (calc_inequality_margin, discretization_slack,
+                     eps_term_through_inverse_psi, fd_lhat, lhat_raw,
                      monotone_gap, nie_zhang_check, tapped)
 
 
@@ -36,7 +37,8 @@ def _state_rank1(geom, rng, amp=0.5, kmax=2):
 @pytest.mark.parametrize("name,bad", [
     (name, bad) for name in ("eps_min", "newton_tol", "linear_rtol", "cap")
     for bad in (0.0, math.nan, math.inf)
-] + [("eps_min", 1.0), ("eps_min", 5.0)])
+] + [("eps_min", 1.0), ("eps_min", 5.0), ("newton_max", -1),
+      ("newton_max", 2.5)])
 def test_config_rejects_non_positive_values(name, bad):
     with pytest.raises(ValueError, match=name):
         ContinuationConfig(**{name: bad})
@@ -102,8 +104,7 @@ def test_operators_pack_the_hermitian_part_bit_for_bit(rng, name, n):
     packer = HermPacker(p.geom.shape, p.rank)
     x = packer.pack(rand_band_herm(p.geom, rng, p.rank, amp=0.3))
 
-    out = C.d2lhat_apply(p, eps, st,
-                         C.dexp_direction(p, st, packer.unpack(x)))
+    out = C.d2lhat_apply(p, eps, st, packer.unpack(x))
     want = packer.pack(fiber.herm_part(fiber.mm(fiber.mm(st.fsri, out),
                                                 st.fsri)))
     assert np.array_equal(C._newton_operator(p, eps, st, packer)(x), want)
@@ -182,22 +183,17 @@ def test_state_assembles_its_curvature_once(rng, monkeypatch):
 
 
 def test_state_builds_its_kernels_once(rng, monkeypatch):
-    # the dexp and 1/Psi kernel matrices depend only on the spectrum of
-    # s: one state through several Newton matvecs and a Ritz probe
-    # builds each once, and every matvec is the one a fresh state gives
+    # the dexp kernel matrix depends only on the spectrum of s: one
+    # state through several Newton matvecs and a Ritz probe builds it
+    # once, and every matvec is the one a fresh state gives
     counts = Counter()
-    dexp_kernel, inv_psi_kernel = fiber.dexp_kernel, fiber.inv_psi_kernel
+    dexp_kernel = fiber.dexp_kernel
 
     def counted_dexp(x, y):
         counts["dexp"] += 1
         return dexp_kernel(x, y)
 
-    def counted_inv_psi(x, y):
-        counts["inv_psi"] += 1
-        return inv_psi_kernel(x, y)
-
     monkeypatch.setattr(fiber, "dexp_kernel", counted_dexp)
-    monkeypatch.setattr(fiber, "inv_psi_kernel", counted_inv_psi)
     eps = 0.5
     for name in ("rank2-extension", "torus-stable"):
         p = instances.make(name, n=8)
@@ -209,7 +205,7 @@ def test_state_builds_its_kernels_once(rng, monkeypatch):
         counts.clear()
         got = [mv(x) for x in xs]
         C.min_ritz_estimate(p, eps, st, packer)
-        assert (counts["dexp"], counts["inv_psi"]) == (1, 1), name
+        assert counts["dexp"] == 1, name
         for x, y in zip(xs, got):
             fresh = C._newton_operator(p, eps, MetricState(s), packer)
             assert np.array_equal(y, fresh(x)), name
@@ -381,19 +377,6 @@ def test_residual_public_vs_state_route(rng):
 # ---------------------------------------------------------------------------
 # linearization against finite differences
 
-def _fd_lhat(p, eps, st, v, t=1e-6):
-    x = st.finv @ v
-
-    def lhat_at(sign):
-        tx = sign * t * x
-        e = (np.eye(p.rank) + tx + 0.5 * (tx @ tx)
-             + (tx @ tx @ tx) / 6.0)
-        f_t = fiber.herm_part(st.f @ e)
-        return lhat_raw(p, eps, MetricState(fiber.herm_log(f_t)))
-
-    return (lhat_at(1.0) - lhat_at(-1.0)) / (2.0 * t)
-
-
 @pytest.mark.parametrize("name,n,rank", [
     ("torus-wave", 8, 1),
     ("rank2-extension", 8, 2),
@@ -406,9 +389,66 @@ def test_linearization_matches_fd(rng, name, n, rank):
         v = rand_band_herm(p.geom, rng, rank, amp=0.3)
         for eps in (0.7, 0.0):
             got = C.d2lhat_apply(p, eps, st, v)
-            want = _fd_lhat(p, eps, st, v)
+            want = fd_lhat(p, eps, st, v)
             rel = fiber.sup_norm(got - want) / max(1.0, fiber.sup_norm(want))
             assert rel < 1e-5
+
+
+def _spectra_fields(rng, gshape, r):
+    """Hermitian fields of rank r on gshape, named by their spectra:
+    random and, from rank 2 on, the first two eigenvalues exactly equal
+    or split by 1e-9, each rotated by a random unitary per point; the
+    equal pair also unrotated, which at rank 2 is c I."""
+    npts = int(np.prod(gshape))
+    q = np.linalg.qr(rng.standard_normal((npts, r, r))
+                     + 1j * rng.standard_normal((npts, r, r)))[0]
+    w = rng.uniform(-3.0, 3.0, size=(npts, r))
+    spectra = {"random": w}
+    if r > 1:
+        spectra["repeated"], spectra["split"] = w.copy(), w.copy()
+        spectra["repeated"][:, 1] = w[:, 0]
+        spectra["split"][:, 1] = w[:, 0] + 1e-9
+    out = {k: fiber.herm_part((q * lam[:, None, :])
+                              @ np.conjugate(np.swapaxes(q, -1, -2)))
+           for k, lam in spectra.items()}
+    if r > 1:
+        out["diagonal repeated"] = np.zeros((npts, r, r), dtype=complex)
+        out["diagonal repeated"][:, np.arange(r), np.arange(r)] = \
+            spectra["repeated"]
+    return {k: v.reshape(gshape + (r, r)) for k, v in out.items()}
+
+
+def test_eps_term_is_the_inverse_psi_route(rng, monkeypatch):
+    # in s-coordinates the eps term of the linearization is eps f vh;
+    # an f-space solver writes it as eps f dlog_f[dexp_s[vh]] through
+    # the 1/Psi kernel. Rank 1 gives the same floats; at ranks 2 and 3
+    # the two routes agree to roundoff on every kind of spectrum
+    products = []
+
+    def tapped_mm(a, b):
+        out = fiber.mm(a, b)
+        products.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(C, "mm", tapped_mm)
+    wave = instances.make("torus-wave", n=8)
+    problems = (wave, instances.make("rank2-extension", n=8),
+                PairProblem(wave.geom, 3, np.zeros((3, 3)), np.zeros(3), 0.0))
+    for p in problems:
+        fields = _spectra_fields(rng, tuple(p.geom.shape), p.rank)
+        for kind, s in fields.items():
+            st = MetricState(s)
+            vh = rand_herm(rng, tuple(p.geom.shape), p.rank)
+            products.clear()
+            C.d2lhat_apply(p, 0.4, st, vh)
+            got = [out for a, b, out in products if a is st.f and b is vh]
+            assert len(got) == 1, (p.rank, kind)
+            want = eps_term_through_inverse_psi(st, vh)
+            if p.rank == 1:
+                assert np.array_equal(got[0], want), kind
+            else:
+                rel = fiber.sup_norm(got[0] - want) / fiber.sup_norm(want)
+                assert rel <= 1e-13, (p.rank, kind, rel)
 
 
 # ---------------------------------------------------------------------------

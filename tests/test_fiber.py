@@ -9,9 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from vortexpair import _fiber_np, _kernels, fiber
 from vortexpair.fiber import (ClampError, dexp_kernel, frob, herm_exp,
-                              herm_log, herm_part, inv_psi_kernel,
-                              kernel_matrix, psi_kernel, skew_defect,
-                              sup_norm)
+                              herm_log, herm_part, kernel_matrix,
+                              psi_kernel, skew_defect, sup_norm)
 
 from conftest import rand_herm
 from oracles import herm_sqrt, xi_derivative, xi_path
@@ -65,12 +64,10 @@ def test_psi_kernel_pins():
     assert abs(psi_kernel(2.0, 2.0) - 1.0) == 0.0
 
 
-def test_psi_kernel_positive_and_reciprocal(rng):
+def test_psi_kernel_positive(rng):
     x = rng.uniform(-6, 6, size=200)
     y = rng.uniform(-6, 6, size=200)
-    p = psi_kernel(x, y)
-    assert np.all(p > 0)
-    assert np.max(np.abs(p * inv_psi_kernel(x, y) - 1.0)) < 1e-14
+    assert np.all(psi_kernel(x, y) > 0)
 
 
 def test_psi_kernel_series_branch_continuity():
@@ -91,7 +88,7 @@ def test_dexp_kernel_symmetric(rng):
 
 
 def test_dexp_transform_matches_finite_difference(rng):
-    # the transform continuation.dexp_direction runs; rank 2 takes the
+    # the transform continuation.d2lhat_apply runs; rank 2 takes the
     # closed-form eigh and apply_two, rank 3 the generic path
     for r in (2, 3):
         for _ in range(30):
@@ -448,6 +445,11 @@ def test_rank2_calculus_on_edge_spectra_matches_generic(rng):
     kn = fiber.kernel_matrix(psi_kernel, gn)
     assert np.max(np.abs(two - _fiber_np.apply_two(kn, vn, c))) \
         <= 1e-13 * np.max(k) * np.max(np.abs(c))
+
+
+def inv_psi_kernel(x, y):
+    """(y - x) / (e^(y-x) - 1), a second kernel that is not symmetric."""
+    return 1.0 / psi_kernel(x, y)
 
 
 @pytest.mark.parametrize("kernel", [psi_kernel, inv_psi_kernel])
