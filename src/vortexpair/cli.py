@@ -232,11 +232,14 @@ def cmd_report(args):
     if os.path.exists(json_path):
         with open(json_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        result = doc.get("result", {}) if isinstance(doc, dict) else None
+        if not isinstance(result, dict):
+            raise ValueError("run.json is not a run report object")
         title = "%s [%s]" % (doc.get("instance", title),
-                             doc.get("result", {}).get("verdict", "?"))
+                             result.get("verdict", "?"))
         print("instance=%s verdict=%s final_residual=%s"
-              % (doc.get("instance"), doc.get("result", {}).get("verdict"),
-                 doc.get("result", {}).get("final_residual")))
+              % (doc.get("instance"), result.get("verdict"),
+                 result.get("final_residual")))
     svg = reporting.svg_from_csv(text, title=title)
     out_path = os.path.join(args.rundir, "run.svg")
     reporting.write_text(out_path, svg)

@@ -26,10 +26,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def trace_field(a):
-    a = np.asarray(a)
-    if a.ndim >= 2 and a.shape[-1] == a.shape[-2]:
-        return np.trace(a, axis1=-2, axis2=-1)
-    return a
+    return np.trace(a, axis1=-2, axis2=-1)
 
 
 class GridBackend:
@@ -37,8 +34,11 @@ class GridBackend:
     contraction constant), cell (the quadrature weight of one grid cell),
     p_symbol (the Fourier symbol of its own p_op, in numpy FFT order) and
     the class attribute holomorphy_tol (the default floor of holomorphy
-    checks on its grid), and defines coords, d, dbar, lam11 and
-    lam_dbar_10. The contractions act on plain fields; a bundle's
+    checks on its grid), and defines coords, d, dbar, lam11, lam_dbar_10
+    and the truncation floors of a background rebased by exp(K), ksup =
+    sup|K|: rebase_skew_tol(scale, ksup) for its curvature's
+    non-Hermitian part, rebase_clone_tol(ksup) for its section's
+    holomorphy. The contractions act on plain fields; a bundle's
     connection twist is applied by PairProblem."""
 
     def pair_01(self, b1, b2):
@@ -118,6 +118,13 @@ class TorusBackend(GridBackend):
         """Contraction of dbar acting on a (1,0) coefficient field."""
         return -self.cg * self.dbar(g10)
 
+    # spectral derivatives truncate near machine level
+    def rebase_skew_tol(self, scale, ksup):
+        return 1e-3 * scale
+
+    def rebase_clone_tol(self, ksup):
+        return 1e-6
+
 
 @dataclass
 class HopfBackend(GridBackend):
@@ -172,6 +179,13 @@ class HopfBackend(GridBackend):
         # the +g10 term is the torsion of the invariant reduction; it is
         # what breaks the Kahler identities on this backend
         return -(self._d1(g10) + g10)
+
+    # O(h^2) truncation, with a prefactor set by the derivatives of exp(K)
+    def rebase_skew_tol(self, scale, ksup):
+        return max(1e-3 * scale, 400.0 * self.h ** 2 * (1.0 + ksup) ** 3)
+
+    def rebase_clone_tol(self, ksup):
+        return max(1e-8, 40.0 * self.h ** 2 * (1.0 + ksup) ** 3)
 
 
 def make_backend(kind, n):

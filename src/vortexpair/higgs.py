@@ -37,11 +37,9 @@ class HiggsProblem(PairProblem):
     def __init__(self, geom, rank, ilf0, theta, lam, a01=None, split=None,
                  theta_tol=None):
         self.lam = float(lam)
-        # placeholder so the parent validation can run; theta checks follow
-        self.theta = None
         super().__init__(geom, rank, ilf0, np.zeros(int(rank)), 2.0 * lam,
                          a01=a01, split=split)
-        self.theta = self._expand_matrix(theta, tuple(geom.shape))
+        self.theta = self._expand(theta, (self.rank, self.rank), "higgs field")
         self.theta_dag = np.conjugate(np.swapaxes(self.theta, -1, -2))
         if theta_tol is None:
             theta_tol = geom.holomorphy_tol

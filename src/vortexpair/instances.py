@@ -183,10 +183,8 @@ def make(name, n=None, tau=None):
     if name not in REGISTRY:
         raise KeyError("unknown instance %r; shipped: %s"
                        % (name, ", ".join(names())))
-    builder = REGISTRY[name]
-    if name.startswith("higgs"):
-        return builder(n=n, lam=tau)
-    return builder(n=n, tau=tau)
+    # a Higgs instance takes tau as its lam
+    return REGISTRY[name](n, tau)
 
 
 def gauge_probe(geom, rank, rng, constant=False):

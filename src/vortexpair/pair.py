@@ -108,9 +108,9 @@ class PairProblem:
         self.tau = float(tau)
         self.split = split
 
-        gshape = tuple(geom.shape)
-        self.ilf0 = self._expand_matrix(ilf0, gshape)
-        self.phi = self._expand_section(phi, gshape)
+        r = self.rank
+        self.ilf0 = self._expand(ilf0, (r, r), "curvature field")
+        self.phi = self._expand(phi, (r,), "section")
         self.a01 = None if a01 is None else np.asarray(a01, dtype=np.complex128)
         self.a10 = (None if a01 is None
                     else -np.conjugate(np.swapaxes(self.a01, -1, -2)))
@@ -126,27 +126,16 @@ class PairProblem:
             np.sum(np.abs(self.phi) ** 2, axis=-1)).real)
         self._validate()
 
-    def _expand_matrix(self, m, gshape):
-        m = np.asarray(m, dtype=np.complex128)
-        if m.shape == (self.rank, self.rank):
-            out = np.empty(gshape + (self.rank, self.rank), dtype=np.complex128)
-            out[...] = m
-            return out
-        want = gshape + (self.rank, self.rank)
-        if m.shape != want:
-            raise ValueError("curvature field shape %s, want %s" % (m.shape, want))
-        return m
-
-    def _expand_section(self, phi, gshape):
-        phi = np.asarray(phi, dtype=np.complex128)
-        if phi.shape == (self.rank,):
-            out = np.empty(gshape + (self.rank,), dtype=np.complex128)
-            out[...] = phi
-            return out
-        want = gshape + (self.rank,)
-        if phi.shape != want:
-            raise ValueError("section shape %s, want %s" % (phi.shape, want))
-        return phi
+    def _expand(self, x, tail, what):
+        """x as a grid field with fiber shape tail: a constant of shape
+        tail is copied to every point, a field must have grid + tail."""
+        x = np.asarray(x, dtype=np.complex128)
+        want = tuple(self.geom.shape) + tail
+        if x.shape == tail:
+            return np.array(np.broadcast_to(x, want))
+        if x.shape != want:
+            raise ValueError("%s shape %s, want %s" % (what, x.shape, want))
+        return x
 
     def _check_finite(self, *names):
         for name in names:

@@ -15,8 +15,6 @@ CSV_COLUMNS = ["eps", "residual_sup", "sup_log_f", "apriori_margin",
 
 
 def _g17(x):
-    if isinstance(x, bool):
-        return "1" if x else "0"
     if isinstance(x, int):
         return "%d" % x
     return "%.17g" % float(x)

@@ -105,9 +105,12 @@ def test_c04_threshold_non_kahler_backend():
 
 def test_c05_apriori_estimate_along_runs(full_runs):
     # sup|log f| <= sup|K0|/eps at every accepted state of converged runs
+    tol = ContinuationConfig().newton_tol
     for name, out in full_runs.items():
         if out.report.verdict != "converged":
             continue
+        # and the polish that made the run converged met Newton's band
+        assert out.report.final_residual <= 10.0 * tol, name
         for rec in out.report.trace:
             if rec.eps > 0.0:
                 assert rec.apriori_margin <= 1e-6, (

@@ -350,6 +350,24 @@ def test_report_rejects_a_malformed_trace(tmp_path, capsys, body, what):
     assert not (tmp_path / "run.svg").exists()
 
 
+@pytest.mark.parametrize("name,body,what", [
+    ("trace.csv", "a,b,c\n1,2,3\n", "unexpected trace columns: a,b,c"),
+    ("run.json", "[]", "run.json is not a run report object"),
+    ("run.json", '{"result": 5}', "run.json is not a run report object"),
+], ids=["trace-header", "json-list", "json-result"])
+def test_report_rejects_a_malformed_run(tmp_path, capsys, name, body, what):
+    # a run directory whose other file is well formed
+    (tmp_path / "trace.csv").write_text(
+        ",".join(reporting.CSV_COLUMNS) + "\n1,0,0,0,0,0,0\n",
+        encoding="utf-8")
+    (tmp_path / name).write_text(body, encoding="utf-8")
+    rc = main(["report", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAIL
+    assert err == "error: %s\n" % what
+    assert not (tmp_path / "run.svg").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep-tau
 

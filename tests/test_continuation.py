@@ -38,7 +38,8 @@ def _state_rank1(geom, rng, amp=0.5, kmax=2):
     (name, bad) for name in ("eps_min", "newton_tol", "linear_rtol", "cap")
     for bad in (0.0, math.nan, math.inf)
 ] + [("eps_min", 1.0), ("eps_min", 5.0), ("newton_max", -1),
-      ("newton_max", 2.5)])
+      ("newton_max", 2.5), ("ratio", 0.0), ("ratio", 1.0),
+      ("ratio", math.nan)])
 def test_config_rejects_non_positive_values(name, bad):
     with pytest.raises(ValueError, match=name):
         ContinuationConfig(**{name: bad})
@@ -240,10 +241,20 @@ def test_newton_failure_and_best_effort():
     p = instances.make("trivial", n=16)
     cfg = ContinuationConfig(newton_tol=1e-12, newton_max=0)
     st0 = MetricState(np.zeros(tuple(p.geom.shape) + (1, 1)))
-    with pytest.raises(NewtonFailure):
+    # at s = 0 the residual is 1/2 - tau/2 = -1/2
+    with pytest.raises(NewtonFailure, match=r"^newton budget exhausted at "
+                       r"eps=1 \(residual 5\.000e-01\)$"):
         newton_solve_at(p, 1.0, st0, cfg)
     st, it = newton_solve_at(p, 1.0, st0, cfg, best_effort=True)
     assert it == 0 and fiber.sup_norm(st.s) == 0.0
+    # a give-up inside the 10x band of newton_tol returns the state, one
+    # just outside it raises
+    st, it = newton_solve_at(
+        p, 1.0, st0, ContinuationConfig(newton_tol=0.06, newton_max=0))
+    assert st is st0 and it == 0
+    with pytest.raises(NewtonFailure, match="budget"):
+        newton_solve_at(p, 1.0, st0,
+                        ContinuationConfig(newton_tol=0.04, newton_max=0))
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +718,40 @@ def test_unstable_run_caps_late():
     # the cap must hit before the schedule reaches eps = 1e-2: the
     # blowup is the no-solution signal, not a late-schedule artifact
     assert out.report.eps_reached >= 1e-2
+
+
+def test_newton_budget_exhaustion_fails_the_run():
+    # with no Newton step allowed the first stop fails, and so does every
+    # halving of it
+    out = run_continuation(instances.make("trivial", n=8),
+                           ContinuationConfig(newton_max=0))
+    assert out.verdict == "failed"
+    assert out.report.cause == ("newton: newton budget exhausted at "
+                                "eps=0.998828 (residual 5.859e-04)")
+    assert out.report.eps_reached == 1.0
+    assert len(out.report.trace) == 1
+
+
+@pytest.mark.parametrize("cap,verdict,cause,eps_reached", [
+    (3.2, "diverged", "cap during polish", 0.0),
+    (50.0, "boundary", "polish failed: line search stalled at eps=0 "
+     "(residual 1.257e+00)", 0.5),
+], ids=["cap", "stall"])
+def test_polish_exits(cap, verdict, cause, eps_reached):
+    # torus-unstable reaches eps_min = 0.5 below both caps; the eps = 0
+    # polish then crosses the lower cap, or stalls under the default one
+    cfg = ContinuationConfig(eps_min=0.5, cap=cap)
+    out = run_continuation(instances.make("torus-unstable", n=8), cfg)
+    rep = out.report
+    assert (rep.verdict, rep.cause, rep.eps_reached) == (verdict, cause,
+                                                         eps_reached)
+    assert [rec.eps for rec in rep.trace] == [1.0, 0.7, 0.5]
+
+
+def test_uniqueness_probe_needs_two_converged_runs():
+    cfg = ContinuationConfig(eps_min=1e-2, full_diagnostics=False)
+    with pytest.raises(NewtonFailure, match="got diverged/diverged"):
+        uniqueness_probe(instances.make("torus-unstable", n=8), cfg)
 
 
 def test_uniqueness_two_starts():

@@ -174,6 +174,14 @@ def test_rejects_non_finite_theta(bad):
         HiggsProblem(g, 2, np.zeros((2, 2)), th, 0.0)
 
 
+def test_rejects_misshapen_theta():
+    # the shape error names the Higgs field, not the curvature
+    g = make_backend("torus", 8)
+    with pytest.raises(ValueError, match=r"^higgs field shape \(3, 3\), "
+                       r"want \(8, 8, 2, 2\)$"):
+        HiggsProblem(g, 2, np.zeros((2, 2)), np.zeros((3, 3)), 0.0)
+
+
 def test_registry_lam_mapping():
     hp = instances.make("higgs-theta-zero", n=16, tau=1.5)
     assert hp.lam == pytest.approx(1.5)

@@ -66,6 +66,9 @@ def test_stability_windows_and_classify():
     lo, hi = stability_window(ext, g)
     assert lo == pytest.approx(2.0 * math.pi) and hi == pytest.approx(FOUR_PI)
     assert classify(ext, g, 3.0 * math.pi) == "tau-stable"
+    # its upper edge is a boundary too
+    assert classify(ext, g, FOUR_PI) == "boundary"
+    assert classify(ext, g, 1.01 * FOUR_PI) == "unstable"
 
 
 def test_hopf_window_uses_volume():

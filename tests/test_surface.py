@@ -82,6 +82,15 @@ def test_every_public_definition_has_a_library_caller():
                         "them to tests/oracles.py: %s" % ", ".join(unused))
 
 
+def test_the_solver_reads_no_backend_kind():
+    # each backend owns how its grid truncates, the rebase tolerances
+    # included; the solver asks it instead of branching on its kind
+    tree = _parse(PACKAGE / "continuation.py")
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    assert not lines, "continuation.py reads .kind on lines %s" % lines
+
+
 def test_benchmark_tracer_patch_sites_exist(monkeypatch):
     # the traced benchmark patches names at their import sites (such as
     # apply_one in higgs); a library edit that drops one breaks --trace 1
