@@ -223,8 +223,7 @@ def cmd_stability(args):
 def cmd_report(args):
     csv_path = os.path.join(args.rundir, "trace.csv")
     if not os.path.exists(csv_path):
-        print("no trace.csv under %s" % args.rundir)
-        return EXIT_FAIL
+        raise FileNotFoundError("no trace.csv under %s" % args.rundir)
     with open(csv_path, "r", encoding="utf-8") as fh:
         text = fh.read()
     title = os.path.basename(os.path.abspath(args.rundir))

@@ -627,21 +627,43 @@ def diagnostics_check(p, eps, st, prev_st, newton_iters, cfg):
 # ---------------------------------------------------------------------------
 # the homotopy driver
 
-def _predicted_start(p, target, st, rec, s_back, eps_back, cfg):
-    """Newton's start at eps = target after the accepted state st, whose
-    diagnostics record is rec: the secant predictor s + t (s - s_back),
-    t = (target - eps) / (eps - eps_back) with eps = rec.eps, through st
-    and the accepted s_back at eps_back (Allgower & Georg 2003, section
-    2).
+def _quadratic(var, pairs, eps):
+    """The quadratic in var(eps) through the three (eps, s) pairs, at eps."""
+    (x0, s0), (x1, s1), (x2, s2) = [(var(e), s) for e, s in pairs]
+    x = var(eps)
+    return (((x - x1) * (x - x2) / ((x0 - x1) * (x0 - x2))) * s0
+            + ((x - x0) * (x - x2) / ((x1 - x0) * (x1 - x2))) * s1
+            + ((x - x0) * (x - x1) / ((x2 - x0) * (x2 - x1))) * s2)
 
-    st itself is the start at the first stop (no s_back), when it
-    already meets newton_tol at target, and when the prediction crosses
-    cfg.cap, so that only a Newton iterate can make a run diverge. The
-    residual at target is the one at eps plus (target - eps) s, so the
-    record bounds its sup to within rec.residual_sup of |target - eps|
+
+# Converged runs are smooth in eps; diverging and semistable runs grow
+# like a power of 1/eps or like log(1/eps), so neither variable alone
+# extrapolates well on both.
+def _eps_variable(hist):
+    """eps (float, the identity) or math.log, whichever predicts the
+    newest s of the four (eps, s) pairs hist from the three before it
+    with the smaller sup error; eps on a tie."""
+    eps, s = hist[3]
+    return min((float, math.log),
+               key=lambda var: sup_norm(_quadratic(var, hist[:3], eps) - s))
+
+
+def _predicted_start(p, target, st, rec, hist, cfg):
+    """Newton's start at eps = target after the accepted state st, whose
+    diagnostics record is rec. hist holds the last accepted (eps, s)
+    pairs, oldest first, ending with st's: the start is the secant
+    through the newest two (Allgower & Georg 2003, section 2), and from
+    four pairs on the quadratic through the newest three in the
+    variable that _eps_variable picks.
+
+    st itself is the start at the first stop, when it already meets
+    newton_tol at target, and when the prediction crosses cfg.cap, so
+    that only a Newton iterate can make a run diverge. The residual at
+    target is the one at eps plus (target - eps) s, so the record
+    bounds its sup to within rec.residual_sup of |target - eps|
     rec.sup_log_f; it is evaluated only when those bounds straddle
     newton_tol."""
-    if s_back is None:
+    if len(hist) < 2:
         return st
     eps, tol = rec.eps, cfg.newton_tol
     shift = abs(target - eps) * rec.sup_log_f
@@ -650,7 +672,11 @@ def _predicted_start(p, target, st, rec, s_back, eps_back, cfg):
     if (shift - rec.residual_sup <= tol
             and sup_norm(residual_parts(p, target, st)[0]) <= tol):
         return st
-    s = st.s + ((target - eps) / (eps - eps_back)) * (st.s - s_back)
+    if len(hist) == 4:
+        s = _quadratic(_eps_variable(hist), hist[1:], target)
+    else:
+        (eps_back, s_back), (eps, _) = hist[-2:]
+        s = st.s + ((target - eps) / (eps - eps_back)) * (st.s - s_back)
     if sup_norm(s) > cfg.cap:
         return st
     return MetricState(s)
@@ -707,15 +733,14 @@ def run_continuation(p, cfg=None, h_start=None):
     rec = diagnostics_check(gp, 1.0, st, None, 0, cfg)
     trace.append(rec)
 
-    eps_prev, eps_back, s_back = 1.0, None, None
+    eps_prev, hist = 1.0, [(1.0, st.s)]
     while eps_prev > cfg.eps_min:
         target = eps_prev * cfg.ratio
         if target < EPS_MIN_SNAP * cfg.eps_min:
             target = cfg.eps_min
         halvings = 0
         while True:
-            start = _predicted_start(gp, target, st, trace[-1], s_back,
-                                     eps_back, cfg)
+            start = _predicted_start(gp, target, st, trace[-1], hist, cfg)
             try:
                 st_new, iters = newton_solve_at(gp, target, start, cfg,
                                                 cap=cfg.cap)
@@ -732,8 +757,8 @@ def run_continuation(p, cfg=None, h_start=None):
                 target = eps_prev - 0.5 * (eps_prev - target)
         newton_total += iters
         rec = diagnostics_check(gp, target, st_new, st, iters, cfg)
-        eps_back, s_back = eps_prev, st.s
         st = st_new
+        hist = hist[-3:] + [(target, st.s)]
         trace.append(rec)
         eps_prev = target
 

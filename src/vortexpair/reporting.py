@@ -154,7 +154,8 @@ def render_run_svg(trace, title="continuation run"):
              'viewBox="0 0 %d %d">' % (_W, _H, _W, _H),
              '<rect width="%d" height="%d" fill="white"/>' % (_W, _H),
              '<text x="%d" y="18" font-family="monospace" font-size="13">%s'
-             '</text>' % (_PANEL["left"], title)]
+             '</text>' % (_PANEL["left"], title.replace("&", "&amp;")
+                          .replace("<", "&lt;").replace(">", "&gt;"))]
 
     for key, vals, logscale, label, color in (
             ("a", res_vals, True, "residual sup", "#c0392b"),

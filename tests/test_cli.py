@@ -14,6 +14,7 @@ import re
 import shutil
 import subprocess
 import sys
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -292,6 +293,19 @@ def test_report_without_json_titles_by_dirname(tmp_path, capsys):
     assert ">strays</text>" in (d / "run.svg").read_text()
 
 
+def test_report_escapes_the_title(tmp_path, capsys):
+    # the directory name is the title; XML markup in it stays text
+    _solve_trivial(tmp_path)
+    d = tmp_path / "a&b<c>"
+    d.mkdir()
+    shutil.copy(tmp_path / "trivial" / "trace.csv", d / "trace.csv")
+    assert main(["report", str(d)]) == EXIT_OK
+    capsys.readouterr()
+    doc = minidom.parse(str(d / "run.svg"))
+    title = doc.getElementsByTagName("text")[0]
+    assert title.firstChild.data == "a&b<c>"
+
+
 def test_failed_gauge_outcome_writes_its_report(tmp_path):
     # a run whose initial gauge failed has no trace: the CSV is the
     # header alone and run.json has no trace tail
@@ -325,9 +339,10 @@ def test_solve_rejected_rebased_section_is_a_failed_verdict(tmp_path, capsys):
 
 def test_report_missing_trace(tmp_path, capsys):
     rc = main(["report", str(tmp_path)])
-    out = capsys.readouterr().out
+    cap = capsys.readouterr()
     assert rc == EXIT_FAIL
-    assert "no trace.csv" in out
+    assert cap.out == ""
+    assert cap.err == "error: no trace.csv under %s\n" % tmp_path
 
 
 @pytest.mark.parametrize("body,what", [

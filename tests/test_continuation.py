@@ -537,7 +537,7 @@ def test_gauge_domain_error_is_a_failed_verdict():
 
 
 # ---------------------------------------------------------------------------
-# the schedule and the secant predictor
+# the schedule and the predictor
 
 def _quick(name):
     args = cli.build_parser().parse_args(["solve", "--instance", name,
@@ -613,17 +613,18 @@ def test_predictor_skip_rule_reads_the_record(monkeypatch):
     # the record bounds the residual at the new target; only where the
     # bounds straddle newton_tol is the residual itself evaluated
     p, cfg, [(st1, _), (st, rec)] = _trivial_stops(1.0, 0.5)
+    hist = [(1.0, st1.s), (0.5, st.s)]
     loose = dataclasses.replace(rec, eps=0.75, residual_sup=1.0)
-    assert C._predicted_start(p, 0.5, st, loose, st1.s, 1.0, cfg) is st
-    assert C._predicted_start(p, 0.4, st, loose, st1.s, 1.0, cfg) is not st
+    assert C._predicted_start(p, 0.5, st, loose, hist, cfg) is st
+    assert C._predicted_start(p, 0.4, st, loose, hist, cfg) is not st
 
     def no_residual(*args):
         raise AssertionError("the record decides")
 
     monkeypatch.setattr(C, "residual_parts", no_residual)
     solved = dataclasses.replace(rec, sup_log_f=0.0)
-    assert C._predicted_start(p, 0.25, st, solved, st1.s, 1.0, cfg) is st
-    assert C._predicted_start(p, 0.25, st, rec, st1.s, 1.0, cfg) is not st
+    assert C._predicted_start(p, 0.25, st, solved, hist, cfg) is st
+    assert C._predicted_start(p, 0.25, st, rec, hist, cfg) is not st
 
 
 def test_a_prediction_beyond_the_cap_is_not_used():
@@ -631,17 +632,63 @@ def test_a_prediction_beyond_the_cap_is_not_used():
     # to 0.25 lies above the state at 0.5; a cap between the two drops
     # the prediction, and only a Newton iterate may then cross the cap
     p, tight, [(st1, _), (st, rec)] = _trivial_stops(1.0, 0.5)
-    pred = C._predicted_start(p, 0.25, st, rec, st1.s, 1.0, tight)
+    hist = [(1.0, st1.s), (0.5, st.s)]
+    pred = C._predicted_start(p, 0.25, st, rec, hist, tight)
     assert np.array_equal(pred.s, st.s + 0.5 * (st.s - st1.s))
     assert pred.sup_s() > st.sup_s()
 
     cap = 0.5 * (st.sup_s() + pred.sup_s())
     cfg = ContinuationConfig(newton_tol=1e-12, newton_max=0, cap=cap)
-    assert C._predicted_start(p, 0.25, st, rec, st1.s, 1.0, cfg) is st
+    assert C._predicted_start(p, 0.25, st, rec, hist, cfg) is st
     with pytest.raises(C.CapExceeded):
         newton_solve_at(p, 0.25, pred, cfg, cap=cap)
     start, it = newton_solve_at(p, 0.25, st, cfg, cap=cap, best_effort=True)
     assert start is st and it == 0
+
+
+@pytest.mark.parametrize("var,other", [(float, math.log), (math.log, float)],
+                         ids=["eps", "log-eps"])
+def test_the_quadratic_predictor_picks_the_variable_it_is_exact_in(var,
+                                                                   other):
+    # s on a quadratic in var(eps): the back-test finds var, and the
+    # extrapolation through the newest three pairs hits the quadratic
+    rng = np.random.default_rng(3)
+    a, b, c = rng.standard_normal((3, 4, 5, 1, 1))
+    eps_list = [1.0, 0.7, 0.49, 0.343]
+    hist = [(e, a + b * var(e) + c * var(e) ** 2) for e in eps_list]
+    assert C._eps_variable(hist) is var
+    x = var(0.2401)
+    exact = a + b * x + c * x ** 2
+    miss = [fiber.sup_norm(C._quadratic(v, hist[1:], 0.2401) - exact)
+            for v in (var, other)]
+    assert miss[0] <= 1e-12 < 1e-2 < miss[1]
+
+
+@pytest.mark.parametrize("name,var,other", [
+    ("torus-unstable", math.log, float), ("trivial", float, math.log)])
+def test_the_back_test_picks_the_cheaper_variable(monkeypatch, name, var,
+                                                  other):
+    # the unstable run grows like log(1/eps) until it crosses the cap;
+    # the trivial solution is smooth in eps. Every quadratic stop picks
+    # var, and forcing the other variable costs Newton iterations
+    cfg = ContinuationConfig(full_diagnostics=False)
+    pick = C._eps_variable
+    picked = []
+
+    def recording(hist):
+        picked.append(pick(hist))
+        return picked[-1]
+
+    monkeypatch.setattr(C, "_eps_variable", recording)
+    out = run_continuation(instances.make(name, n=8), cfg)
+    assert out.verdict == instances.EXPECTED_VERDICTS[name]
+    assert picked and set(picked) == {var}
+
+    monkeypatch.setattr(C, "_eps_variable", lambda hist: other)
+    forced = run_continuation(instances.make(name, n=8), cfg)
+    assert [r.eps for r in forced.report.trace] == [
+        r.eps for r in out.report.trace]
+    assert out.report.newton_total < forced.report.newton_total
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +777,26 @@ def test_newton_budget_exhaustion_fails_the_run():
                                 "eps=0.998828 (residual 5.859e-04)")
     assert out.report.eps_reached == 1.0
     assert len(out.report.trace) == 1
+
+
+def test_a_stalled_line_search_tries_eleven_steps(monkeypatch):
+    # a zero Newton step leaves the residual where it is, so Armijo
+    # rejects alpha = 1, 1/2, ..., 2^-10 (ARMIJO_MIN) and then stalls
+    p = instances.make("trivial", n=8)
+    st = MetricState(np.zeros(tuple(p.geom.shape) + (1, 1)))
+    monkeypatch.setattr(C, "gmres", lambda amat, b, *args: (0.0 * b, 0))
+    evaluated = []
+    residual = C.residual_parts
+
+    def counting(p, eps, st):
+        evaluated.append(st)
+        return residual(p, eps, st)
+
+    monkeypatch.setattr(C, "residual_parts", counting)
+    with pytest.raises(NewtonFailure, match="line search stalled at eps=0.5"):
+        newton_solve_at(p, 0.5, st, ContinuationConfig())
+    assert evaluated[0] is st
+    assert len(evaluated[1:]) == 11
 
 
 @pytest.mark.parametrize("cap,verdict,cause,eps_reached", [

@@ -62,6 +62,16 @@ rank2-caseb takes 16 rows instead of 17: its second stop halves once
 instead of twice. Every verdict is unchanged; regen.py refuses to
 write goldens in which one moved.
 
+They were regenerated a second time, at unchanged tolerances, for the
+quadratic predictor that extrapolates in eps or in log eps from the
+fourth stop on. Against the secant goldens, with every verdict and row
+count unchanged: eps none, newton_iters up to 7 per row (torus-unstable
+row 10, 13 -> 6), residual_sup 9.7e-11 (torus-stable row 13),
+energy_gap 3.7e-8 and cauchy_increment 9.3e-10 (hopf-unstable row 8),
+sup_log_f and l2_log_f 2.4e-10 relative and apriori_margin 4.5e-11
+relative (hopf-stable row 7), min_ritz 9.4e-3 relative (rank2-extension
+row 6) and skew_defect 4.6e-13 (torus-wave row 14).
+
 The gate does not absorb every last-bit change: replacing every np.fft
 call of the solver by scipy.fft moves apriori_margin on torus-wave by
 2.6e-12 relative and fails it. `python tests/golden/regen.py --check` prints
