@@ -23,26 +23,17 @@ import sys
 import numpy as np
 
 from . import __version__, fiber, instances, reporting
-from .continuation import ContinuationConfig, run_continuation
+from .continuation import (SCHEDULE_KEYS, ContinuationConfig,
+                           run_continuation)
 from .pair import stability_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_SCIENCE = 2
 
-CONFIG_KEYS = {
-    "instance": str,
-    "grid": int,
-    "tau": float,
-    "eps_min": float,
-    "ratio": float,
-    "newton_tol": float,
-    "linear_rtol": float,
-    "cap": float,
-    "out": str,
-    "tau_lo": float,
-    "tau_hi": float,
-}
+CONFIG_KEYS = dict(instance=str, grid=int, tau=float, out=str,
+                   tau_lo=float, tau_hi=float,
+                   **dict.fromkeys(SCHEDULE_KEYS, float))
 
 
 def parse_config(path):
@@ -69,66 +60,46 @@ def parse_config(path):
     return out
 
 
-def _resolve(args, conf, key):
-    cli_val = getattr(args, key, None)
-    if cli_val is not None:
-        return cli_val
-    return conf.get(key)
-
-
-def resolve_out(args, conf):
-    if getattr(args, "out", None):
-        return args.out
-    env = os.environ.get("VORTEXPAIR_OUT")
-    if env:
-        return env
-    if "out" in conf:
-        return conf["out"]
-    return os.path.join(".", "out")
-
-
 def quick_grid(name):
     return 128 if name.startswith("hopf") else 32
 
 
-def build_config(args, conf):
-    kw = {}
-    for key in ("eps_min", "ratio", "newton_tol", "linear_rtol", "cap"):
-        val = _resolve(args, conf, key)
-        if val is not None:
-            kw[key] = val
-    if getattr(args, "quick", False):
-        kw.setdefault("eps_min", 1e-2)
-        kw["full_diagnostics"] = False
-    return ContinuationConfig(**kw)
-
-
-def resolve_name_grid(args, conf):
-    name = _resolve(args, conf, "instance")
-    if not name:
+def resolve_settings(args):
+    """Fill in the parsed arguments from the --config file, once per
+    command. A flag wins over the file; the output directory is --out,
+    then VORTEXPAIR_OUT, then the file's out, then ./out. Under --quick
+    an unset grid is the quick grid and an unset eps_min is 1e-2. Every
+    config key ends up an attribute of args, None when nothing sets it."""
+    conf = parse_config(args.config) if args.config else {}
+    args.out = (args.out or os.environ.get("VORTEXPAIR_OUT")
+                or conf.get("out", os.path.join(".", "out")))
+    for key in CONFIG_KEYS:
+        if getattr(args, key, None) is None:
+            setattr(args, key, conf.get(key))
+    if not args.instance:
         raise ValueError("no instance given (flag or config)")
-    n = _resolve(args, conf, "grid")
-    if n is None and getattr(args, "quick", False):
-        n = quick_grid(name)
-    return name, n
+    if getattr(args, "quick", False):
+        if args.grid is None:
+            args.grid = quick_grid(args.instance)
+        if args.eps_min is None:
+            args.eps_min = 1e-2
 
 
-def load_instance(args, conf):
-    name, n = resolve_name_grid(args, conf)
-    tau = _resolve(args, conf, "tau")
-    return name, instances.make(name, n=n, tau=tau)
+def build_config(args):
+    kw = {key: getattr(args, key) for key in SCHEDULE_KEYS
+          if getattr(args, key) is not None}
+    return ContinuationConfig(full_diagnostics=not args.quick, **kw)
 
 
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args):
-    conf = parse_config(args.config) if args.config else {}
-    name, prob = load_instance(args, conf)
-    cfg = build_config(args, conf)
-    outdir = resolve_out(args, conf)
+    name = args.instance
+    prob = instances.make(name, n=args.grid, tau=args.tau)
+    cfg = build_config(args)
     outcome = run_continuation(prob, cfg)
     rep = outcome.report
-    paths = reporting.write_run_outputs(outdir, name, outcome, cfg)
+    paths = reporting.write_run_outputs(args.out, name, outcome, cfg)
     print("%s: verdict=%s cause=%r eps_reached=%g residual=%.3e "
           "sup_log_f=%.4f steps=%d"
           % (name, rep.verdict, rep.cause, rep.eps_reached,
@@ -142,16 +113,11 @@ def cmd_solve(args):
 
 
 def cmd_sweep_tau(args):
-    conf = parse_config(args.config) if args.config else {}
-    name, n = resolve_name_grid(args, conf)
-    lo = _resolve(args, conf, "tau_lo")
-    hi = _resolve(args, conf, "tau_hi")
+    name, n, lo, hi = args.instance, args.grid, args.tau_lo, args.tau_hi
     if lo is None or hi is None or not (lo < hi):
         raise ValueError("sweep needs tau_lo < tau_hi")
     # the sweep records only verdicts, so its solves skip the Ritz probe
-    cfg = dataclasses.replace(build_config(args, conf),
-                              full_diagnostics=False)
-    outdir = resolve_out(args, conf)
+    cfg = dataclasses.replace(build_config(args), full_diagnostics=False)
 
     runs = []
 
@@ -196,7 +162,7 @@ def cmd_sweep_tau(args):
         "analyzer": analyzer,
         "runs": runs,
     }
-    path = os.path.join(outdir, "%s-sweep" % name, "sweep.json")
+    path = os.path.join(args.out, "%s-sweep" % name, "sweep.json")
     reporting.write_text(path, reporting.dump_json(doc))
     print("threshold estimate %.6f (bracket [%.6f, %.6f]); wrote %s"
           % (midpoint, lo, hi, path))
@@ -204,16 +170,15 @@ def cmd_sweep_tau(args):
 
 
 def cmd_stability(args):
-    conf = parse_config(args.config) if args.config else {}
-    name, prob = load_instance(args, conf)
+    name = args.instance
+    prob = instances.make(name, tau=args.tau)
     if prob.split is None:
         print("%s declares no split model; nothing to audit" % name)
         return EXIT_FAIL
     rep = stability_report(prob.split, prob.geom, tau=prob.tau)
     doc = {"schema": "vortexpair-stability-1", "instance": name,
            "tau": prob.tau, "report": rep.to_dict()}
-    outdir = resolve_out(args, conf)
-    path = os.path.join(outdir, "%s-stability" % name, "stability.json")
+    path = os.path.join(args.out, "%s-stability" % name, "stability.json")
     reporting.write_text(path, reporting.dump_json(doc))
     print(reporting.dump_json(doc).rstrip())
     print("wrote %s" % path)
@@ -419,17 +384,17 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, eps_min=True):
+    def common(sp, solver=True):
         sp.add_argument("--config", help="flat key = value config file")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--grid", type=int, default=None)
-        if eps_min:
-            sp.add_argument("--eps-min", dest="eps_min", type=float,
-                            default=None)
-        sp.add_argument("--quick", action="store_true",
-                        help="small grids, relaxed schedule")
         sp.add_argument("--instance", default=None,
                         choices=instances.names())
+        if solver:
+            sp.add_argument("--grid", type=int, default=None)
+            sp.add_argument("--eps-min", dest="eps_min", type=float,
+                            default=None)
+            sp.add_argument("--quick", action="store_true",
+                            help="small grids, relaxed schedule")
 
     sp = sub.add_parser("solve", help="run one continuation")
     common(sp)
@@ -443,7 +408,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_sweep_tau)
 
     sp = sub.add_parser("stability", help="slope analyzer report")
-    common(sp, eps_min=False)
+    common(sp, solver=False)
     sp.add_argument("--tau", type=float, default=None)
     sp.set_defaults(fn=cmd_stability)
 
@@ -462,6 +427,8 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if "config" in args:  # the subcommands that solve or audit
+            resolve_settings(args)
         return args.fn(args)
     except (ValueError, KeyError, OSError, fiber.ClampError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -121,6 +121,11 @@ def gmres(amat, b, rtol, maxiter, mmat):
         used += 1
 
 
+# the schedule fields: a config file sets them, each must be positive and
+# finite, and run.json echoes them
+SCHEDULE_KEYS = ("eps_min", "ratio", "newton_tol", "linear_rtol", "cap")
+
+
 @dataclass
 class ContinuationConfig:
     eps_min: float = 1e-3
@@ -134,8 +139,8 @@ class ContinuationConfig:
     def __post_init__(self):
         if not (0.0 < self.ratio < 1.0):
             raise ValueError("schedule ratio must be in (0, 1)")
-        for name in ("eps_min", "newton_tol", "linear_rtol", "cap"):
-            # written so that NaN fails too
+        for name in SCHEDULE_KEYS:
+            # written so that NaN fails too; ratio passed a stricter test
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be positive and finite" % name)
         if not (isinstance(self.newton_max, int) and self.newton_max >= 0):
@@ -478,9 +483,10 @@ def initial_gauge(p, h=None, cfg=None):
     reference to h exp(K), and returns the problem in the frame of the
     new reference together with s1 = log f1 = -K. In the continuum
     L_1(f1) = 0 identically; discretely the assembly leaves truncation
-    residue, so a short eps = 1 Newton polish finishes the job. Reported:
-    residuals before and after, and the degree drift of the rebased
-    background.
+    residue, so a short eps = 1 Newton polish finishes the job. The
+    residuals before and after the polish go into the run report; the
+    degree drift of the rebased background stays on
+    GaugeResult.degree_drift, which only the tests read.
     """
     if cfg is None:
         cfg = ContinuationConfig()

@@ -45,10 +45,8 @@ def frob(a):
 
 
 def sup_norm(a):
-    """Grid sup of the pointwise Frobenius norm."""
-    a = np.asarray(a)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        return float(np.max(np.abs(a))) if a.size else 0.0
+    """Grid sup of the pointwise Frobenius norm of a matrix field (the
+    last two axes are the fiber)."""
     return float(np.max(frob(a)))
 
 

@@ -42,12 +42,9 @@ class GridBackend:
     connection twist is applied by PairProblem."""
 
     def pair_01(self, b1, b2):
-        """Pointwise real inner product of two (0,1) coefficient fields."""
-        b1 = np.asarray(b1)
-        if b1.ndim > len(self.shape) and b1.shape[-1] == b1.shape[-2]:
-            c = np.einsum("...ij,...ij->...", b1, np.conjugate(b2))
-        else:
-            c = b1 * np.conjugate(b2)
+        """Pointwise real inner product of two (0,1) coefficient fields;
+        both are matrix fields (grid shape + (r, r))."""
+        c = np.einsum("...ij,...ij->...", b1, np.conjugate(b2))
         return self.cg * c.real
 
     def p_op(self, u):

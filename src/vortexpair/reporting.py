@@ -8,7 +8,8 @@ timestamps inside the CSV (wall time lives in the JSON report only).
 import json
 import math
 import os
-import types
+
+from .continuation import SCHEDULE_KEYS
 
 CSV_COLUMNS = ["eps", "residual_sup", "sup_log_f", "apriori_margin",
                "energy_gap", "cauchy_increment", "newton_iters"]
@@ -74,13 +75,7 @@ def run_report(instance_name, cfg, outcome):
     return {
         "schema": "vortexpair-run-1",
         "instance": instance_name,
-        "config": {
-            "eps_min": cfg.eps_min,
-            "ratio": cfg.ratio,
-            "newton_tol": cfg.newton_tol,
-            "linear_rtol": cfg.linear_rtol,
-            "cap": cfg.cap,
-        },
+        "config": {key: getattr(cfg, key) for key in SCHEDULE_KEYS},
         "result": rep.to_dict(),
         "trace_tail": tail,
         "ritz_floor": min(probed) if probed else None,
@@ -141,13 +136,29 @@ def _dots(points, color):
                    % (x, y, color) for x, y in points)
 
 
-def render_run_svg(trace, title="continuation run"):
-    """Two stacked panels against eps (log axis, the final eps = 0 point
-    drawn at a pinned slot left of the smallest positive eps): residual
-    sup norm (log scale) and sup|log f| (linear scale)."""
-    eps_vals = [r.eps for r in trace]
-    res_vals = [max(r.residual_sup, 1e-18) for r in trace]
-    sup_vals = [r.sup_log_f for r in trace]
+def svg_from_csv(csv_text, title="continuation run"):
+    """The run plot of a trace CSV: two stacked panels against eps (log
+    axis, the final eps = 0 point drawn at a pinned slot left of the
+    smallest positive eps), residual sup norm (log scale) and sup|log f|
+    (linear scale). %.17g round-trips every float, so the plot that solve
+    writes and the one that report rebuilds are the same bytes."""
+    lines = [ln for ln in csv_text.strip().split("\n") if ln]
+    if not lines:
+        raise ValueError("trace.csv is empty")
+    header = lines[0].split(",")
+    if header != CSV_COLUMNS:
+        raise ValueError("unexpected trace columns: %s" % ",".join(header))
+    rows = []
+    for row, ln in enumerate(lines[1:], 1):
+        vals = ln.split(",")
+        if len(vals) != len(header):
+            raise ValueError("trace.csv row %d has %d fields, the header %d"
+                             % (row, len(vals), len(header)))
+        rows.append(dict(zip(header, map(float, vals))))
+
+    eps_vals = [r["eps"] for r in rows]
+    res_vals = [max(r["residual_sup"], 1e-18) for r in rows]
+    sup_vals = [r["sup_log_f"] for r in rows]
     fx, zero_x = _xmap(eps_vals)
 
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
@@ -203,35 +214,17 @@ def render_run_svg(trace, title="continuation run"):
 
 
 def write_run_outputs(outdir, name, outcome, cfg):
-    """Writes trace.csv, run.json, run.svg under outdir/name/."""
+    """Writes trace.csv, run.json, run.svg under outdir/name/; the plot
+    is drawn from the trace.csv text, as the report subcommand does."""
     base = os.path.join(outdir, name)
     paths = {}
     rep = outcome.report
+    csv_text = trace_csv(rep.trace)
     paths["csv"] = os.path.join(base, "trace.csv")
-    write_text(paths["csv"], trace_csv(rep.trace))
+    write_text(paths["csv"], csv_text)
     paths["json"] = os.path.join(base, "run.json")
     write_text(paths["json"], dump_json(run_report(name, cfg, outcome)))
     paths["svg"] = os.path.join(base, "run.svg")
-    write_text(paths["svg"], render_run_svg(
-        rep.trace, title="%s [%s]" % (name, rep.verdict)))
+    write_text(paths["svg"], svg_from_csv(
+        csv_text, title="%s [%s]" % (name, rep.verdict)))
     return paths
-
-
-def svg_from_csv(csv_text, title="continuation run"):
-    """Rebuild the run plot from a trace CSV (the report subcommand)."""
-    lines = [ln for ln in csv_text.strip().split("\n") if ln]
-    if not lines:
-        raise ValueError("trace.csv is empty")
-    header = lines[0].split(",")
-    if header != CSV_COLUMNS:
-        raise ValueError("unexpected trace columns: %s" % ",".join(header))
-
-    trace = []
-    for row, ln in enumerate(lines[1:], 1):
-        vals = ln.split(",")
-        if len(vals) != len(header):
-            raise ValueError("trace.csv row %d has %d fields, the header %d"
-                             % (row, len(vals), len(header)))
-        trace.append(types.SimpleNamespace(
-            **dict(zip(header, map(float, vals)))))
-    return render_run_svg(trace, title=title)

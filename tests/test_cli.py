@@ -6,7 +6,6 @@ fast. The runtime-dependency check alone starts a fresh interpreter,
 since the test process has scipy imported already.
 """
 
-import argparse
 import json
 import math
 import os
@@ -22,7 +21,8 @@ import pytest
 from vortexpair import (__version__, _kernels, cli, continuation, fiber,
                         instances, reporting)
 from vortexpair.cli import (EXIT_FAIL, EXIT_OK, EXIT_SCIENCE, build_config,
-                            main, parse_config, quick_grid, resolve_out)
+                            build_parser, main, parse_config, quick_grid,
+                            resolve_settings)
 from vortexpair.continuation import ContinuationConfig, run_continuation
 from vortexpair.geometry import HopfBackend, TorusBackend
 
@@ -78,15 +78,21 @@ def test_config_missing_equals(tmp_path):
 # ---------------------------------------------------------------------------
 # option resolution
 
+def _settings(*argv):
+    args = build_parser().parse_args(["solve"] + list(argv))
+    resolve_settings(args)
+    return args
+
+
 def test_out_precedence(tmp_path, monkeypatch):
-    args = argparse.Namespace(out="flagdir")
+    conf = tmp_path / "run.cfg"
+    conf.write_text("instance = trivial\nout = confdir\n")
     monkeypatch.setenv("VORTEXPAIR_OUT", "envdir")
-    assert resolve_out(args, {"out": "confdir"}) == "flagdir"
-    args.out = None
-    assert resolve_out(args, {"out": "confdir"}) == "envdir"
+    assert _settings("--config", str(conf), "--out", "flagdir").out == "flagdir"
+    assert _settings("--config", str(conf)).out == "envdir"
     monkeypatch.delenv("VORTEXPAIR_OUT")
-    assert resolve_out(args, {"out": "confdir"}) == "confdir"
-    assert resolve_out(args, {}) == os.path.join(".", "out")
+    assert _settings("--config", str(conf)).out == "confdir"
+    assert _settings("--instance", "trivial").out == os.path.join(".", "out")
 
 
 def test_quick_grid_and_config_defaults():
@@ -94,13 +100,16 @@ def test_quick_grid_and_config_defaults():
     assert quick_grid("hopf-wave") == 128
     assert quick_grid("trivial") == 32
     assert quick_grid("rank2-caseb") == 32
-    args = argparse.Namespace(quick=True, eps_min=None, ratio=None,
-                              newton_tol=None, linear_rtol=None, cap=None)
-    cfg = build_config(args, {})
+    args = _settings("--instance", "hopf-stable", "--quick")
+    assert args.grid == 128
+    cfg = build_config(args)
     assert cfg.eps_min == pytest.approx(1e-2)
     assert cfg.full_diagnostics is False
-    args.eps_min = 1e-3  # explicit flag beats the quick default
-    assert build_config(args, {}).eps_min == pytest.approx(1e-3)
+    # explicit flags beat the quick defaults
+    args = _settings("--instance", "hopf-stable", "--quick", "--grid", "64",
+                     "--eps-min", "1e-3")
+    assert args.grid == 64
+    assert build_config(args).eps_min == pytest.approx(1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +467,7 @@ def test_sweep_needs_ordered_bracket(capsys):
 # stability
 
 def test_stability_report_json(tmp_path, capsys):
-    rc = main(["stability", "--instance", "rank2-extension", "--grid", "16",
+    rc = main(["stability", "--instance", "rank2-extension",
                "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == EXIT_OK
@@ -472,11 +481,28 @@ def test_stability_report_json(tmp_path, capsys):
 
 
 def test_stability_without_split_model(tmp_path, capsys):
-    rc = main(["stability", "--instance", "higgs-nilpotent", "--grid", "16",
+    rc = main(["stability", "--instance", "higgs-nilpotent",
                "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == EXIT_FAIL
     assert "declares no split model" in out
+
+
+def test_stability_rejects_flags_it_does_not_read(capsys):
+    # the report reads the split model, the volume and tau alone; grid,
+    # schedule and --quick flags are an error, not a no-op
+    for flag in (["--grid", "8"], ["--quick"], ["--eps-min", "0.1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["stability", "--instance", "rank2-extension"] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_stability_help_lists_its_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["stability", "--help"])
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert flags == {"--help", "--config", "--out", "--instance", "--tau"}
 
 
 # ---------------------------------------------------------------------------

@@ -542,8 +542,8 @@ def test_gauge_domain_error_is_a_failed_verdict():
 def _quick(name):
     args = cli.build_parser().parse_args(["solve", "--instance", name,
                                           "--quick"])
-    _, prob = cli.load_instance(args, {})
-    return prob, cli.build_config(args, {})
+    cli.resolve_settings(args)
+    return instances.make(name, n=args.grid), cli.build_config(args)
 
 
 def test_schedule_snaps_a_target_next_to_eps_min():

@@ -210,8 +210,9 @@ def test_norms_and_parts(rng):
     h = herm_part(a)
     assert skew_defect(h) == 0.0
     assert sup_norm(h) == pytest.approx(float(np.max(frob(h))))
-    # scalar fields fall back to max abs
-    assert sup_norm(np.array([1.0, -3.0])) == 3.0
+    # a rank-1 field's sup norm is its largest absolute entry
+    x = np.array([1.0, -3.0])
+    assert sup_norm(x[:, None, None]) == np.max(np.abs(x))
 
 
 # ---------------------------------------------------------------------------

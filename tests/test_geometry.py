@@ -263,11 +263,12 @@ def test_pair_01_positive_and_conjugate_symmetric(rng, geom):
     p11 = geom.pair_01(b1, b1)
     assert np.min(p11) >= 0.0
     assert np.max(np.abs(geom.pair_01(b1, b2) - geom.pair_01(b2, b1))) < 1e-12
-    # scalar route agrees with the matrix route on diagonal embeddings
+    # a scalar on the diagonal pairs to cg |s|^2
     s = random_band_scalar(geom, rng, kmax=2) + 0j
     mat = np.zeros(tuple(geom.shape) + (2, 2), dtype=complex)
     mat[..., 0, 0] = s
-    assert np.max(np.abs(geom.pair_01(mat, mat) - geom.pair_01(s, s))) < 1e-12
+    want = geom.cg * np.abs(s) ** 2
+    assert np.max(np.abs(geom.pair_01(mat, mat) - want)) < 1e-12
 
 
 def test_lam_wedge_trace_scalar_vs_matrix(rng, geom):

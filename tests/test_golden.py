@@ -110,10 +110,9 @@ def solve_quick(name):
     full diagnostics."""
     args = cli.build_parser().parse_args(
         ["solve", "--instance", name, "--quick"])
-    _, prob = cli.load_instance(args, {})
-    cfg = dataclasses.replace(cli.build_config(args, {}),
-                              full_diagnostics=True)
-    return run_continuation(prob, cfg).report
+    cli.resolve_settings(args)
+    cfg = dataclasses.replace(cli.build_config(args), full_diagnostics=True)
+    return run_continuation(instances.make(name, n=args.grid), cfg).report
 
 
 def golden_text(rep):

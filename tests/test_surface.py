@@ -63,21 +63,18 @@ def _public_definitions(tree):
 
 def test_every_public_definition_has_a_library_caller():
     modules = {p: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
-    others = [_parse(p) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    refs = {p: _references(tree) for p, tree in modules.items()}
+    bench = set().union(*(_references(_parse(p)) for p in
+                          sorted((ROOT / "perfbench").glob("*.py"))))
     exported = _exported()
     unused = []
     for path, tree in modules.items():
+        elsewhere = bench.union(*(r for p, r in refs.items() if p != path))
         for qualname, node in _public_definitions(tree):
-            if node.name in exported:
+            if (node.name in exported or node.name in elsewhere
+                    or node.name in _references(tree, skip=node)):
                 continue
-            refs = _references(tree, skip=node)
-            for other_path, other in modules.items():
-                if other_path != path:
-                    refs |= _references(other)
-            for other in others:
-                refs |= _references(other)
-            if node.name not in refs:
-                unused.append("%s.%s" % (path.stem, qualname))
+            unused.append("%s.%s" % (path.stem, qualname))
     assert not unused, ("only tests call these library definitions; move "
                         "them to tests/oracles.py: %s" % ", ".join(unused))
 
