@@ -37,7 +37,8 @@ CONFIG_KEYS = dict(instance=str, grid=int, tau=float, out=str,
 
 
 def parse_config(path):
-    """Flat key = value file; # comments; unknown keys are an error."""
+    """Flat key = value file; # comments; unknown keys and empty values
+    are an error."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -52,16 +53,15 @@ def parse_config(path):
                 raise ValueError("%s:%d: unknown config key %r (known: %s)"
                                  % (path, lineno, key,
                                     ", ".join(sorted(CONFIG_KEYS))))
+            if not val:
+                raise ValueError("%s:%d: empty value for key %r"
+                                 % (path, lineno, key))
             try:
                 out[key] = CONFIG_KEYS[key](val)
             except ValueError:
                 raise ValueError("%s:%d: bad value %r for key %r"
                                  % (path, lineno, val, key))
     return out
-
-
-def quick_grid(name):
-    return 128 if name.startswith("hopf") else 32
 
 
 def resolve_settings(args):
@@ -80,7 +80,7 @@ def resolve_settings(args):
         raise ValueError("no instance given (flag or config)")
     if getattr(args, "quick", False):
         if args.grid is None:
-            args.grid = quick_grid(args.instance)
+            args.grid = instances.quick_grid(args.instance)
         if args.eps_min is None:
             args.eps_min = 1e-2
 

@@ -472,7 +472,6 @@ class GaugeResult:
     h0h: np.ndarray              # h0^(1/2), h0 the rebasing metric
     pre_residual: float
     post_residual: float
-    degree_drift: float
 
 
 def initial_gauge(p, h=None, cfg=None):
@@ -484,9 +483,7 @@ def initial_gauge(p, h=None, cfg=None):
     new reference together with s1 = log f1 = -K. In the continuum
     L_1(f1) = 0 identically; discretely the assembly leaves truncation
     residue, so a short eps = 1 Newton polish finishes the job. The
-    residuals before and after the polish go into the run report; the
-    degree drift of the rebased background stays on
-    GaugeResult.degree_drift, which only the tests read.
+    residuals before and after the polish go into the run report.
     """
     if cfg is None:
         cfg = ContinuationConfig()
@@ -559,8 +556,7 @@ def initial_gauge(p, h=None, cfg=None):
         st, _ = newton_solve_at(gauged, 1.0, st, pcfg, best_effort=True)
         post = sup_norm(residual_parts(gauged, 1.0, st)[0])
         s1 = st.s
-    drift = abs(gauged.degree() - p.degree())
-    return GaugeResult(gauged, s1, h0h, pre, post, drift)
+    return GaugeResult(gauged, s1, h0h, pre, post)
 
 
 # ---------------------------------------------------------------------------

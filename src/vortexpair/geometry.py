@@ -33,12 +33,14 @@ class GridBackend:
     """The contract both backends share. A backend sets shape, cg (the
     contraction constant), cell (the quadrature weight of one grid cell),
     p_symbol (the Fourier symbol of its own p_op, in numpy FFT order) and
-    the class attribute holomorphy_tol (the default floor of holomorphy
-    checks on its grid), and defines coords, d, dbar, lam11, lam_dbar_10
-    and the truncation floors of a background rebased by exp(K), ksup =
-    sup|K|: rebase_skew_tol(scale, ksup) for its curvature's
-    non-Hermitian part, rebase_clone_tol(ksup) for its section's
-    holomorphy. The contractions act on plain fields; a bundle's
+    the class attributes holomorphy_tol (the default floor of holomorphy
+    checks on its grid), default_n and quick_n (its default and --quick
+    grid sizes) and probe_amp and probe_kmax (the curvature amplitude
+    and Fourier band of its gauge probes), and defines coords, d, dbar,
+    lam11, lam_dbar_10 and the truncation floors of a background rebased
+    by exp(K), ksup = sup|K|: rebase_skew_tol(scale, ksup) for its
+    curvature's non-Hermitian part, rebase_clone_tol(ksup) for its
+    section's holomorphy. The contractions act on plain fields; a bundle's
     connection twist is applied by PairProblem."""
 
     def pair_01(self, b1, b2):
@@ -69,6 +71,8 @@ class TorusBackend(GridBackend):
     vol: float = 1.0
     kind: str = field(default="torus", init=False)
     holomorphy_tol = 1e-8
+    default_n, quick_n = 64, 32
+    probe_amp, probe_kmax = 0.5, 2
 
     def __post_init__(self):
         if self.n < 2 or self.n % 2 != 0:
@@ -128,6 +132,8 @@ class HopfBackend(GridBackend):
     n: int
     kind: str = field(default="hopf", init=False)
     holomorphy_tol = 1e-6
+    default_n, quick_n = 512, 128
+    probe_amp, probe_kmax = 0.05, 1
 
     def __post_init__(self):
         # below 3 points the centered difference is identically zero
@@ -185,12 +191,16 @@ class HopfBackend(GridBackend):
         return max(1e-8, 40.0 * self.h ** 2 * (1.0 + ksup) ** 3)
 
 
-def make_backend(kind, n):
-    if kind == "torus":
-        return TorusBackend(n)
-    if kind == "hopf":
-        return HopfBackend(n)
-    raise ValueError("unknown backend kind %r" % (kind,))
+BACKENDS = {"torus": TorusBackend, "hopf": HopfBackend}
+
+
+def make_backend(kind, n=None):
+    """Backend of the given kind on n grid points, its default_n when n
+    is None."""
+    if kind not in BACKENDS:
+        raise ValueError("unknown backend kind %r" % (kind,))
+    cls = BACKENDS[kind]
+    return cls(cls.default_n if n is None else n)
 
 
 def random_band_scalar(geom, rng, kmax=3, amp=1.0):

@@ -21,10 +21,10 @@ import pytest
 from vortexpair import (__version__, _kernels, cli, continuation, fiber,
                         instances, reporting)
 from vortexpair.cli import (EXIT_FAIL, EXIT_OK, EXIT_SCIENCE, build_config,
-                            build_parser, main, parse_config, quick_grid,
+                            build_parser, main, parse_config,
                             resolve_settings)
 from vortexpair.continuation import ContinuationConfig, run_continuation
-from vortexpair.geometry import HopfBackend, TorusBackend
+from vortexpair.geometry import BACKENDS, HopfBackend, TorusBackend
 
 FOUR_PI = 4.0 * math.pi
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -75,6 +75,22 @@ def test_config_missing_equals(tmp_path):
         parse_config(str(p))
 
 
+@pytest.mark.parametrize("key", ["out", "instance"])
+def test_config_rejects_an_empty_value(tmp_path, monkeypatch, capsys, key):
+    # an empty value is an error, not "unset": out = would write into the
+    # working directory, and instance = would fail later as if no
+    # instance were given
+    monkeypatch.chdir(tmp_path)
+    p = tmp_path / "e.conf"
+    p.write_text("grid = 16\n%s =\n" % key)
+    flags = ["--instance", "trivial"] if key == "out" else []
+    rc = main(["solve", "--config", str(p), "--quick"] + flags)
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAIL
+    assert err.startswith("error: %s:2: empty value" % p), err
+    assert os.listdir(tmp_path) == ["e.conf"]
+
+
 # ---------------------------------------------------------------------------
 # option resolution
 
@@ -96,10 +112,10 @@ def test_out_precedence(tmp_path, monkeypatch):
 
 
 def test_quick_grid_and_config_defaults():
-    assert quick_grid("hopf-stable") == 128
-    assert quick_grid("hopf-wave") == 128
-    assert quick_grid("trivial") == 32
-    assert quick_grid("rank2-caseb") == 32
+    assert instances.quick_grid("hopf-stable") == 128
+    assert instances.quick_grid("hopf-wave") == 128
+    assert instances.quick_grid("trivial") == 32
+    assert instances.quick_grid("rank2-caseb") == 32
     args = _settings("--instance", "hopf-stable", "--quick")
     assert args.grid == 128
     cfg = build_config(args)
@@ -110,6 +126,18 @@ def test_quick_grid_and_config_defaults():
                      "--eps-min", "1e-3")
     assert args.grid == 64
     assert build_config(args).eps_min == pytest.approx(1e-3)
+
+
+def test_every_registry_row_sets_grid_tau_and_quick_grid():
+    for name, (base, _, tau, _) in instances.REGISTRY.items():
+        p = instances.make(name)
+        assert p.geom.kind == base, name
+        assert p.geom.n == BACKENDS[base].default_n, name
+        # a Higgs instance takes its table default as lam
+        got = p.lam if name.startswith("higgs") else p.tau
+        assert got == tau, name
+        quick = 128 if name.startswith("hopf-") else 32
+        assert instances.quick_grid(name) == quick, name
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +244,14 @@ def test_main_bad_config_exit(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-def test_main_unknown_instance_in_config(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [[], ["--quick"]],
+                         ids=["default", "quick"])
+def test_main_unknown_instance_in_config(tmp_path, capsys, flags):
+    # --quick looks up the quick grid before the instance is built; both
+    # lookups must name the shipped instances, not echo a bare KeyError
     p = tmp_path / "run.cfg"
     p.write_text("instance = moebius\n")
-    rc = main(["solve", "--config", str(p)])
+    rc = main(["solve", "--config", str(p)] + flags)
     err = capsys.readouterr().err
     assert rc == EXIT_FAIL
     assert "unknown instance" in err

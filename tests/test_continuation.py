@@ -476,7 +476,7 @@ def test_gauge_identity_start_all_instances():
         p = instances.make(name, n=n)
         g = initial_gauge(p)
         assert g.post_residual <= 1e-10, (name, g.post_residual)
-        assert abs(g.degree_drift) <= 1e-6, name
+        assert abs(g.problem.degree() - p.degree()) <= 1e-6, name
 
 
 def test_gauge_probe_starts():
@@ -940,8 +940,8 @@ def test_min_ritz_floor_is_one_on_identity_operator(monkeypatch):
     monkeypatch.setattr(C, "_newton_operator", counting_operator)
     monkeypatch.setattr(C, "min_ritz_estimate", recording_probe)
     name = "higgs-theta-zero"
-    out = run_continuation(instances.make(name, n=cli.quick_grid(name)),
-                           ContinuationConfig(eps_min=1e-2))
+    p = instances.make(name, n=instances.quick_grid(name))
+    out = run_continuation(p, ContinuationConfig(eps_min=1e-2))
     assert out.verdict == "converged"
     probed = [r.min_ritz for r in out.report.trace if r.eps > 0.0]
     assert len(probes) == len(probed) > 0

@@ -79,13 +79,18 @@ def test_every_public_definition_has_a_library_caller():
                         "them to tests/oracles.py: %s" % ", ".join(unused))
 
 
-def test_the_solver_reads_no_backend_kind():
-    # each backend owns how its grid truncates, the rebase tolerances
-    # included; the solver asks it instead of branching on its kind
-    tree = _parse(PACKAGE / "continuation.py")
-    lines = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "kind"]
-    assert not lines, "continuation.py reads .kind on lines %s" % lines
+def test_only_geometry_reads_the_backend_kind():
+    # each backend owns its grid sizes, probe scale and how its grid
+    # truncates; the rest of the package asks it instead of branching on
+    # its kind
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(_parse(path))
+                  if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    assert not found, "reads of .kind outside geometry.py: %s" % found
 
 
 def test_benchmark_tracer_patch_sites_exist(monkeypatch):
@@ -108,9 +113,9 @@ def test_benchmark_tracer_counts_match_the_run(monkeypatch):
     # linear solve
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from tracer import Tracer
-    from vortexpair import cli, continuation, instances
+    from vortexpair import continuation, instances
     name = "rank2-extension"
-    p = instances.make(name, n=cli.quick_grid(name))
+    p = instances.make(name, n=instances.quick_grid(name))
     cfg = continuation.ContinuationConfig(eps_min=1e-2,
                                           full_diagnostics=False)
     tr = Tracer()
