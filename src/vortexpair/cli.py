@@ -37,9 +37,9 @@ CONFIG_KEYS = dict(instance=str, grid=int, tau=float, out=str,
 
 
 def parse_config(path):
-    """Flat key = value file; # comments; unknown keys and empty values
-    are an error."""
-    out = {}
+    """Flat key = value file; # comments; unknown, empty and repeated
+    keys are an error."""
+    out, first = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -56,6 +56,10 @@ def parse_config(path):
             if not val:
                 raise ValueError("%s:%d: empty value for key %r"
                                  % (path, lineno, key))
+            if key in first:
+                raise ValueError("%s:%d: duplicate key %r (first set on "
+                                 "line %d)" % (path, lineno, key, first[key]))
+            first[key] = lineno
             try:
                 out[key] = CONFIG_KEYS[key](val)
             except ValueError:
@@ -257,14 +261,14 @@ def _check_fiber_kernel(rng):
 
 
 def _check_geometry_calculus(rng):
-    from .geometry import make_backend, random_band_scalar
+    from .geometry import make_backend
     for kind, n in (("torus", 32), ("hopf", 128)):
         g = make_backend(kind, n)
         const = np.full(tuple(g.shape), 1.3)
         if abs(float(np.max(np.abs(g.p_op(const))))) > 1e-12:
             return False, "%s: P(const) != 0" % kind
         for _ in range(5):
-            u = random_band_scalar(g, rng, kmax=3, amp=1.0)
+            u = g.random_band_scalar(rng, kmax=3, amp=1.0)
             tot = abs(complex(g.integrate(g.p_op(u))).real)
             if tot > 1e-8 * max(1.0, float(np.max(np.abs(u)))):
                 return False, "%s: integral of P(u) = %.2e" % (kind, tot)
@@ -275,11 +279,11 @@ def _check_max_principle(rng):
     """At the grid argmax of a smooth field, P(u) must not be strongly
     negative. A sign error in the contraction lands at about -sup|P|
     and fails."""
-    from .geometry import make_backend, random_band_scalar
+    from .geometry import make_backend
     for kind, n in (("torus", 64), ("hopf", 256)):
         g = make_backend(kind, n)
         for _ in range(8):
-            u = random_band_scalar(g, rng, kmax=2, amp=1.0)
+            u = g.random_band_scalar(rng, kmax=2, amp=1.0)
             pu = np.real(g.p_op(u))
             idx = np.unravel_index(np.argmax(np.real(u)), u.shape)
             slack = 0.25 * float(np.max(np.abs(pu))) + 1e-12
@@ -430,7 +434,7 @@ def main(argv=None):
         if "config" in args:  # the subcommands that solve or audit
             resolve_settings(args)
         return args.fn(args)
-    except (ValueError, KeyError, OSError, fiber.ClampError) as exc:
+    except (ValueError, OSError) as exc:  # fiber.ClampError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_FAIL
 

@@ -1,13 +1,14 @@
 """Discretized geometry backends.
 
 Two backends share one contract, GridBackend. Fields live on the grid
-with grid axes first; matrix or section axes come last.
+with grid axes first; matrix or section axes come last. A backend is
+built from its grid size alone; everything else about its base is a
+class constant or a method.
 
-TorusBackend: flat square torus with one complex coordinate, spectral
-derivatives (FFT), Nyquist mode zeroed in first derivatives. With the
-default unit volume the contraction constant is cg = 2, the scalar
-operator p_op has Fourier symbol 2 pi^2 (k^2 + l^2), and constants are
-its only kernel.
+TorusBackend: the flat unit square torus with one complex coordinate,
+spectral derivatives (FFT), Nyquist mode zeroed in first derivatives.
+The contraction constant is cg = 2, the scalar operator p_op has
+Fourier symbol 2 pi^2 (k^2 + l^2), and constants are its only kernel.
 
 HopfBackend: the invariant reduction of the standard non Kahler metric
 on the quotient of punctured C^2 by z -> 2z. Invariant data depends on
@@ -17,8 +18,6 @@ order), the measure is 4 pi^2 dt, and the total volume is 8 pi^2 log 2.
 The contraction carries a zeroth order piece from the torsion of the
 reduction, which is what makes this backend genuinely non Kahler.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,18 +29,23 @@ def trace_field(a):
 
 
 class GridBackend:
-    """The contract both backends share. A backend sets shape, cg (the
-    contraction constant), cell (the quadrature weight of one grid cell),
-    p_symbol (the Fourier symbol of its own p_op, in numpy FFT order) and
-    the class attributes holomorphy_tol (the default floor of holomorphy
-    checks on its grid), default_n and quick_n (its default and --quick
-    grid sizes) and probe_amp and probe_kmax (the curvature amplitude
-    and Fourier band of its gauge probes), and defines coords, d, dbar,
-    lam11, lam_dbar_10 and the truncation floors of a background rebased
-    by exp(K), ksup = sup|K|: rebase_skew_tol(scale, ksup) for its
-    curvature's non-Hermitian part, rebase_clone_tol(ksup) for its
-    section's holomorphy. The contractions act on plain fields; a bundle's
-    connection twist is applied by PairProblem."""
+    """The contract both backends share. A backend is built from its grid
+    size n and sets shape, cell (the quadrature weight of one grid cell)
+    and p_symbol (the Fourier symbol of its own p_op, in numpy FFT
+    order). Its class constants are period and vol, cg (the contraction
+    constant), holomorphy_tol (the default floor of holomorphy checks on
+    its grid), default_n and quick_n (its default and --quick grid sizes)
+    and probe_amp and probe_kmax (the curvature amplitude and Fourier
+    band of its gauge probes). It defines coords, d, dbar, lam_dbar_10,
+    the mode draw of random_band_scalar and the truncation floors of a
+    background rebased by exp(K), ksup = sup|K|: rebase_skew_tol(scale,
+    ksup) for its curvature's non-Hermitian part, rebase_clone_tol(ksup)
+    for its section's holomorphy. The contractions act on plain fields; a
+    bundle's connection twist is applied by PairProblem."""
+
+    def lam11(self, c):
+        """Contraction of a (1,1) coefficient field."""
+        return self.cg * np.asarray(c)
 
     def pair_01(self, b1, b2):
         """Pointwise real inner product of two (0,1) coefficient fields;
@@ -63,34 +67,43 @@ class GridBackend:
         val = self.integrate(trace_field(ilf))
         return val.real / TWO_PI
 
+    def random_band_scalar(self, rng, kmax=3, amp=1.0):
+        """Smooth real random scalar field, a sum of four cosine waves
+        with Fourier modes up to kmax and random phases, scaled to sup
+        amp."""
+        xs = self.coords()
+        u = np.zeros(self.shape)
+        for _ in range(4):
+            wave = self._band_wave(rng, kmax, xs)
+            ph = rng.uniform(0, TWO_PI)
+            u += rng.normal() * np.cos(wave + ph)
+        m = np.max(np.abs(u))
+        if m > 0:
+            u = u * (amp / m)
+        return u
 
-@dataclass
+
 class TorusBackend(GridBackend):
-    n: int
-    period: float = 1.0
-    vol: float = 1.0
-    kind: str = field(default="torus", init=False)
+    # unit square: g_zzbar = vol / (2 period^2) = 1/2 and cg = 1/g_zzbar
+    period = vol = 1.0
+    cg = 2.0
     holomorphy_tol = 1e-8
     default_n, quick_n = 64, 32
     probe_amp, probe_kmax = 0.5, 2
 
-    def __post_init__(self):
-        if self.n < 2 or self.n % 2 != 0:
+    def __init__(self, n):
+        if n < 2 or n % 2 != 0:
             raise ValueError("torus grid size must be even and at least 2, "
-                             "got %d" % self.n)
-        self.g_zzbar = self.vol / (2.0 * self.period ** 2)
-        self.cg = 1.0 / self.g_zzbar
-        self.cell = self.vol / self.n ** 2
-        k = TWO_PI * np.fft.fftfreq(self.n, d=self.period / self.n)
-        k[self.n // 2] = 0.0  # Nyquist mode carries no odd derivative
+                             "got %d" % n)
+        self.n = n
+        self.shape = (n, n)
+        self.cell = self.vol / n ** 2
+        k = TWO_PI * np.fft.fftfreq(n, d=self.period / n)
+        k[n // 2] = 0.0  # Nyquist mode carries no odd derivative
         kx, ky = k[:, None], k[None, :]
         self._sym_d = 0.5 * (1j * kx + ky)  # d/dz
         self._sym_dbar = 0.5 * (1j * kx - ky)  # d/dzbar
         self.p_symbol = self.cg * (kx ** 2 + ky ** 2) / 4.0
-
-    @property
-    def shape(self):
-        return (self.n, self.n)
 
     def coords(self):
         x = np.arange(self.n) * (self.period / self.n)
@@ -111,13 +124,14 @@ class TorusBackend(GridBackend):
         """(0,1) derivative coefficient of a field."""
         return self._deriv(u, conj=True)
 
-    def lam11(self, c):
-        """Contraction of a (1,1) coefficient field."""
-        return self.cg * np.asarray(c)
-
     def lam_dbar_10(self, g10):
         """Contraction of dbar acting on a (1,0) coefficient field."""
         return -self.cg * self.dbar(g10)
+
+    def _band_wave(self, rng, kmax, xy):
+        # mode k in [-kmax, kmax]^2
+        k = rng.integers(-kmax, kmax + 1, size=2)
+        return TWO_PI * (k[0] * xy[0] + k[1] * xy[1]) / self.period
 
     # spectral derivatives truncate near machine level
     def rebase_skew_tol(self, scale, ksup):
@@ -127,34 +141,28 @@ class TorusBackend(GridBackend):
         return 1e-6
 
 
-@dataclass
 class HopfBackend(GridBackend):
-    n: int
-    kind: str = field(default="hopf", init=False)
+    period = 2.0 * np.log(2.0)
+    vol = 4.0 * np.pi ** 2 * period  # the measure is 4 pi^2 dt
+    cg = 1.0
     holomorphy_tol = 1e-6
     default_n, quick_n = 512, 128
     probe_amp, probe_kmax = 0.05, 1
 
-    def __post_init__(self):
+    def __init__(self, n):
         # below 3 points the centered difference is identically zero
-        if self.n < 3:
+        if n < 3:
             raise ValueError("circle grid size must be at least 3, got %d"
-                             % self.n)
-        self.period = 2.0 * np.log(2.0)
-        self.h = self.period / self.n
-        weight = 4.0 * np.pi ** 2
-        self.vol = weight * self.period
-        self.cell = weight * self.h
-        self.cg = 1.0
+                             % n)
+        self.n = n
+        self.shape = (n,)
+        self.h = self.period / n
+        self.cell = 4.0 * np.pi ** 2 * self.h
         # P = -(D1 D1 + D1) and the centered difference D1 has symbol
         # i sin(w h) / h
-        modes = TWO_PI * np.fft.fftfreq(self.n, d=self.h)
+        modes = TWO_PI * np.fft.fftfreq(n, d=self.h)
         sig = np.sin(modes * self.h) / self.h
         self.p_symbol = sig ** 2 - 1j * sig
-
-    @property
-    def shape(self):
-        return (self.n,)
 
     def coords(self):
         return np.arange(self.n) * self.h
@@ -169,19 +177,23 @@ class HopfBackend(GridBackend):
         out /= 2.0 * self.h
         return out
 
+    # d and dbar call _d1 through self, where a benchmark tracer can
+    # patch it on the class
     def d(self, u):
         return self._d1(u)
 
     def dbar(self, u):
         return self._d1(u)
 
-    def lam11(self, c):
-        return np.asarray(c)
-
     def lam_dbar_10(self, g10):
         # the +g10 term is the torsion of the invariant reduction; it is
         # what breaks the Kahler identities on this backend
         return -(self._d1(g10) + g10)
+
+    def _band_wave(self, rng, kmax, t):
+        # mode k in [1, kmax]
+        k = int(rng.integers(1, kmax + 1))
+        return k * (TWO_PI / self.period) * t
 
     # O(h^2) truncation, with a prefactor set by the derivatives of exp(K)
     def rebase_skew_tol(self, scale, ksup):
@@ -201,26 +213,3 @@ def make_backend(kind, n=None):
         raise ValueError("unknown backend kind %r" % (kind,))
     cls = BACKENDS[kind]
     return cls(cls.default_n if n is None else n)
-
-
-def random_band_scalar(geom, rng, kmax=3, amp=1.0):
-    """Smooth real random scalar field from low Fourier modes."""
-    if geom.kind == "torus":
-        x, y = geom.coords()
-        u = np.zeros(geom.shape)
-        for _ in range(4):
-            k = rng.integers(-kmax, kmax + 1, size=2)
-            ph = rng.uniform(0, TWO_PI)
-            u += rng.normal() * np.cos(TWO_PI * (k[0] * x + k[1] * y) / geom.period + ph)
-    else:
-        t = geom.coords()
-        u = np.zeros(geom.shape)
-        w0 = TWO_PI / geom.period
-        for _ in range(4):
-            k = int(rng.integers(1, kmax + 1))
-            ph = rng.uniform(0, TWO_PI)
-            u += rng.normal() * np.cos(k * w0 * t + ph)
-    m = np.max(np.abs(u))
-    if m > 0:
-        u = u * (amp / m)
-    return u

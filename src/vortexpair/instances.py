@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import fiber
-from .geometry import BACKENDS, make_backend, random_band_scalar
+from .geometry import BACKENDS, make_backend
 from .higgs import HiggsProblem
 from .pair import PairProblem, SplitModel
 
@@ -128,8 +128,8 @@ def names():
 
 def _row(name):
     if name not in REGISTRY:
-        raise KeyError("unknown instance %r; shipped: %s"
-                       % (name, ", ".join(names())))
+        raise ValueError("unknown instance %r; shipped: %s"
+                         % (name, ", ".join(names())))
     return REGISTRY[name]
 
 
@@ -173,7 +173,7 @@ def gauge_probe(geom, rank, rng, constant=False):
             s[..., i, i] = amp * rng.uniform(-1.0, 1.0)
         return fiber.herm_exp(s)
     for i in range(rank):
-        w = random_band_scalar(geom, rng, kmax=geom.probe_kmax, amp=1.0)
+        w = geom.random_band_scalar(rng, kmax=geom.probe_kmax, amp=1.0)
         w = w / (1.0 + np.max(np.abs(geom.p_op(w).real)))
         s[..., i, i] = amp * w
     return fiber.herm_exp(s)

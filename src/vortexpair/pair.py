@@ -66,8 +66,8 @@ class StabilityReport:
     mu_max: float
     mu_min_phi: float          # may be +inf
     window: tuple              # (tau_lo, tau_hi) open interval, tau units
-    verdict: str               # for the tau supplied to classify
-    tau: float | None
+    verdict: str               # classify at tau
+    tau: float
     audited: list              # subsets examined, for the report
     note: str = ("subsheaf audit restricted to coordinate sub-sums of the "
                  "declared split model")
@@ -294,15 +294,14 @@ def classify(split, geom, tau):
     return "unstable"
 
 
-def stability_report(split, geom, tau=None):
+def stability_report(split, geom, tau):
     lo, hi = stability_window(split, geom)
-    verdict = classify(split, geom, tau) if tau is not None else "n/a"
     audited = list(split.admissible_subsets(proper=False))
     return StabilityReport(
         mu_max=mu_M(split),
         mu_min_phi=mu_m_phi(split),
         window=(lo, hi),
-        verdict=verdict,
+        verdict=classify(split, geom, tau),
         tau=tau,
         audited=audited,
     )

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from vortexpair import fiber
-from vortexpair.geometry import random_band_scalar
 
 
 def rand_herm(rng, shape, r, amp=1.0):
@@ -17,11 +16,11 @@ def rand_band_herm(geom, rng, r, amp=0.3, kmax=2):
     gshape = tuple(geom.shape)
     s = np.zeros(gshape + (r, r), dtype=complex)
     for i in range(r):
-        s[..., i, i] = random_band_scalar(geom, rng, kmax=kmax, amp=amp)
+        s[..., i, i] = geom.random_band_scalar(rng, kmax=kmax, amp=amp)
     for i in range(r):
         for j in range(i + 1, r):
-            re = random_band_scalar(geom, rng, kmax=kmax, amp=amp)
-            im = random_band_scalar(geom, rng, kmax=kmax, amp=amp)
+            re = geom.random_band_scalar(rng, kmax=kmax, amp=amp)
+            im = geom.random_band_scalar(rng, kmax=kmax, amp=amp)
             s[..., i, j] = re + 1j * im
             s[..., j, i] = re - 1j * im
     return s

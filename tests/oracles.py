@@ -27,6 +27,7 @@ from vortexpair._kernels import apply_one, apply_two
 from vortexpair.fiber import (CLAMP_HARD_REL, EIG_FLOOR, ClampError,
                               dexp_kernel, frob, herm_eig, herm_part,
                               kernel_matrix, mm, psi_kernel, sup_norm)
+from vortexpair.geometry import TorusBackend
 from vortexpair.pair import SplitModel
 
 TWO_PI = 2.0 * math.pi
@@ -173,7 +174,7 @@ def phi_simple_check(p):
     commute with the background (curvature and twists) and annihilate
     the section pointwise. Returns (simple, nullity, smallest_sv).
     """
-    if p.geom.kind != "torus":
+    if not isinstance(p.geom, TorusBackend):
         raise ValueError("phi_simple_check supports the torus backend only")
     r = p.rank
     rows = []
@@ -275,7 +276,7 @@ def discretization_slack(p, st):
     Spectral backend: roundoff-level. Finite-difference backend: an
     O(h^2) envelope scaled by the field size. Engineering constant, not
     a theorem; documented with the check it guards."""
-    if p.geom.kind == "torus":
+    if isinstance(p.geom, TorusBackend):
         return 1e-8 * max(1.0, st.sup_s()) ** 2
     h = p.geom.h
     return 50.0 * h ** 2 * max(1.0, st.sup_s()) ** 3 * max(1.0, sup_norm(p.k0_field()))

@@ -19,7 +19,6 @@ from vortexpair import fiber, instances
 from vortexpair.continuation import (ContinuationConfig, MetricState,
                                      final_metric_original_frame,
                                      run_continuation, uniqueness_probe)
-from vortexpair.geometry import random_band_scalar
 from vortexpair.instances import gauge_probe
 from vortexpair.pair import PairProblem
 
@@ -181,7 +180,7 @@ def test_c08_contraction_identity_gap():
     rng = np.random.default_rng(20250819)
     p = instances.make("torus-wave", n=64)
     for _ in range(3):
-        u = random_band_scalar(p.geom, rng, kmax=3, amp=0.5)
+        u = p.geom.random_band_scalar(rng, kmax=3, amp=0.5)
         st = MetricState(u[..., None, None].astype(complex))
         g = nie_zhang_check(p, st=st)
         assert g <= 1e-8, "rank-1 gap %.3e" % g
@@ -199,8 +198,8 @@ def test_c08_contraction_identity_gap():
     fd = {}
     for n in (128, 256, 512):
         q = instances.make("hopf-wave", n=n)
-        u = random_band_scalar(q.geom, np.random.default_rng(5),
-                               kmax=2, amp=0.5)
+        u = q.geom.random_band_scalar(np.random.default_rng(5), kmax=2,
+                                      amp=0.5)
         fd[n] = nie_zhang_check(q, st=MetricState(
             u[..., None, None].astype(complex)))
     for a, b in ((128, 256), (256, 512)):
@@ -214,14 +213,14 @@ def test_c09_degree_well_defined_both_backends():
     for name, n in (("torus-wave", 64), ("hopf-wave", 512)):
         p = instances.make(name, n=n)
         for _ in range(5):
-            u = random_band_scalar(p.geom, rng, kmax=3, amp=1.0)
+            u = p.geom.random_band_scalar(rng, kmax=3, amp=1.0)
             tot = abs(complex(p.geom.integrate(p.geom.p_op(u))).real)
             assert tot <= 1e-8 * max(1.0, float(np.max(np.abs(u)))), (name, tot)
     # conformal change of the reference metric leaves the degree fixed
     p = instances.make("torus-wave", n=64)
     d0 = p.degree()
     for _ in range(3):
-        u = random_band_scalar(p.geom, rng, kmax=3, amp=0.6)
+        u = p.geom.random_band_scalar(rng, kmax=3, amp=0.6)
         ilf = p.ilf0 + p.geom.p_op(u).real[..., None, None]
         q = PairProblem(p.geom, 1, ilf, [1.0], p.tau)
         assert abs(q.degree() - d0) <= 1e-8, abs(q.degree() - d0)

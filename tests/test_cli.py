@@ -61,6 +61,18 @@ def test_config_unknown_key(tmp_path):
         parse_config(str(p))
 
 
+def test_config_rejects_a_repeated_key(tmp_path, capsys):
+    # a key set twice is most likely a mistake, so neither line wins
+    p = tmp_path / "dup.cfg"
+    p.write_text("instance = trivial\ninstance = bogus\n")
+    with pytest.raises(ValueError) as exc:
+        parse_config(str(p))
+    want = "%s:2: duplicate key 'instance' (first set on line 1)" % p
+    assert str(exc.value) == want
+    assert main(["stability", "--config", str(p)]) == EXIT_FAIL
+    assert capsys.readouterr().err == "error: %s\n" % want
+
+
 def test_config_bad_value(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("grid = sixteen\n")
@@ -131,7 +143,7 @@ def test_quick_grid_and_config_defaults():
 def test_every_registry_row_sets_grid_tau_and_quick_grid():
     for name, (base, _, tau, _) in instances.REGISTRY.items():
         p = instances.make(name)
-        assert p.geom.kind == base, name
+        assert type(p.geom) is BACKENDS[base], name
         assert p.geom.n == BACKENDS[base].default_n, name
         # a Higgs instance takes its table default as lam
         got = p.lam if name.startswith("higgs") else p.tau
@@ -248,13 +260,14 @@ def test_main_bad_config_exit(tmp_path, capsys):
                          ids=["default", "quick"])
 def test_main_unknown_instance_in_config(tmp_path, capsys, flags):
     # --quick looks up the quick grid before the instance is built; both
-    # lookups must name the shipped instances, not echo a bare KeyError
+    # lookups must name the shipped instances in the plain error line
     p = tmp_path / "run.cfg"
     p.write_text("instance = moebius\n")
     rc = main(["solve", "--config", str(p)] + flags)
     err = capsys.readouterr().err
     assert rc == EXIT_FAIL
-    assert "unknown instance" in err
+    assert err == ("error: unknown instance 'moebius'; shipped: %s\n"
+                   % ", ".join(instances.names()))
 
 
 def test_main_no_instance(capsys):

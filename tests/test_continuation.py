@@ -16,7 +16,6 @@ from vortexpair.continuation import (ContinuationConfig, GaugeDomainError,
                                      initial_gauge, newton_solve_at,
                                      residual_parts, run_continuation,
                                      uniqueness_probe)
-from vortexpair.geometry import random_band_scalar
 from vortexpair.instances import gauge_probe
 from vortexpair.pair import PairProblem
 
@@ -27,7 +26,7 @@ from oracles import (calc_inequality_margin, discretization_slack,
 
 
 def _state_rank1(geom, rng, amp=0.5, kmax=2):
-    u = random_band_scalar(geom, rng, kmax=kmax, amp=amp)
+    u = geom.random_band_scalar(rng, kmax=kmax, amp=amp)
     return MetricState(u[..., None, None].astype(complex))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vortexpair.geometry import (HopfBackend, TorusBackend, make_backend,
-                                 random_band_scalar, trace_field)
+                                 trace_field)
 from vortexpair.pair import PairProblem
 
 from conftest import rand_band_herm
@@ -44,9 +44,6 @@ def test_torus_constants():
     g = TorusBackend(32)
     assert g.cg == pytest.approx(2.0, abs=1e-15)
     assert complex(g.integrate(np.ones(g.shape))).real == pytest.approx(1.0)
-    # doubling the volume at fixed period halves the contraction constant
-    g2 = TorusBackend(32, vol=2.0)
-    assert g2.cg == pytest.approx(1.0, abs=1e-15)
 
 
 def test_hopf_volume_and_period():
@@ -128,14 +125,6 @@ def test_torus_symbol_oracle():
         assert err < 1e-10 * max(1.0, sym)
 
 
-def test_torus_symbol_scales_with_cg():
-    g = TorusBackend(64, vol=2.0)  # cg = 1
-    x, y = g.coords()
-    u = np.cos(TWO_PI * (x + 2 * y))
-    err = np.max(np.abs(g.p_op(u).real - np.pi ** 2 * 5 * u))
-    assert err < 1e-10 * np.pi ** 2 * 5
-
-
 def test_hopf_operator_oracle_and_refinement():
     # p_op(u) = -(u'' + u'), centered differences, second order
     w0 = TWO_PI / (2.0 * np.log(2.0))
@@ -177,29 +166,16 @@ def test_lam_dbar_10_twist_commutator(rng, geom):
     g10 = np.broadcast_to(gmat, tuple(geom.shape) + (r, r)).copy()
     tw = np.broadcast_to(tmat, tuple(geom.shape) + (r, r)).copy()
     out = _twisted_contraction(geom, g10, tw)
-    torsion = 1.0 if geom.kind == "hopf" else 0.0
-    scale = geom.cg if geom.kind == "torus" else 1.0
-    want = -scale * (torsion * gmat + tmat @ gmat - gmat @ tmat)
+    torsion = 1.0 if isinstance(geom, HopfBackend) else 0.0
+    want = -geom.cg * (torsion * gmat + tmat @ gmat - gmat @ tmat)
     assert np.max(np.abs(out - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
-
-
-def test_twisted_contraction_where_cg_is_not_a_power_of_two(rng):
-    # the pair scales the commutator by cg separately from the
-    # derivative; at vol = 3 (cg = 2/3) that differs from scaling their
-    # sum only by roundoff
-    g = TorusBackend(32, vol=3.0)
-    g10 = rand_band_herm(g, rng, 2, amp=0.5)
-    tw = rand_band_herm(g, rng, 2, amp=0.5)
-    out = _twisted_contraction(g, g10, tw)
-    want = -g.cg * (g.dbar(g10) + tw @ g10 - g10 @ tw)
-    assert np.max(np.abs(out - want)) < 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
 # integral identities
 
 def test_p_op_integrates_to_zero(rng, geom):
-    u = random_band_scalar(geom, rng, kmax=3)
+    u = geom.random_band_scalar(rng, kmax=3)
     scale = 1.0 + float(np.max(np.abs(geom.p_op(u).real)))
     assert abs(complex(geom.integrate(geom.p_op(u)))) < 1e-8 * scale
 
@@ -207,7 +183,7 @@ def test_p_op_integrates_to_zero(rng, geom):
 def test_p_op_kernel_is_constants(rng, geom):
     c = 1.3 * np.ones(geom.shape)
     assert np.max(np.abs(geom.p_op(c))) < 1e-12
-    u = random_band_scalar(geom, rng, kmax=2)
+    u = geom.random_band_scalar(rng, kmax=2)
     assert np.max(np.abs(geom.p_op(u))) > 1e-3
 
 
@@ -215,7 +191,7 @@ def test_dirichlet_positivity(rng, geom):
     # the quadratic form of p_op is nonnegative on real scalars; this is
     # the integral form of the maximum principle used downstream
     for _ in range(5):
-        u = random_band_scalar(geom, rng, kmax=3)
+        u = geom.random_band_scalar(rng, kmax=3)
         q = complex(geom.integrate(u * geom.p_op(u))).real
         assert q >= -1e-10 * (1.0 + abs(q))
 
@@ -223,10 +199,10 @@ def test_dirichlet_positivity(rng, geom):
 def test_max_principle_at_discrete_argmax(rng, geom):
     # at the grid argmax the operator value is nonnegative up to an
     # O(h) offset between the grid argmax and the continuum maximum
-    u = random_band_scalar(geom, rng, kmax=2)
+    u = geom.random_band_scalar(rng, kmax=2)
     p = geom.p_op(u).real
     sup = float(np.max(np.abs(p)))
-    h = geom.period / geom.n if geom.kind == "hopf" else 1.0 / geom.n
+    h = geom.period / geom.n
     idx = np.unravel_index(np.argmax(u), u.shape)
     assert p[idx] >= -TWO_PI * 2 * h * sup
 
@@ -236,7 +212,7 @@ def test_p_symbol_is_the_symbol_of_p_op(rng, geom):
     # exact Fourier symbol of the discrete p_op
     axes = tuple(range(len(geom.shape)))
     for _ in range(3):
-        u = random_band_scalar(geom, rng, kmax=3)
+        u = geom.random_band_scalar(rng, kmax=3)
         want = geom.p_op(u)
         got = np.fft.ifftn(geom.p_symbol * np.fft.fftn(u, axes=axes),
                            axes=axes)
@@ -264,7 +240,7 @@ def test_pair_01_positive_and_conjugate_symmetric(rng, geom):
     assert np.min(p11) >= 0.0
     assert np.max(np.abs(geom.pair_01(b1, b2) - geom.pair_01(b2, b1))) < 1e-12
     # a scalar on the diagonal pairs to cg |s|^2
-    s = random_band_scalar(geom, rng, kmax=2) + 0j
+    s = geom.random_band_scalar(rng, kmax=2) + 0j
     mat = np.zeros(tuple(geom.shape) + (2, 2), dtype=complex)
     mat[..., 0, 0] = s
     want = geom.cg * np.abs(s) ** 2
@@ -272,8 +248,8 @@ def test_pair_01_positive_and_conjugate_symmetric(rng, geom):
 
 
 def test_lam_wedge_trace_scalar_vs_matrix(rng, geom):
-    s1 = random_band_scalar(geom, rng, kmax=2) + 0j
-    s2 = random_band_scalar(geom, rng, kmax=2) + 0j
+    s1 = geom.random_band_scalar(rng, kmax=2) + 0j
+    s2 = geom.random_band_scalar(rng, kmax=2) + 0j
     m1 = np.zeros(tuple(geom.shape) + (2, 2), dtype=complex)
     m2 = np.zeros_like(m1)
     m1[..., 0, 0] = s1
@@ -301,7 +277,7 @@ def test_degree_of_constant_curvature(geom):
 
 def test_degree_ignores_mean_zero_part(rng, geom):
     ilf = np.full(tuple(geom.shape) + (1, 1), TWO_PI / geom.vol, dtype=complex)
-    u = random_band_scalar(geom, rng, kmax=2)
+    u = geom.random_band_scalar(rng, kmax=2)
     assert geom.degree(ilf + geom.p_op(u)[..., None, None]) == pytest.approx(
         1.0, abs=1e-8)
 
@@ -310,6 +286,6 @@ def test_degree_ignores_mean_zero_part(rng, geom):
 # band scalars
 
 def test_random_band_scalar_normalized(rng, geom):
-    u = random_band_scalar(geom, rng, kmax=3, amp=0.7)
+    u = geom.random_band_scalar(rng, kmax=3, amp=0.7)
     assert np.isrealobj(u)
     assert float(np.max(np.abs(u))) == pytest.approx(0.7, rel=1e-12)

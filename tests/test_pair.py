@@ -219,8 +219,7 @@ def test_k0_field_trivial_hand_value():
 def _diag_band_state(geom, rng, rank, amp=0.4):
     s = np.zeros(tuple(geom.shape) + (rank, rank), dtype=complex)
     for i in range(rank):
-        from vortexpair.geometry import random_band_scalar
-        s[..., i, i] = random_band_scalar(geom, rng, kmax=2, amp=amp)
+        s[..., i, i] = geom.random_band_scalar(rng, kmax=2, amp=amp)
     return MetricState(s)
 
 

@@ -79,18 +79,15 @@ def test_every_public_definition_has_a_library_caller():
                         "them to tests/oracles.py: %s" % ", ".join(unused))
 
 
-def test_only_geometry_reads_the_backend_kind():
-    # each backend owns its grid sizes, probe scale and how its grid
-    # truncates; the rest of the package asks it instead of branching on
-    # its kind
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "geometry.py":
-            continue
-        found += ["%s:%d" % (path.name, node.lineno)
-                  for node in ast.walk(_parse(path))
-                  if isinstance(node, ast.Attribute) and node.attr == "kind"]
-    assert not found, "reads of .kind outside geometry.py: %s" % found
+def test_no_module_reads_a_backend_kind():
+    # a backend is its grid size: its base's constants and choices are
+    # class attributes and methods, so no module, geometry.py included,
+    # branches on a base's name
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    assert not found, "reads of .kind: %s" % found
 
 
 def test_benchmark_tracer_patch_sites_exist(monkeypatch):
@@ -105,16 +102,12 @@ def test_benchmark_tracer_patch_sites_exist(monkeypatch):
         tr.uninstall()
 
 
-def test_benchmark_tracer_counts_match_the_run(monkeypatch):
-    # the tracer wraps continuation.gmres with a counting operator built
-    # from amat.matvec, amat.shape and amat.dtype; with right
-    # preconditioning each Krylov step is one matvec and one
-    # preconditioner application, and a quick solve needs no partial
-    # linear solve
+def _traced_quick_solve(monkeypatch, name):
+    """Report and tracer summary of a quick-grid solve of an instance
+    without full diagnostics."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from tracer import Tracer
     from vortexpair import continuation, instances
-    name = "rank2-extension"
     p = instances.make(name, n=instances.quick_grid(name))
     cfg = continuation.ContinuationConfig(eps_min=1e-2,
                                           full_diagnostics=False)
@@ -124,10 +117,28 @@ def test_benchmark_tracer_counts_match_the_run(monkeypatch):
         rep = continuation.run_continuation(p, cfg).report
     finally:
         tr.uninstall()
-    got = tr.summary()
+    return rep, tr.summary()
+
+
+def test_benchmark_tracer_counts_match_the_run(monkeypatch):
+    # the tracer wraps continuation.gmres with a counting operator built
+    # from amat.matvec, amat.shape and amat.dtype; with right
+    # preconditioning each Krylov step is one matvec and one
+    # preconditioner application, and a quick solve needs no partial
+    # linear solve
+    rep, got = _traced_quick_solve(monkeypatch, "rank2-extension")
     matvecs = got["continuation.gmres.matvecs"]
     assert matvecs > 0
     assert matvecs == got["continuation.linearization.calls"]
     assert got["continuation.precond.calls"] == matvecs
     assert got["continuation.gmres.partial"] == 0
     assert got["continuation.newton.iters"] == rep.newton_total
+    # the tracer patches TorusBackend._deriv on the class; a backend
+    # whose d and dbar bypass it would read zero here
+    assert got["geometry.fft_deriv.calls"] > 0
+
+
+def test_benchmark_tracer_counts_stencil_derivatives(monkeypatch):
+    # the same for HopfBackend._d1
+    _, got = _traced_quick_solve(monkeypatch, "hopf-stable")
+    assert got["geometry.stencil_deriv.calls"] > 0
