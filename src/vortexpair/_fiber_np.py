@@ -1,7 +1,14 @@
 """Pure numpy implementation of the batched fiber algebra.
 
 Arrays carry grid axes first and the two matrix axes last, so a field of
-r x r endomorphisms on an N x N grid has shape (N, N, r, r).
+r x r endomorphisms on an N x N grid has shape (N, N, r, r). The shape
+stays grid-first, but the storage is entry-plane-major: empty_field, the
+one allocator of fields, lays the array out as (r, r, N, N) in C order
+and returns the transposed view, so every entry [..., i, j] is a
+C-contiguous grid plane. numpy's order-K rule carries that layout
+through elementwise operations and FFTs, so the written-out rank-2
+products below read and write whole planes instead of views strided by
+r^2 elements.
 
 mm is the one batched matrix product of the solver; fiber re-exports it.
 It picks its path from the matrix size of its operands: rank 1 is an
@@ -21,6 +28,15 @@ generic kernels are the reference its tests compare against.
 import numpy as np
 
 
+def empty_field(grid, tail, dtype=np.complex128):
+    """Uninitialized field of logical shape grid + tail whose entries
+    [..., i, j] (one per index of tail) are C-contiguous grid planes."""
+    grid, tail = tuple(grid), tuple(tail)
+    k = len(tail)
+    a = np.empty(tail + grid, dtype=dtype)
+    return a.transpose(tuple(range(k, k + len(grid))) + tuple(range(k)))
+
+
 def mm(a, b):
     """Batched matrix product a b, matrix axes last, broadcasting over
     grid axes; a constant (r, r) operand broadcasts against a field."""
@@ -31,10 +47,9 @@ def mm(a, b):
         return a * b
     if shape != (2, 2):
         return a @ b
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape),
-                   dtype=np.result_type(a, b))
-    _mm2(entries(a), entries(b), entries(out),
-         np.empty(out.shape[:-2], dtype=out.dtype))
+    grid = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = empty_field(grid, shape, dtype=np.result_type(a, b))
+    _mm2(entries(a), entries(b), entries(out), np.empty(grid, dtype=out.dtype))
     return out
 
 

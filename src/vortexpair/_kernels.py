@@ -13,7 +13,7 @@ against.
 import numpy as np
 
 from . import _fiber_np
-from ._fiber_np import _mm2, entries
+from ._fiber_np import _mm2, empty_field, entries
 
 BACKEND = "numpy"
 
@@ -37,8 +37,8 @@ def _eigh2(a):
     a00 = a[..., 0, 0].real
     a11 = a[..., 1, 1].real
     b = a[..., 1, 0]
-    w = np.empty(shape + (2,))
-    v = np.empty(shape + (2, 2), dtype=np.complex128)
+    w = empty_field(shape, (2,), dtype=np.float64)
+    v = empty_field(shape, (2, 2))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         m = 0.5 * (a00 + a11)
         d = 0.5 * (a00 - a11)
@@ -91,8 +91,7 @@ def apply_one(g, v):
     g0, g1 = g[..., 0], g[..., 1]
     v00, v01 = v[..., 0, 0], v[..., 0, 1]
     v10, v11 = v[..., 1, 0], v[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(g.shape[:-1], v.shape[:-2]) + (2, 2),
-                   dtype=np.complex128)
+    out = empty_field(np.broadcast_shapes(g.shape[:-1], v.shape[:-2]), (2, 2))
     out[..., 0, 0] = (g0 * (v00.real ** 2 + v00.imag ** 2)
                       + g1 * (v01.real ** 2 + v01.imag ** 2))
     out[..., 1, 1] = (g0 * (v10.real ** 2 + v10.imag ** 2)
@@ -115,7 +114,7 @@ def apply_two(k, v, a):
     # written entry by entry into separate grid-sized scratch entries
     shape = np.broadcast_shapes(k.shape, v.shape, a.shape)
     grid = shape[:-2]
-    out = np.empty(shape, dtype=np.complex128)
+    out = empty_field(grid, (2, 2))
     t = [[np.empty(grid, dtype=np.complex128) for _ in (0, 1)] for _ in (0, 1)]
     n = [[np.empty(grid, dtype=np.complex128) for _ in (0, 1)] for _ in (0, 1)]
     tmp = np.empty(grid, dtype=np.complex128)

@@ -118,7 +118,10 @@ def cmd_solve(args):
 
 def cmd_sweep_tau(args):
     name, n, lo, hi = args.instance, args.grid, args.tau_lo, args.tau_hi
-    if lo is None or hi is None or not (lo < hi):
+    for flag, val in (("--tau-lo", lo), ("--tau-hi", hi)):
+        if val is None:
+            raise ValueError("sweep-tau needs %s" % flag)
+    if not lo < hi:
         raise ValueError("sweep needs tau_lo < tau_hi")
     # the sweep records only verdicts, so its solves skip the Ritz probe
     cfg = dataclasses.replace(build_config(args), full_diagnostics=False)

@@ -315,7 +315,8 @@ class HermPacker:
     def unpack(self, x):
         r, dg = self.r, self._dg
         nd = self.npts * r
-        out = np.zeros((self.npts, r, r), dtype=np.complex128)
+        # every entry is written below: the diagonal, then both triangles
+        out = fiber.empty_field((self.npts,), (r, r))
         out[:, dg, dg] = x[:nd].reshape(self.npts, r)
         if self.noff:
             no = self.npts * self.noff
@@ -489,12 +490,14 @@ def initial_gauge(p, h=None, cfg=None):
         cfg = ContinuationConfig()
     geom = p.geom
 
-    gshape = tuple(geom.shape) + (p.rank, p.rank)
+    # s = log h = 0 for the identity start, else a copy of h
+    field = fiber.empty_field(geom.shape, (p.rank, p.rank))
     if h is None:
-        start = MetricState(np.zeros(gshape, dtype=np.complex128))
+        field[...] = 0.0
+        start = MetricState(field)
     else:
-        h = np.broadcast_to(np.asarray(h, dtype=np.complex128), gshape)
-        wh, vh = fiber.herm_eig(h)
+        field[...] = h
+        wh, vh = fiber.herm_eig(field)
         if float(np.min(wh)) <= 0:
             raise fiber.ClampError("starting metric is not positive definite")
         start = MetricState(apply_one(np.log(wh), vh))

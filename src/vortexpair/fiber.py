@@ -1,8 +1,12 @@
 """Fiberwise functional calculus for Hermitian endomorphism fields.
 
-Fields keep grid axes first and matrix axes last. Everything here is
-pointwise in the grid: eigendecompositions, matrix exp/log, and the one
-and two variable transforms built on eigenvalue kernels.
+Fields keep grid axes first and matrix axes last in their shape, but
+are stored entry-plane-major: empty_field (from _fiber_np) is the only
+allocator of fields, and it makes every entry [..., i, j] a C-contiguous
+grid plane. Elementwise operations keep that layout, so no index or
+einsum string depends on it. Everything here is pointwise in the grid:
+eigendecompositions, matrix exp/log, and the one and two variable
+transforms built on eigenvalue kernels.
 
 Every field-valued matrix product of the solver goes through mm, the
 batched product of _fiber_np: elementwise at rank 1, written out entry
@@ -18,7 +22,7 @@ sup norms are the grid max of the pointwise norm.
 
 import numpy as np
 
-from ._fiber_np import mm
+from ._fiber_np import empty_field, mm
 from ._kernels import apply_one, apply_two, eigh_batch
 
 # positivity clamp policy for logarithms of metric factors:

@@ -1,9 +1,12 @@
 """Discretized geometry backends.
 
 Two backends share one contract, GridBackend. Fields live on the grid
-with grid axes first; matrix or section axes come last. A backend is
-built from its grid size alone; everything else about its base is a
-class constant or a method.
+with grid axes first; matrix or section axes come last. That is their
+shape; their storage is entry-plane-major (fiber.empty_field, the only
+allocator of fields, makes each entry a C-contiguous grid plane), and
+the derivatives keep it: FFTs and elementwise products return their
+input's layout. A backend is built from its grid size alone; everything
+else about its base is a class constant or a method.
 
 TorusBackend: the flat unit square torus with one complex coordinate,
 spectral derivatives (FFT), Nyquist mode zeroed in first derivatives.

@@ -166,8 +166,8 @@ def gauge_probe(geom, rank, rng, constant=False):
     off-diagonal twists pass constant=True: spatially constant
     diagonal probes keep the entire chain in the commutant."""
     amp = geom.probe_amp
-    gshape = tuple(geom.shape)
-    s = np.zeros(gshape + (rank, rank), dtype=complex)
+    s = fiber.empty_field(geom.shape, (rank, rank))
+    s[...] = 0.0
     if constant:
         for i in range(rank):
             s[..., i, i] = amp * rng.uniform(-1.0, 1.0)

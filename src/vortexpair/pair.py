@@ -127,15 +127,17 @@ class PairProblem:
         self._validate()
 
     def _expand(self, x, tail, what):
-        """x as a grid field with fiber shape tail: a constant of shape
-        tail is copied to every point, a field must have grid + tail."""
+        """x copied into a new grid field with fiber shape tail: a
+        constant of shape tail goes to every point, a field must have
+        grid + tail."""
         x = np.asarray(x, dtype=np.complex128)
-        want = tuple(self.geom.shape) + tail
-        if x.shape == tail:
-            return np.array(np.broadcast_to(x, want))
-        if x.shape != want:
-            raise ValueError("%s shape %s, want %s" % (what, x.shape, want))
-        return x
+        grid = tuple(self.geom.shape)
+        if x.shape != tail and x.shape != grid + tail:
+            raise ValueError("%s shape %s, want %s"
+                             % (what, x.shape, grid + tail))
+        out = fiber.empty_field(grid, tail)
+        out[...] = x
+        return out
 
     def _check_finite(self, *names):
         for name in names:

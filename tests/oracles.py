@@ -15,14 +15,19 @@ compare the solver against. The library never calls them.
                      pointwise P-inequality and the slack of the
                      pointwise inequality checks, and a tap that hands
                      each accepted state of a run to these checks
+    layout           a guard on the written-out rank-2 product that
+                     fails on an entry operand that is not a
+                     C-contiguous grid plane
 """
 
+import contextlib
 import math
+import types
 
 import numpy as np
 import pytest
 
-from vortexpair import continuation
+from vortexpair import _fiber_np, _kernels, continuation
 from vortexpair._kernels import apply_one, apply_two
 from vortexpair.fiber import (CLAMP_HARD_REL, EIG_FLOOR, ClampError,
                               dexp_kernel, frob, herm_eig, herm_part,
@@ -318,3 +323,40 @@ def tapped(run, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuation, "diagnostics_check", tap)
         return run(*args), taps
+
+
+# ---------------------------------------------------------------------------
+# layout
+
+@contextlib.contextmanager
+def plane_layout_guard():
+    """Wrap the written-out rank-2 product _fiber_np._mm2 (at both of its
+    import sites) for the duration of the block, and fail at its end if
+    any grid-sized entry operand was not a C-contiguous grid plane.
+    Constant (0-d) entries are exempt. Yields a namespace whose calls
+    counts the products seen, so a caller can check that the guard saw
+    work; violations are recorded rather than raised, so no handler
+    inside the solver can swallow them."""
+    orig = _fiber_np._mm2
+    seen = types.SimpleNamespace(calls=0, bad=0, first=None)
+
+    def guarded(x, y, out, tmp):
+        seen.calls += 1
+        for name, ops in (("x", x), ("y", y), ("out", out)):
+            for i in (0, 1):
+                for j in (0, 1):
+                    e = ops[i][j]
+                    if np.ndim(e) and not e.flags.c_contiguous:
+                        seen.bad += 1
+                        seen.first = seen.first or (
+                            "%s[%d][%d] shape %s strides %s"
+                            % (name, i, j, e.shape, e.strides))
+        return orig(x, y, out, tmp)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_fiber_np, "_mm2", guarded)
+        mp.setattr(_kernels, "_mm2", guarded)
+        yield seen
+    if seen.bad:
+        pytest.fail("%d strided entry operands reached _mm2, first: %s"
+                    % (seen.bad, seen.first))

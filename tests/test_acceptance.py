@@ -24,7 +24,7 @@ from vortexpair.pair import PairProblem
 
 from conftest import rand_band_herm
 from oracles import (fd_lhat, higgs_xi_derivative, nie_zhang_check,
-                     semipositivity_pair, xi_path)
+                     plane_layout_guard, semipositivity_pair, xi_path)
 
 FOUR_PI = 4.0 * math.pi
 STABLE = ("torus-stable", "torus-wave", "hopf-stable", "hopf-wave",
@@ -34,13 +34,17 @@ UNSTABLE = ("torus-unstable", "hopf-unstable")
 
 @pytest.fixture(scope="module")
 def full_runs():
-    """All shipped instances at default grids, default configuration."""
+    """All shipped instances at default grids, default configuration.
+    The runs go through the layout guard, so every criterion that reads
+    them also proves that no strided entry reached the rank-2 product."""
     runs = {}
-    for name in instances.names():
-        out = run_continuation(instances.make(name))
-        assert out.report.verdict == instances.EXPECTED_VERDICTS[name], (
-            name, out.report.verdict, out.report.cause)
-        runs[name] = out
+    with plane_layout_guard() as guard:
+        for name in instances.names():
+            out = run_continuation(instances.make(name))
+            assert out.report.verdict == instances.EXPECTED_VERDICTS[name], (
+                name, out.report.verdict, out.report.cause)
+            runs[name] = out
+    assert guard.calls > 0
     return runs
 
 

@@ -503,9 +503,23 @@ def test_sweep_bracket_error(tmp_path, capsys):
 def test_sweep_needs_ordered_bracket(capsys):
     rc = main(["sweep-tau", "--instance", "trivial", "--tau-lo", "3",
                "--tau-hi", "1"])
-    err = capsys.readouterr().err
+    cap = capsys.readouterr()
     assert rc == EXIT_FAIL
-    assert "tau_lo < tau_hi" in err
+    assert cap.err == "error: sweep needs tau_lo < tau_hi\n"
+    assert cap.out == ""
+
+
+@pytest.mark.parametrize("bracket,flag", [
+    ([], "--tau-lo"),
+    (["--tau-hi", "3"], "--tau-lo"),
+    (["--tau-lo", "1"], "--tau-hi"),
+], ids=["neither", "no-low", "no-high"])
+def test_sweep_names_the_missing_bracket_end(capsys, bracket, flag):
+    rc = main(["sweep-tau", "--instance", "trivial"] + bracket)
+    cap = capsys.readouterr()
+    assert rc == EXIT_FAIL
+    assert cap.err == "error: sweep-tau needs %s\n" % flag
+    assert cap.out == ""
 
 
 # ---------------------------------------------------------------------------
