@@ -140,9 +140,8 @@ def cmd_sweep_tau(args):
     ok_lo = converged_at(lo)
     ok_hi = converged_at(hi)
     if ok_lo == ok_hi:
-        print("bracket error: both endpoints %s"
-              % ("converge" if ok_lo else "fail to converge"))
-        return EXIT_FAIL
+        raise ValueError("both bracket endpoints %s"
+                         % ("converge" if ok_lo else "fail to converge"))
     # orient so that lo fails and hi converges
     flip = ok_lo
     while (hi - lo) > 0.01 * (0.5 * (hi + lo)):
@@ -180,8 +179,7 @@ def cmd_stability(args):
     name = args.instance
     prob = instances.make(name, tau=args.tau)
     if prob.split is None:
-        print("%s declares no split model; nothing to audit" % name)
-        return EXIT_FAIL
+        raise ValueError("%s declares no split model; nothing to audit" % name)
     rep = stability_report(prob.split, prob.geom, tau=prob.tau)
     doc = {"schema": "vortexpair-stability-1", "instance": name,
            "tau": prob.tau, "report": rep.to_dict()}

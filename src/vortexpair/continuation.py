@@ -416,7 +416,8 @@ def min_ritz_estimate(p, eps, st, packer):
 
 
 def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
-    """Damped Newton at fixed eps from the state st. Returns (state, iters).
+    """Damped Newton at fixed eps from the state st. Returns (state,
+    iters, res), res the residual_parts pair it measured at that state.
 
     Raises CapExceeded when sup|log f| crosses the cap. When the Armijo
     search stalls or the iteration budget runs out, Newton gives up: it
@@ -430,17 +431,17 @@ def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
     packer = HermPacker(p.geom.shape, p.rank)
     mmat = _Operator(_precond_operator(p, eps, packer), packer.size)
     for it in range(cfg.newton_max + 1):
-        r, _ = residual_parts(p, eps, st)
-        rn = sup_norm(r)
+        res = residual_parts(p, eps, st)
+        rn = sup_norm(res[0])
         if cap is not None and st.sup_s() > cap:
             raise CapExceeded(st.sup_s())
         if rn <= cfg.newton_tol:
-            return st, it
+            return st, it, res
         if it == cfg.newton_max:
             why = "newton budget exhausted"
             break
         amat = _Operator(_newton_operator(p, eps, st, packer), packer.size)
-        b = packer.pack(-r)
+        b = packer.pack(-res[0])
         x, info = gmres(amat, b, cfg.linear_rtol, GMRES_MAXITER, mmat)
         # info > 0 is a partial solve: accept it, Armijo decides whether
         # it helps
@@ -459,7 +460,7 @@ def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
             why = "line search stalled"
             break
     if best_effort or rn <= 10.0 * cfg.newton_tol:
-        return st, it
+        return st, it, res
     raise NewtonFailure("%s at eps=%g (residual %.3e)" % (why, eps, rn))
 
 
@@ -484,7 +485,8 @@ def initial_gauge(p, h=None, cfg=None):
     new reference together with s1 = log f1 = -K. In the continuum
     L_1(f1) = 0 identically; discretely the assembly leaves truncation
     residue, so a short eps = 1 Newton polish finishes the job. The
-    residuals before and after the polish go into the run report.
+    residuals before and after the polish go into the run report; the
+    one after is the residual the polish returns with its state.
     """
     if cfg is None:
         cfg = ContinuationConfig()
@@ -556,8 +558,8 @@ def initial_gauge(p, h=None, cfg=None):
         pcfg = ContinuationConfig(newton_tol=min(cfg.newton_tol, 1e-11),
                                   newton_max=8,
                                   linear_rtol=min(cfg.linear_rtol, 1e-10))
-        st, _ = newton_solve_at(gauged, 1.0, st, pcfg, best_effort=True)
-        post = sup_norm(residual_parts(gauged, 1.0, st)[0])
+        st, _, res = newton_solve_at(gauged, 1.0, st, pcfg, best_effort=True)
+        post = sup_norm(res[0])
         s1 = st.s
     return GaugeResult(gauged, s1, h0h, pre, post)
 
@@ -594,9 +596,10 @@ def energy_identity_gap(p, eps, st):
     return gap, scale
 
 
-def diagnostics_check(p, eps, st, prev_st, newton_iters, cfg):
-    res, skew = residual_parts(p, eps, st)
-    rsup = sup_norm(res)
+def diagnostics_check(p, eps, st, res, prev_st, newton_iters, cfg):
+    """The DiagnosticsRecord of the accepted state st at eps. res is the
+    residual_parts pair at st, as newton_solve_at returns it; the
+    record reads its sup and skew defect and evaluates no residual."""
     sup_s = st.sup_s()
     margin = -math.inf
     if eps > 0.0:
@@ -616,7 +619,7 @@ def diagnostics_check(p, eps, st, prev_st, newton_iters, cfg):
     l2 = math.sqrt(max(float(p.geom.integrate(frob(st.s) ** 2).real), 0.0))
     return DiagnosticsRecord(
         eps=eps,
-        residual_sup=rsup,
+        residual_sup=sup_norm(res[0]),
         sup_log_f=sup_s,
         apriori_margin=margin,
         energy_gap=gap,
@@ -624,7 +627,7 @@ def diagnostics_check(p, eps, st, prev_st, newton_iters, cfg):
         cauchy_increment=cauchy,
         newton_iters=newton_iters,
         min_ritz=ritz,
-        skew_defect=skew,
+        skew_defect=res[1],
         l2_log_f=l2,
     )
 
@@ -711,19 +714,19 @@ def run_continuation(p, cfg=None, h_start=None):
         window = pair_mod.stability_window(p.split, p.geom)
     gauge = st = None
     trace = []
-    newton_total = 0
 
     def build_report(verdict, cause, eps_reached, final_res):
+        # the last record is that of st, the last accepted state
         rep = SolveReport(
             verdict=verdict, cause=cause,
             final_residual=final_res,
-            final_sup_log_f=math.nan if st is None else st.sup_s(),
+            final_sup_log_f=trace[-1].sup_log_f if trace else math.nan,
             degree=p.degree(), phi_l2=p.phi_l2, window=window,
             eps_reached=eps_reached, trace=trace,
             wall_time=time.perf_counter() - t0,
             gauge_pre_residual=getattr(gauge, "pre_residual", math.nan),
             gauge_post_residual=getattr(gauge, "post_residual", math.nan),
-            newton_total=newton_total,
+            newton_total=sum(rec.newton_iters for rec in trace),
         )
         return RunOutcome(rep, gauge, st)
 
@@ -733,9 +736,11 @@ def run_continuation(p, cfg=None, h_start=None):
         return build_report("failed", "gauge: %s: %s" % (type(e).__name__, e),
                             math.nan, math.nan)
     gp = gauge.problem
+    # rebuilt, not kept on the gauge result that every RunOutcome holds
     st = MetricState(gauge.s1)
 
-    rec = diagnostics_check(gp, 1.0, st, None, 0, cfg)
+    rec = diagnostics_check(gp, 1.0, st, residual_parts(gp, 1.0, st), None,
+                            0, cfg)
     trace.append(rec)
 
     eps_prev, hist = 1.0, [(1.0, st.s)]
@@ -747,8 +752,8 @@ def run_continuation(p, cfg=None, h_start=None):
         while True:
             start = _predicted_start(gp, target, st, trace[-1], hist, cfg)
             try:
-                st_new, iters = newton_solve_at(gp, target, start, cfg,
-                                                cap=cfg.cap)
+                st_new, iters, res = newton_solve_at(gp, target, start, cfg,
+                                                     cap=cfg.cap)
                 break
             except CapExceeded:
                 r_at, _ = residual_parts(gp, target, st)
@@ -760,22 +765,21 @@ def run_continuation(p, cfg=None, h_start=None):
                     return build_report("failed", "newton: %s" % e, eps_prev,
                                         math.nan)
                 target = eps_prev - 0.5 * (eps_prev - target)
-        newton_total += iters
-        rec = diagnostics_check(gp, target, st_new, st, iters, cfg)
+        rec = diagnostics_check(gp, target, st_new, res, st, iters, cfg)
+        del res  # a grid field: not held through the next Newton solve
         st = st_new
         hist = hist[-3:] + [(target, st.s)]
         trace.append(rec)
         eps_prev = target
 
     try:
-        st_new, iters = newton_solve_at(gp, 0.0, st, cfg, cap=cfg.cap)
+        st_new, iters, res = newton_solve_at(gp, 0.0, st, cfg, cap=cfg.cap)
     except CapExceeded:
         return build_report("diverged", "cap during polish", 0.0, math.nan)
     except NewtonFailure as e:
         return build_report("boundary", "polish failed: %s" % e, eps_prev,
                             trace[-1].residual_sup)
-    newton_total += iters
-    rec = diagnostics_check(gp, 0.0, st_new, st, iters, cfg)
+    rec = diagnostics_check(gp, 0.0, st_new, res, st, iters, cfg)
     st = st_new
     trace.append(rec)
     final_res = rec.residual_sup
@@ -789,7 +793,7 @@ def run_continuation(p, cfg=None, h_start=None):
             "(moved %.3g, budget %.3g)" % (rec.cauchy_increment, budget),
             0.0, final_res)
     # Newton returns an eps = 0 state only inside its 10x newton_tol band,
-    # and rec recomputes that residual bit for bit
+    # and rec carries the residual it measured there
     return build_report("converged", "polish", 0.0, final_res)
 
 

@@ -35,22 +35,19 @@ class HiggsProblem(PairProblem):
     """
 
     def __init__(self, geom, rank, ilf0, theta, lam, a01=None, split=None,
-                 theta_tol=None):
+                 holomorphy_tol=None):
         self.lam = float(lam)
         super().__init__(geom, rank, ilf0, np.zeros(int(rank)), 2.0 * lam,
-                         a01=a01, split=split)
+                         a01=a01, split=split, holomorphy_tol=holomorphy_tol)
         self.theta = self._expand(theta, (self.rank, self.rank), "higgs field")
         self.theta_dag = np.conjugate(np.swapaxes(self.theta, -1, -2))
-        if theta_tol is None:
-            theta_tol = geom.holomorphy_tol
-        self.theta_tol = theta_tol
         self._check_finite("theta")
         d = float(np.max(fiber.frob(self.dbar_end(self.theta))))
         scale = max(1.0, float(np.max(fiber.frob(self.theta))))
-        if d > theta_tol * scale:
+        if d > self.holomorphy_tol * scale:
             raise ValueError(
                 "higgs field is not holomorphic for the background: "
-                "defect %.3e exceeds tol %.3e" % (d, theta_tol))
+                "defect %.3e exceeds tol %.3e" % (d, self.holomorphy_tol))
 
     # -- zero-order hooks ----------------------------------------------------
 
@@ -78,7 +75,7 @@ class HiggsProblem(PairProblem):
         thetap = mm(mm(h0h, self.theta), h0hi)
         return HiggsProblem(self.geom, self.rank, ilf0p, thetap, self.lam,
                             a01=a01p, split=self.split,
-                            theta_tol=max(self.theta_tol, tol))
+                            holomorphy_tol=max(self.holomorphy_tol, tol))
 
 
 def vortex_reduction_twin(hp):

@@ -495,9 +495,9 @@ def test_sweep_bracket_error(tmp_path, capsys):
     rc = main(["sweep-tau", "--instance", "trivial", "--grid", "16",
                "--quick", "--tau-lo", "1.5", "--tau-hi", "2.5",
                "--out", str(tmp_path)])
-    out = capsys.readouterr().out
+    cap = capsys.readouterr()
     assert rc == EXIT_FAIL
-    assert "bracket error: both endpoints converge" in out
+    assert cap.err == "error: both bracket endpoints converge\n"
 
 
 def test_sweep_needs_ordered_bracket(capsys):
@@ -542,9 +542,11 @@ def test_stability_report_json(tmp_path, capsys):
 def test_stability_without_split_model(tmp_path, capsys):
     rc = main(["stability", "--instance", "higgs-nilpotent",
                "--out", str(tmp_path)])
-    out = capsys.readouterr().out
+    cap = capsys.readouterr()
     assert rc == EXIT_FAIL
-    assert "declares no split model" in out
+    assert cap.err == ("error: higgs-nilpotent declares no split model; "
+                       "nothing to audit\n")
+    assert cap.out == ""
 
 
 def test_stability_rejects_flags_it_does_not_read(capsys):

@@ -218,7 +218,7 @@ def test_newton_matches_scalar_root_eps_one():
     p = instances.make("trivial", n=16)
     cfg = ContinuationConfig(newton_tol=1e-12)
     st0 = MetricState(np.zeros(tuple(p.geom.shape) + (1, 1)))
-    st, it = newton_solve_at(p, 1.0, st0, cfg)
+    st, it, _ = newton_solve_at(p, 1.0, st0, cfg)
     root = brentq(lambda f: 0.5 * f - 1.0 + math.log(f), 0.1, 5.0,
                   xtol=1e-14)
     assert fiber.sup_norm(st.f - root) < 1e-10
@@ -229,8 +229,8 @@ def test_newton_matches_scalar_root_eps_half():
     p = instances.make("trivial", n=16)
     cfg = ContinuationConfig(newton_tol=1e-12)
     st0 = MetricState(np.zeros(tuple(p.geom.shape) + (1, 1)))
-    st1, _ = newton_solve_at(p, 1.0, st0, cfg)
-    st, _ = newton_solve_at(p, 0.5, st1, cfg)
+    st1, _, _ = newton_solve_at(p, 1.0, st0, cfg)
+    st, _, _ = newton_solve_at(p, 0.5, st1, cfg)
     root = brentq(lambda f: 0.5 * f - 1.0 + 0.5 * math.log(f), 0.1, 5.0,
                   xtol=1e-14)
     assert fiber.sup_norm(st.f - root) < 1e-10
@@ -244,11 +244,11 @@ def test_newton_failure_and_best_effort():
     with pytest.raises(NewtonFailure, match=r"^newton budget exhausted at "
                        r"eps=1 \(residual 5\.000e-01\)$"):
         newton_solve_at(p, 1.0, st0, cfg)
-    st, it = newton_solve_at(p, 1.0, st0, cfg, best_effort=True)
+    st, it, _ = newton_solve_at(p, 1.0, st0, cfg, best_effort=True)
     assert it == 0 and fiber.sup_norm(st.s) == 0.0
     # a give-up inside the 10x band of newton_tol returns the state, one
     # just outside it raises
-    st, it = newton_solve_at(
+    st, it, _ = newton_solve_at(
         p, 1.0, st0, ContinuationConfig(newton_tol=0.06, newton_max=0))
     assert st is st0 and it == 0
     with pytest.raises(NewtonFailure, match="budget"):
@@ -509,6 +509,18 @@ def test_gauge_domain_guard_raises():
         initial_gauge(pb, h=fiber.herm_exp(s))
 
 
+def _assert_report_reads_its_trace(out):
+    # the report's totals are those of its trace, and the last record is
+    # that of the state the run hands back
+    rep = out.report
+    assert rep.newton_total == sum(rec.newton_iters for rec in rep.trace)
+    if not rep.trace:
+        assert math.isnan(rep.final_sup_log_f)
+        return
+    assert rep.final_sup_log_f == rep.trace[-1].sup_log_f
+    assert rep.final_sup_log_f == out.state.sup_s()
+
+
 def _assert_failed_gauge(out, exc_name):
     rep = out.report
     assert out.verdict == "failed"
@@ -517,6 +529,7 @@ def _assert_failed_gauge(out, exc_name):
     assert math.isnan(rep.final_residual)
     assert math.isnan(rep.final_sup_log_f)
     assert out.gauge is None and out.state is None
+    _assert_report_reads_its_trace(out)
 
 
 def test_non_positive_start_is_a_failed_verdict():
@@ -596,6 +609,35 @@ def test_no_prediction_where_the_accepted_state_already_solves(monkeypatch):
     assert built["states"] == 4
 
 
+def test_an_accepted_state_is_measured_once(monkeypatch):
+    # Newton hands the residual it accepted to the diagnostics, so no
+    # record evaluates one. On higgs-theta-zero (s = 0 solves every
+    # stop): the gauge's two, the eps = 1 record's one, and one Newton
+    # check at each of the 13 stops and the polish
+    calls, inside = Counter(), []
+    residual, check = C.residual_parts, C.diagnostics_check
+
+    def counting(*args):
+        calls["diagnostics" if inside else "elsewhere"] += 1
+        return residual(*args)
+
+    def flagged(*args):
+        inside.append(True)
+        try:
+            return check(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(C, "residual_parts", counting)
+    monkeypatch.setattr(C, "diagnostics_check", flagged)
+    name = "higgs-theta-zero"
+    p = instances.make(name, n=instances.quick_grid(name))
+    cfg = ContinuationConfig(eps_min=1e-2, full_diagnostics=False)
+    out = run_continuation(p, cfg)
+    assert out.verdict == "converged" and len(out.report.trace) == 15
+    assert calls == {"elsewhere": 17}
+
+
 def _trivial_stops(*eps_list):
     # accepted states of trivial (n=8) at each eps, each from the last
     p = instances.make("trivial", n=8)
@@ -603,8 +645,8 @@ def _trivial_stops(*eps_list):
     st = MetricState(np.zeros(tuple(p.geom.shape) + (1, 1)))
     out = []
     for eps in eps_list:
-        st, _ = newton_solve_at(p, eps, st, cfg)
-        out.append((st, diagnostics_check(p, eps, st, None, 0, cfg)))
+        st, _, res = newton_solve_at(p, eps, st, cfg)
+        out.append((st, diagnostics_check(p, eps, st, res, None, 0, cfg)))
     return p, cfg, out
 
 
@@ -641,7 +683,8 @@ def test_a_prediction_beyond_the_cap_is_not_used():
     assert C._predicted_start(p, 0.25, st, rec, hist, cfg) is st
     with pytest.raises(C.CapExceeded):
         newton_solve_at(p, 0.25, pred, cfg, cap=cap)
-    start, it = newton_solve_at(p, 0.25, st, cfg, cap=cap, best_effort=True)
+    start, it, _ = newton_solve_at(p, 0.25, st, cfg, cap=cap,
+                                   best_effort=True)
     assert start is st and it == 0
 
 
@@ -743,6 +786,7 @@ def test_trace_schedule_and_diagnostics(stable_tapped):
     _check_state_certificates(taps)
     assert rep.gauge_post_residual <= 1e-10
     assert rep.newton_total > 0
+    _assert_report_reads_its_trace(stable_run)
     assert rep.window[0] == pytest.approx(4.0 * math.pi)
 
 
@@ -764,6 +808,7 @@ def test_unstable_run_caps_late():
     # the cap must hit before the schedule reaches eps = 1e-2: the
     # blowup is the no-solution signal, not a late-schedule artifact
     assert out.report.eps_reached >= 1e-2
+    _assert_report_reads_its_trace(out)
 
 
 def test_newton_budget_exhaustion_fails_the_run():
@@ -776,6 +821,7 @@ def test_newton_budget_exhaustion_fails_the_run():
                                 "eps=0.998828 (residual 5.859e-04)")
     assert out.report.eps_reached == 1.0
     assert len(out.report.trace) == 1
+    _assert_report_reads_its_trace(out)
 
 
 def test_a_stalled_line_search_tries_eleven_steps(monkeypatch):
@@ -812,6 +858,7 @@ def test_polish_exits(cap, verdict, cause, eps_reached):
     assert (rep.verdict, rep.cause, rep.eps_reached) == (verdict, cause,
                                                          eps_reached)
     assert [rec.eps for rec in rep.trace] == [1.0, 0.7, 0.5]
+    _assert_report_reads_its_trace(out)
 
 
 def test_uniqueness_probe_needs_two_converged_runs():
@@ -963,8 +1010,9 @@ def test_min_ritz_zero_operator_is_exactly_zero(monkeypatch):
 
 def test_diagnostics_record_fields(stable_run):
     gp = stable_run.gauge.problem
-    rec = diagnostics_check(gp, 0.5, stable_run.state, None, 0,
-                            ContinuationConfig())
+    st = stable_run.state
+    rec = diagnostics_check(gp, 0.5, st, residual_parts(gp, 0.5, st), None,
+                            0, ContinuationConfig())
     assert rec.eps == 0.5
     assert rec.apriori_margin == (
         rec.sup_log_f - fiber.sup_norm(gp.k0_field()) / 0.5)
@@ -976,8 +1024,8 @@ def test_cauchy_increment_symmetric_form(rng):
     p = instances.make("trivial", n=16)
     st_prev = _state_rank1(p.geom, rng, amp=0.2)
     st = _state_rank1(p.geom, rng, amp=0.25)
-    rec = diagnostics_check(p, 0.5, st, st_prev, 0,
-                            ContinuationConfig(full_diagnostics=False))
+    rec = diagnostics_check(p, 0.5, st, residual_parts(p, 0.5, st), st_prev,
+                            0, ContinuationConfig(full_diagnostics=False))
     m = fiber.herm_part(st_prev.fsri @ st.f @ st_prev.fsri)
     want = fiber.sup_norm(fiber.herm_log(m))
     assert rec.cauchy_increment == pytest.approx(want, rel=1e-12)

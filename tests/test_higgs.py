@@ -161,7 +161,7 @@ def test_rejects_non_holomorphic_theta():
     with pytest.raises(ValueError):
         HiggsProblem(g, 2, np.zeros((2, 2)), th, 0.0)
     # explicit tolerance admits the same data
-    hp = HiggsProblem(g, 2, np.zeros((2, 2)), th, 0.0, theta_tol=100.0)
+    hp = HiggsProblem(g, 2, np.zeros((2, 2)), th, 0.0, holomorphy_tol=100.0)
     assert hp.lam == 0.0 and hp.tau == 0.0
 
 

@@ -133,6 +133,12 @@ def test_benchmark_tracer_counts_match_the_run(monkeypatch):
     assert got["continuation.precond.calls"] == matvecs
     assert got["continuation.gmres.partial"] == 0
     assert got["continuation.newton.iters"] == rep.newton_total
+    # the tracer counts a line-search acceptance where Newton evaluates
+    # the accepted state again at the top of its next iteration; a
+    # Newton without that repeat reads zero acceptances here
+    accepted = (got["continuation.linesearch.accept_ratio"]
+                * got["continuation.linesearch.trials"])
+    assert round(accepted) == got["continuation.newton.iters"] > 0
     # the tracer patches TorusBackend._deriv on the class; a backend
     # whose d and dbar bypass it would read zero here
     assert got["geometry.fft_deriv.calls"] > 0
