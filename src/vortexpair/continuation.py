@@ -36,7 +36,7 @@ import numpy as np
 
 from . import fiber, pair as pair_mod
 from ._kernels import apply_one, apply_two
-from .fiber import frob, herm_part, mm, sup_norm
+from .fiber import frob, herm_part, mm, skew_defect, sup_norm
 from .pair import PairProblem
 
 # Newton line search, linear solve and step control
@@ -238,13 +238,14 @@ class MetricState:
 
 
 def residual_parts(p, eps, st):
-    """Hermitian residual and the anti-Hermitian truncation defect."""
+    """(r, defect): r the Hermitian part of R at st, defect() the sup of
+    its anti-Hermitian truncation defect, evaluated only when called
+    (only a trace record calls it; the eps s term adds none)."""
     x = mm(mm(st.fsr, st.kraw(p)), st.fsri)
-    skew = fiber.skew_defect(x)
     r = herm_part(x)
     if eps != 0.0:
-        r = r + eps * st.s
-    return r, skew
+        r += np.multiply(eps, st.s, out=x)  # x is spent: it takes eps s
+    return r, lambda: skew_defect(mm(mm(st.fsr, st.kraw(p)), st.fsri))
 
 
 def residual_L(p, eps, f):
@@ -266,14 +267,13 @@ def d2lhat_apply(p, eps, st, vh):
     lraw = st.kraw(p)
     if eps != 0.0:
         lraw = lraw + eps * st.s
-    t1 = mm(v, lraw)
-    d0v = p.d0_end(v)
-    y = mm(st.finv, d0v) - mm(mm(st.finv, v), st.g_field(p))
-    t2 = mm(st.f, p.lam_dbar_end(y))
-    t3 = mm(st.f, p.zero_order_lin(st, v))
-    out = t1 + t2 + t3
+    out = mm(v, lraw)
+    y = mm(st.finv, p.d0_end(v))
+    y -= mm(mm(st.finv, v), st.g_field(p))
+    out += mm(st.f, p.lam_dbar_end(y))
+    out += mm(st.f, p.zero_order_lin(st, v))
     if eps != 0.0:
-        out = out + eps * mm(st.f, vh)
+        out += eps * mm(st.f, vh)
     return out
 
 
@@ -303,14 +303,17 @@ class HermPacker:
         """Packs the Hermitian part of h: the real diagonal and
         (h_ij + conj(h_ji)) / 2 above it, the same floats as
         pack(herm_part(h)) without forming the lower half."""
-        r, dg, (i, j) = self.r, self._dg, self.iu
-        flat = h.reshape(self.npts, r, r)
-        parts = [flat[:, dg, dg].real]
+        r, npts, (i, j) = self.r, self.npts, self.iu
+        flat = h.reshape(npts, r, r)
+        out = np.empty(self.size)
+        out[:npts * r].reshape(npts, r)[...] = flat.diagonal(0, 1, 2).real
         if self.noff:
-            off = 0.5 * (flat[:, i, j] + np.conjugate(flat[:, j, i]))
-            parts.append(self._sq2 * off.real)
-            parts.append(self._sq2 * off.imag)
-        return np.concatenate([q.ravel() for q in parts])
+            off = np.conjugate(flat[:, j, i])
+            np.multiply(np.add(flat[:, i, j], off, out=off), 0.5, out=off)
+            segs = out[npts * r:].reshape(2, npts, self.noff)
+            np.multiply(self._sq2, off.real, out=segs[0])
+            np.multiply(self._sq2, off.imag, out=segs[1])
+        return out
 
     def unpack(self, x):
         r, dg = self.r, self._dg
@@ -348,6 +351,10 @@ class CapExceeded(Exception):
     pass
 
 
+class ProbeFailure(Exception):
+    """The Ritz probe could not bound sigma_min at an accepted state."""
+
+
 def _newton_operator(p, eps, st, packer):
     def mv(x):
         out = d2lhat_apply(p, eps, st, packer.unpack(x))
@@ -362,15 +369,13 @@ def _precond_operator(p, eps, packer):
                                axis1=-2, axis2=-1).real)) / p.rank
     shift = max(eps, 0.0) + max(c, 0.0) + 1e-12
     sym = p.geom.p_symbol + shift
-    axes = tuple(range(len(p.geom.shape)))
     denom = sym.reshape(sym.shape + (1, 1))
 
     def mv(x):
         h = packer.unpack(x)
-        hh = np.fft.fftn(h, axes=axes)
-        hh /= denom
-        out = np.fft.ifftn(hh, axes=axes)
-        return packer.pack(out)
+        p.geom.fft(h, h)
+        h /= denom
+        return packer.pack(p.geom.fft(h, h, inverse=True))
     return mv
 
 
@@ -385,7 +390,7 @@ def min_ritz_estimate(p, eps, st, packer):
     vector's remainder is at most 1e-12 |A q_j|, i.e. A q_j lies in the
     span and the Krylov space is invariant; an exact zero image stops
     there with the estimate 0.0. Strictly positive on every probe at an
-    accepted state."""
+    accepted state. A failed SVD (H_k not finite) raises ProbeFailure."""
     amv = _newton_operator(p, eps, st, packer)
     mop = _precond_operator(p, eps, packer)
 
@@ -411,13 +416,17 @@ def min_ritz_estimate(p, eps, st, packer):
             hmat = hmat[:j + 2, :j + 1]
             break
         basis[j + 1] = w / nrm
-    sv = np.linalg.svd(hmat, compute_uv=False)
+    try:
+        sv = np.linalg.svd(hmat, compute_uv=False)
+    except np.linalg.LinAlgError as e:
+        raise ProbeFailure("ritz probe: %s at eps=%g" % (e, eps)) from e
     return float(sv[-1])
 
 
 def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
     """Damped Newton at fixed eps from the state st. Returns (state,
-    iters, res), res the residual_parts pair it measured at that state.
+    iters, res), res the residual_parts pair measured at that state; it
+    never calls the defect and holds only r across a linear solve.
 
     Raises CapExceeded when sup|log f| crosses the cap. When the Armijo
     search stalls or the iteration budget runs out, Newton gives up: it
@@ -451,7 +460,7 @@ def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
         alpha = 1.0
         while alpha >= ARMIJO_MIN:
             cand = MetricState(st.s + alpha * step)
-            rc, _ = residual_parts(p, eps, cand)
+            rc = residual_parts(p, eps, cand)[0]
             if sup_norm(rc) <= (1.0 - ARMIJO_C1 * alpha) * rn:
                 st = cand
                 break
@@ -499,7 +508,8 @@ def initial_gauge(p, h=None, cfg=None):
         start = MetricState(field)
     else:
         field[...] = h
-        wh, vh = fiber.herm_eig(field)
+        fiber.assert_hermitian(field, what="starting metric")
+        wh, vh = fiber.herm_eig(field, check=False)
         if float(np.min(wh)) <= 0:
             raise fiber.ClampError("starting metric is not positive definite")
         start = MetricState(apply_one(np.log(wh), vh))
@@ -551,7 +561,7 @@ def initial_gauge(p, h=None, cfg=None):
         raise GaugeDomainError("rebased problem rejected: %s" % e) from e
 
     st = MetricState(s1)
-    r0, _ = residual_parts(gauged, 1.0, st)
+    r0 = residual_parts(gauged, 1.0, st)[0]
     pre = sup_norm(r0)
     post = pre
     if pre > cfg.newton_tol:
@@ -598,8 +608,8 @@ def energy_identity_gap(p, eps, st):
 
 def diagnostics_check(p, eps, st, res, prev_st, newton_iters, cfg):
     """The DiagnosticsRecord of the accepted state st at eps. res is the
-    residual_parts pair at st, as newton_solve_at returns it; the
-    record reads its sup and skew defect and evaluates no residual."""
+    residual_parts pair at st, as newton_solve_at returns it: the record
+    reads its sup, calls its defect once and evaluates no residual."""
     sup_s = st.sup_s()
     margin = -math.inf
     if eps > 0.0:
@@ -627,7 +637,7 @@ def diagnostics_check(p, eps, st, res, prev_st, newton_iters, cfg):
         cauchy_increment=cauchy,
         newton_iters=newton_iters,
         min_ritz=ritz,
-        skew_defect=res[1],
+        skew_defect=res[1](),
         l2_log_f=l2,
     )
 
@@ -703,8 +713,9 @@ def run_continuation(p, cfg=None, h_start=None):
     Verdicts: converged (polish met tolerance), diverged (cap crossed,
     the operational no-solution signal), boundary (schedule completed
     but the polish failed, the semistable signature), failed
-    (operational error). A start the initial gauge cannot rebase fails
-    with an empty trace, NaN residuals and no gauge or state.
+    (operational error). A start the initial gauge cannot rebase or
+    that is not Hermitian fails with an empty trace, NaN residuals and
+    no gauge or state; a failed Ritz probe at the last recorded eps.
     """
     if cfg is None:
         cfg = ContinuationConfig()
@@ -732,15 +743,18 @@ def run_continuation(p, cfg=None, h_start=None):
 
     try:
         gauge = initial_gauge(p, h=h_start, cfg=cfg)
-    except (fiber.ClampError, GaugeDomainError) as e:
+    except (fiber.ClampError, fiber.NotHermitianError, GaugeDomainError) as e:
         return build_report("failed", "gauge: %s: %s" % (type(e).__name__, e),
                             math.nan, math.nan)
     gp = gauge.problem
     # rebuilt, not kept on the gauge result that every RunOutcome holds
     st = MetricState(gauge.s1)
 
-    rec = diagnostics_check(gp, 1.0, st, residual_parts(gp, 1.0, st), None,
-                            0, cfg)
+    try:
+        rec = diagnostics_check(gp, 1.0, st, residual_parts(gp, 1.0, st),
+                                None, 0, cfg)
+    except ProbeFailure as e:
+        return build_report("failed", str(e), math.nan, math.nan)
     trace.append(rec)
 
     eps_prev, hist = 1.0, [(1.0, st.s)]
@@ -765,7 +779,10 @@ def run_continuation(p, cfg=None, h_start=None):
                     return build_report("failed", "newton: %s" % e, eps_prev,
                                         math.nan)
                 target = eps_prev - 0.5 * (eps_prev - target)
-        rec = diagnostics_check(gp, target, st_new, res, st, iters, cfg)
+        try:
+            rec = diagnostics_check(gp, target, st_new, res, st, iters, cfg)
+        except ProbeFailure as e:
+            return build_report("failed", str(e), eps_prev, math.nan)
         del res  # a grid field: not held through the next Newton solve
         st = st_new
         hist = hist[-3:] + [(target, st.s)]

@@ -39,37 +39,46 @@ class ClampError(ValueError):
     """A field that must be positive definite has a clearly negative eigenvalue."""
 
 
+class NotHermitianError(ValueError):
+    """A field that must be Hermitian has a skew part above HERM_TOL."""
+
+
 clamp_events = 0
 
 
 def frob(a):
     """Pointwise Frobenius norm of a matrix field."""
-    a = np.asarray(a)
-    return np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
+    sq = np.square(np.abs(a))
+    sq = sq[..., 0, 0] if sq.shape[-2:] == (1, 1) else sq.sum(axis=(-2, -1))
+    return np.sqrt(sq)
 
 
 def sup_norm(a):
     """Grid sup of the pointwise Frobenius norm of a matrix field (the
     last two axes are the fiber)."""
-    return float(np.max(frob(a)))
+    return float(np.maximum.reduce(frob(a), axis=None))
 
 
 def herm_part(a):
-    return 0.5 * (a + np.conjugate(np.swapaxes(a, -1, -2)))
+    # conj(a^T) into an array laid out like a, as a + conj(a^T) would be
+    out = np.conjugate(np.swapaxes(a, -1, -2), out=np.empty_like(a))
+    return np.multiply(np.add(a, out, out=out), 0.5, out=out)
 
 
 def skew_defect(a):
     """Sup norm of the anti-Hermitian part."""
-    skew = 0.5 * (a - np.conjugate(np.swapaxes(a, -1, -2)))
-    return float(np.max(frob(skew))) if skew.size else 0.0
+    skew = np.conjugate(np.swapaxes(a, -1, -2), out=np.empty_like(a))
+    np.multiply(np.subtract(a, skew, out=skew), 0.5, out=skew)
+    return sup_norm(skew) if skew.size else 0.0
 
 
 def assert_hermitian(a, what="field"):
     scale = max(1.0, float(np.max(frob(a)))) if a.size else 1.0
     d = skew_defect(a)
     if d > HERM_TOL * scale:
-        raise ValueError("%s is not Hermitian: skew defect %.3e (tol %.3e, scale %.3e)"
-                         % (what, d, HERM_TOL, scale))
+        raise NotHermitianError(
+            "%s is not Hermitian: skew defect %.3e (tol %.3e, scale %.3e)"
+            % (what, d, HERM_TOL, scale))
 
 
 def herm_eig(a, check=True):
@@ -92,10 +101,12 @@ def psi_kernel(x, y):
     y = np.asarray(y, dtype=np.float64)
     t = y - x
     small = np.abs(t) < 1e-6
+    series = 1.0 + t / 2.0 + t * t / 6.0
+    if small.all():
+        return series
     ts = np.where(small, 0.0, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         main = np.expm1(ts) / ts
-    series = 1.0 + t / 2.0 + t * t / 6.0
     return np.where(small, series, main)
 
 
@@ -127,7 +138,8 @@ def kernel_matrix(fn, w):
 
 def comm(a, b):
     """Matrix commutator a b - b a, broadcasting over grid axes."""
-    return mm(a, b) - mm(b, a)
+    out = mm(a, b)
+    return np.subtract(out, mm(b, a), out=out)
 
 
 def herm_exp(s):

@@ -61,6 +61,14 @@ class GridBackend:
         with the two first order derivatives."""
         return self.lam_dbar_10(self.d(u))
 
+    def fft(self, a, out, inverse=False):
+        """fftn (ifftn) of a over the grid axes into out, which may be a:
+        axis by axis in fftn's order, last axis first, so fftn's bits."""
+        fn = np.fft.ifft if inverse else np.fft.fft
+        for ax in reversed(range(len(self.shape))):
+            a = fn(a, axis=ax, out=out)
+        return out
+
     def integrate(self, u):
         u = np.asarray(u)
         return complex(np.sum(u)) * self.cell
@@ -114,10 +122,10 @@ class TorusBackend(GridBackend):
 
     def _deriv(self, u, conj):
         u = np.asarray(u, dtype=np.complex128)
-        uh = np.fft.fft2(u, axes=(0, 1))
+        uh = self.fft(u, np.empty_like(u))
         sym = self._sym_dbar if conj else self._sym_d
-        sym = sym.reshape(sym.shape + (1,) * (u.ndim - 2))
-        return np.fft.ifft2(sym * uh, axes=(0, 1))
+        np.multiply(sym.reshape(sym.shape + (1,) * (u.ndim - 2)), uh, out=uh)
+        return self.fft(uh, uh, inverse=True)
 
     def d(self, u):
         """(1,0) derivative coefficient of a field."""
@@ -129,7 +137,8 @@ class TorusBackend(GridBackend):
 
     def lam_dbar_10(self, g10):
         """Contraction of dbar acting on a (1,0) coefficient field."""
-        return -self.cg * self.dbar(g10)
+        out = self.dbar(g10)
+        return np.multiply(out, -self.cg, out=out)
 
     def _band_wave(self, rng, kmax, xy):
         # mode k in [-kmax, kmax]^2
@@ -191,7 +200,8 @@ class HopfBackend(GridBackend):
     def lam_dbar_10(self, g10):
         # the +g10 term is the torsion of the invariant reduction; it is
         # what breaks the Kahler identities on this backend
-        return -(self._d1(g10) + g10)
+        out = self._d1(g10)
+        return np.negative(np.add(out, g10, out=out), out=out)
 
     def _band_wave(self, rng, kmax, t):
         # mode k in [1, kmax]

@@ -65,9 +65,9 @@ class HiggsProblem(PairProblem):
         return self.geom.lam11(fiber.comm(self.theta, m))
 
     def zero_order_lin(self, st, v):
-        m = self.adjoint_field(st)
-        dm = mm(st.finv, mm(self.theta_dag, v) - mm(v, m))
-        return self.geom.lam11(fiber.comm(self.theta, dm))
+        t = mm(self.theta_dag, v)
+        t -= mm(v, self.adjoint_field(st))
+        return self.geom.lam11(fiber.comm(self.theta, mm(st.finv, t)))
 
     # -- gauge transport -----------------------------------------------------
 

@@ -179,7 +179,7 @@ class PairProblem:
         """Background (1,0) derivative on endomorphism fields."""
         out = self.geom.d(x)
         if self.a10 is not None:
-            out = out + comm(self.a10, x)
+            out += comm(self.a10, x)
         return out
 
     def dbar_end(self, x):
@@ -192,7 +192,7 @@ class PairProblem:
         """Contraction of the twisted dbar on a (1,0) endomorphism field."""
         out = self.geom.lam_dbar_10(g10)
         if self.a01 is not None:
-            out = out - self.geom.lam11(comm(self.a01, g10))
+            out -= self.geom.lam11(comm(self.a01, g10))
         return out
 
     def degree(self):
@@ -238,9 +238,10 @@ class PairProblem:
         the discrete anti-Hermitian defect is truncation error and is
         tracked separately by the continuation module.
         """
-        upd = self.curvature_update(st)
-        eye = np.eye(self.rank)
-        return self.ilf0 + upd + self.zero_order(st) - (self.tau / 2.0) * eye
+        out = self.curvature_update(st)
+        out += self.ilf0
+        out += self.zero_order(st)
+        return np.subtract(out, (self.tau / 2.0) * np.eye(self.rank), out=out)
 
 
 # ---------------------------------------------------------------------------

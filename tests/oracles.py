@@ -18,6 +18,10 @@ compare the solver against. The library never calls them.
     layout           a guard on the written-out rank-2 product that
                      fails on an entry operand that is not a
                      C-contiguous grid plane
+    plain forms      the plain expressions that the in-place forms of
+                     the derivatives, the fiber helpers, the equation
+                     hooks, the residual, the Newton matvec, the packer
+                     and the preconditioner replaced
 """
 
 import contextlib
@@ -29,9 +33,10 @@ import pytest
 
 from vortexpair import _fiber_np, _kernels, continuation
 from vortexpair._kernels import apply_one, apply_two
-from vortexpair.fiber import (CLAMP_HARD_REL, EIG_FLOOR, ClampError,
+from vortexpair.fiber import (CLAMP_HARD_REL, EIG_FLOOR, ClampError, comm,
                               dexp_kernel, frob, herm_eig, herm_part,
-                              kernel_matrix, mm, psi_kernel, sup_norm)
+                              kernel_matrix, mm, psi_kernel, skew_defect,
+                              sup_norm)
 from vortexpair.geometry import TorusBackend
 from vortexpair.pair import SplitModel
 
@@ -360,3 +365,140 @@ def plane_layout_guard():
     if seen.bad:
         pytest.fail("%d strided entry operands reached _mm2, first: %s"
                     % (seen.bad, seen.first))
+
+
+# ---------------------------------------------------------------------------
+# plain forms
+#
+# Each function below is the plain expression that a library function
+# used before it built its result in place. Each calls the library only
+# for the pieces the library function calls, so a test can compare the
+# two bit for bit, one function at a time.
+
+def deriv_plain(geom, u, conj):
+    """TorusBackend._deriv: fft2, the symbol product, ifft2."""
+    u = np.asarray(u, dtype=np.complex128)
+    uh = np.fft.fft2(u, axes=(0, 1))
+    sym = geom._sym_dbar if conj else geom._sym_d
+    sym = sym.reshape(sym.shape + (1,) * (u.ndim - 2))
+    return np.fft.ifft2(sym * uh, axes=(0, 1))
+
+
+def lam_dbar_10_plain(geom, g10):
+    if isinstance(geom, TorusBackend):
+        return -geom.cg * geom.dbar(g10)
+    return -(geom._d1(g10) + g10)
+
+
+def frob_plain(a):
+    a = np.asarray(a)
+    return np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
+
+
+def sup_norm_plain(a):
+    return float(np.max(frob_plain(a)))
+
+
+def herm_part_plain(a):
+    return 0.5 * (a + np.conjugate(np.swapaxes(a, -1, -2)))
+
+
+def skew_defect_plain(a):
+    skew = 0.5 * (a - np.conjugate(np.swapaxes(a, -1, -2)))
+    return float(np.max(frob_plain(skew))) if skew.size else 0.0
+
+
+def comm_plain(a, b):
+    return mm(a, b) - mm(b, a)
+
+
+def psi_kernel_plain(x, y):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    t = y - x
+    small = np.abs(t) < 1e-6
+    ts = np.where(small, 0.0, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        main = np.expm1(ts) / ts
+    series = 1.0 + t / 2.0 + t * t / 6.0
+    return np.where(small, series, main)
+
+
+def d0_end_plain(p, x):
+    out = p.geom.d(x)
+    if p.a10 is not None:
+        out = out + comm(p.a10, x)
+    return out
+
+
+def lam_dbar_end_plain(p, g10):
+    out = p.geom.lam_dbar_10(g10)
+    if p.a01 is not None:
+        out = out - p.geom.lam11(comm(p.a01, g10))
+    return out
+
+
+def mean_curvature_raw_plain(p, st):
+    upd = p.curvature_update(st)
+    eye = np.eye(p.rank)
+    return p.ilf0 + upd + p.zero_order(st) - (p.tau / 2.0) * eye
+
+
+def higgs_zero_order_lin_plain(p, st, v):
+    m = p.adjoint_field(st)
+    dm = mm(st.finv, mm(p.theta_dag, v) - mm(v, m))
+    return p.geom.lam11(comm(p.theta, dm))
+
+
+def residual_parts_plain(p, eps, st):
+    """The Hermitian residual and, computed at once, its skew defect."""
+    x = mm(mm(st.fsr, st.kraw(p)), st.fsri)
+    skew = skew_defect(x)
+    r = herm_part(x)
+    if eps != 0.0:
+        r = r + eps * st.s
+    return r, skew
+
+
+def d2lhat_apply_plain(p, eps, st, vh):
+    v = apply_two(kernel_matrix(dexp_kernel, st.w), st.v, vh)
+    lraw = st.kraw(p)
+    if eps != 0.0:
+        lraw = lraw + eps * st.s
+    t1 = mm(v, lraw)
+    d0v = p.d0_end(v)
+    y = mm(st.finv, d0v) - mm(mm(st.finv, v), st.g_field(p))
+    t2 = mm(st.f, p.lam_dbar_end(y))
+    t3 = mm(st.f, p.zero_order_lin(st, v))
+    out = t1 + t2 + t3
+    if eps != 0.0:
+        out = out + eps * mm(st.f, vh)
+    return out
+
+
+def pack_plain(packer, h):
+    r, (i, j) = packer.r, packer.iu
+    dg = np.arange(r)
+    flat = h.reshape(packer.npts, r, r)
+    parts = [flat[:, dg, dg].real]
+    if packer.noff:
+        off = 0.5 * (flat[:, i, j] + np.conjugate(flat[:, j, i]))
+        parts.append(math.sqrt(2.0) * off.real)
+        parts.append(math.sqrt(2.0) * off.imag)
+    return np.concatenate([q.ravel() for q in parts])
+
+
+def precond_plain(p, eps, packer):
+    """continuation._precond_operator's matvec through fftn and ifftn."""
+    c = float(np.mean(np.trace(p.zero_order_id(),
+                               axis1=-2, axis2=-1).real)) / p.rank
+    shift = max(eps, 0.0) + max(c, 0.0) + 1e-12
+    sym = p.geom.p_symbol + shift
+    axes = tuple(range(len(p.geom.shape)))
+    denom = sym.reshape(sym.shape + (1, 1))
+
+    def mv(x):
+        hh = np.fft.fftn(packer.unpack(x), axes=axes)
+        hh /= denom
+        return packer.pack(np.fft.ifftn(hh, axes=axes))
+    return mv

@@ -138,9 +138,11 @@ def test_state_cache_follows_the_problem(rng):
         for p in problems:
             assert np.array_equal(C.d2lhat_apply(p, 0.5, shared, v),
                                   C.d2lhat_apply(p, 0.5, MetricState(s), v))
-            for got, want in zip(residual_parts(p, 0.5, shared),
-                                 residual_parts(p, 0.5, MetricState(s))):
-                assert np.array_equal(got, want)
+            (r_got, defect_got), (r_want, defect_want) = (
+                residual_parts(p, 0.5, shared),
+                residual_parts(p, 0.5, MetricState(s)))
+            assert np.array_equal(r_got, r_want)
+            assert defect_got() == defect_want()
             assert np.array_equal(lhat_raw(p, 0.5, shared),
                                   lhat_raw(p, 0.5, MetricState(s)))
 
@@ -546,6 +548,34 @@ def test_gauge_domain_error_is_a_failed_verdict():
     out = run_continuation(p, cfg,
                            h_start=gauge_probe(p.geom, 2, rng, constant=False))
     _assert_failed_gauge(out, "GaugeDomainError")
+
+
+def test_non_hermitian_start_is_a_failed_verdict():
+    # a 1e-3 anti-Hermitian part: the cause gives the skew defect
+    skew = 1e-3 / math.sqrt(2.0) * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    p = instances.make("rank2-caseb", n=8)
+    h = np.broadcast_to(np.eye(2) + skew, tuple(p.geom.shape) + (2, 2))
+    out = run_continuation(p, ContinuationConfig(full_diagnostics=False),
+                           h_start=h)
+    _assert_failed_gauge(out, "NotHermitianError")
+    assert ("starting metric is not Hermitian: skew defect 1.000e-03"
+            in out.report.cause)
+
+
+def test_a_ritz_probe_that_breaks_down_is_a_failed_verdict():
+    # at tau = 1e300 the probe's Arnoldi matrix overflows and its SVD
+    # does not converge: the run ends failed at the first record, with
+    # the overflow warnings it raised on the way
+    p = instances.make("rank2-caseb", n=8, tau=1e300)
+    with pytest.warns(RuntimeWarning) as warned:
+        out = run_continuation(p)
+    assert any("overflow" in str(w.message) for w in warned)
+    rep = out.report
+    assert out.verdict == "failed"
+    assert rep.cause == "ritz probe: SVD did not converge at eps=1"
+    assert rep.trace == [] and math.isnan(rep.eps_reached)
+    assert math.isnan(rep.final_residual)
+    _assert_report_reads_its_trace(out)
 
 
 # ---------------------------------------------------------------------------
