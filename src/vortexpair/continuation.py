@@ -9,8 +9,8 @@ identity and f = exp(s):
 The solver works with the conjugated residual R(s) = f^(1/2) L_eps(f)
 f^(-1/2), which is Hermitian in the continuum. Discretely the
 conjugated first two terms pick up an anti-Hermitian truncation defect;
-the residual operator returns the Hermitian part and the defect size is
-tracked in the diagnostics. The eps s term commutes with f and is
+the residual operator returns the Hermitian part and the diagnostics
+record the defect size. The eps s term commutes with f and is
 exact.
 
 Newton runs in s with the exact derivative of Lhat := f L_eps(f) along
@@ -47,6 +47,7 @@ GMRES_MAXITER = 400               # matvecs per linear solve
 GMRES_RESTART = 80                # Krylov steps per restart cycle
 HALVINGS_MAX = 8
 EPS_MIN_SNAP = 1.01               # a target below this x eps_min is eps_min
+STOPS_MAX = 10000                 # bound on log(eps_min) / log(ratio)
 RITZ_STEPS = 10                   # Arnoldi size for the injectivity probe
 
 
@@ -148,6 +149,9 @@ class ContinuationConfig:
         if not self.eps_min < 1.0:
             raise ValueError("eps_min must be below 1, where the schedule "
                              "starts")
+        if math.log(self.eps_min) / math.log(self.ratio) > STOPS_MAX:
+            raise ValueError("ratio %r needs over %d stops to eps_min %r"
+                             % (self.ratio, STOPS_MAX, self.eps_min))
 
 
 @dataclass
@@ -233,30 +237,26 @@ class MetricState:
         """Raw mean curvature of the deformed metric f."""
         return self.field(p, "kraw", lambda: p.mean_curvature_raw(self))
 
-    def sup_s(self):
-        return sup_norm(self.s)
-
 
 def residual_parts(p, eps, st):
-    """(r, defect): r the Hermitian part of R at st, defect() the sup of
-    its anti-Hermitian truncation defect, evaluated only when called
-    (only a trace record calls it; the eps s term adds none)."""
+    """The Hermitian part r of R at st; its anti-Hermitian truncation
+    defect is measured by diagnostics_check (the eps s term adds none)."""
     x = mm(mm(st.fsr, st.kraw(p)), st.fsri)
     r = herm_part(x)
     if eps != 0.0:
         r += np.multiply(eps, st.s, out=x)  # x is spent: it takes eps s
-    return r, lambda: skew_defect(mm(mm(st.fsr, st.kraw(p)), st.fsri))
+    return r
 
 
 def residual_L(p, eps, f):
     """Public residual: Hermitian part of f^(1/2) L_eps(f) f^(-1/2).
 
     Same zero set and sup-norm as the metric-frame residual; the
-    anti-Hermitian remainder is discretization error, the second part
-    of residual_parts.
+    anti-Hermitian remainder is discretization error, the skew defect
+    of the diagnostics record.
     """
     st = MetricState(fiber.herm_log(f, what="residual_L"))
-    return residual_parts(p, eps, st)[0]
+    return residual_parts(p, eps, st)
 
 
 def d2lhat_apply(p, eps, st, vh):
@@ -425,8 +425,7 @@ def min_ritz_estimate(p, eps, st, packer):
 
 def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
     """Damped Newton at fixed eps from the state st. Returns (state,
-    iters, res), res the residual_parts pair measured at that state; it
-    never calls the defect and holds only r across a linear solve.
+    iters, rn), rn the sup norm of the residual measured at that state.
 
     Raises CapExceeded when sup|log f| crosses the cap. When the Armijo
     search stalls or the iteration budget runs out, Newton gives up: it
@@ -440,17 +439,17 @@ def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
     packer = HermPacker(p.geom.shape, p.rank)
     mmat = _Operator(_precond_operator(p, eps, packer), packer.size)
     for it in range(cfg.newton_max + 1):
-        res = residual_parts(p, eps, st)
-        rn = sup_norm(res[0])
-        if cap is not None and st.sup_s() > cap:
-            raise CapExceeded(st.sup_s())
+        r = residual_parts(p, eps, st)
+        rn = sup_norm(r)
+        if cap is not None and sup_norm(st.s) > cap:
+            raise CapExceeded(sup_norm(st.s))
         if rn <= cfg.newton_tol:
-            return st, it, res
+            return st, it, rn
         if it == cfg.newton_max:
             why = "newton budget exhausted"
             break
         amat = _Operator(_newton_operator(p, eps, st, packer), packer.size)
-        b = packer.pack(-res[0])
+        b = packer.pack(-r)
         x, info = gmres(amat, b, cfg.linear_rtol, GMRES_MAXITER, mmat)
         # info > 0 is a partial solve: accept it, Armijo decides whether
         # it helps
@@ -460,8 +459,8 @@ def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
         alpha = 1.0
         while alpha >= ARMIJO_MIN:
             cand = MetricState(st.s + alpha * step)
-            rc = residual_parts(p, eps, cand)[0]
-            if sup_norm(rc) <= (1.0 - ARMIJO_C1 * alpha) * rn:
+            if (sup_norm(residual_parts(p, eps, cand))
+                    <= (1.0 - ARMIJO_C1 * alpha) * rn):
                 st = cand
                 break
             alpha *= ARMIJO_FACTOR
@@ -469,7 +468,7 @@ def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
             why = "line search stalled"
             break
     if best_effort or rn <= 10.0 * cfg.newton_tol:
-        return st, it, res
+        return st, it, rn
     raise NewtonFailure("%s at eps=%g (residual %.3e)" % (why, eps, rn))
 
 
@@ -517,7 +516,7 @@ def initial_gauge(p, h=None, cfg=None):
     # reference is h0 = h^(1/2) exp(K) h^(1/2), and h seen from h0 in
     # the new frame is f1 = h0^(-1/2) h h0^(-1/2), exp(-K) up to a
     # unitary conjugation
-    khat = residual_parts(p, 0.0, start)[0]
+    khat = residual_parts(p, 0.0, start)
     ref = MetricState(fiber.herm_log(
         mm(mm(start.fsr, fiber.herm_exp(khat)), start.fsr),
         what="initial_gauge"))
@@ -561,15 +560,12 @@ def initial_gauge(p, h=None, cfg=None):
         raise GaugeDomainError("rebased problem rejected: %s" % e) from e
 
     st = MetricState(s1)
-    r0 = residual_parts(gauged, 1.0, st)[0]
-    pre = sup_norm(r0)
-    post = pre
+    pre = post = sup_norm(residual_parts(gauged, 1.0, st))
     if pre > cfg.newton_tol:
         pcfg = ContinuationConfig(newton_tol=min(cfg.newton_tol, 1e-11),
                                   newton_max=8,
                                   linear_rtol=min(cfg.linear_rtol, 1e-10))
-        st, _, res = newton_solve_at(gauged, 1.0, st, pcfg, best_effort=True)
-        post = sup_norm(res[0])
+        st, _, post = newton_solve_at(gauged, 1.0, st, pcfg, best_effort=True)
         s1 = st.s
     return GaugeResult(gauged, s1, h0h, pre, post)
 
@@ -606,11 +602,12 @@ def energy_identity_gap(p, eps, st):
     return gap, scale
 
 
-def diagnostics_check(p, eps, st, res, prev_st, newton_iters, cfg):
-    """The DiagnosticsRecord of the accepted state st at eps. res is the
-    residual_parts pair at st, as newton_solve_at returns it: the record
-    reads its sup, calls its defect once and evaluates no residual."""
-    sup_s = st.sup_s()
+def diagnostics_check(p, eps, st, residual_sup, prev_st, newton_iters, cfg):
+    """The DiagnosticsRecord of the accepted state st at eps. residual_sup
+    is the sup of the residual at st, as newton_solve_at returns it: the
+    record evaluates no residual of its own, and measures the skew
+    defect of the conjugated curvature from st's memo."""
+    sup_s = sup_norm(st.s)
     margin = -math.inf
     if eps > 0.0:
         margin = sup_s - sup_norm(p.k0_field()) / eps
@@ -629,7 +626,7 @@ def diagnostics_check(p, eps, st, res, prev_st, newton_iters, cfg):
     l2 = math.sqrt(max(float(p.geom.integrate(frob(st.s) ** 2).real), 0.0))
     return DiagnosticsRecord(
         eps=eps,
-        residual_sup=sup_norm(res[0]),
+        residual_sup=residual_sup,
         sup_log_f=sup_s,
         apriori_margin=margin,
         energy_gap=gap,
@@ -637,7 +634,7 @@ def diagnostics_check(p, eps, st, res, prev_st, newton_iters, cfg):
         cauchy_increment=cauchy,
         newton_iters=newton_iters,
         min_ritz=ritz,
-        skew_defect=res[1](),
+        skew_defect=skew_defect(mm(mm(st.fsr, st.kraw(p)), st.fsri)),
         l2_log_f=l2,
     )
 
@@ -688,7 +685,7 @@ def _predicted_start(p, target, st, rec, hist, cfg):
     if shift + rec.residual_sup <= tol:
         return st
     if (shift - rec.residual_sup <= tol
-            and sup_norm(residual_parts(p, target, st)[0]) <= tol):
+            and sup_norm(residual_parts(p, target, st)) <= tol):
         return st
     if len(hist) == 4:
         s = _quadratic(_eps_variable(hist), hist[1:], target)
@@ -751,8 +748,8 @@ def run_continuation(p, cfg=None, h_start=None):
     st = MetricState(gauge.s1)
 
     try:
-        rec = diagnostics_check(gp, 1.0, st, residual_parts(gp, 1.0, st),
-                                None, 0, cfg)
+        rec = diagnostics_check(gp, 1.0, st, gauge.post_residual, None, 0,
+                                cfg)
     except ProbeFailure as e:
         return build_report("failed", str(e), math.nan, math.nan)
     trace.append(rec)
@@ -766,13 +763,13 @@ def run_continuation(p, cfg=None, h_start=None):
         while True:
             start = _predicted_start(gp, target, st, trace[-1], hist, cfg)
             try:
-                st_new, iters, res = newton_solve_at(gp, target, start, cfg,
-                                                     cap=cfg.cap)
+                st_new, iters, rn = newton_solve_at(gp, target, start, cfg,
+                                                    cap=cfg.cap)
                 break
             except CapExceeded:
-                r_at, _ = residual_parts(gp, target, st)
-                return build_report("diverged", "cap at eps=%.4g" % target,
-                                    target, sup_norm(r_at))
+                return build_report(
+                    "diverged", "cap at eps=%.4g" % target, target,
+                    sup_norm(residual_parts(gp, target, st)))
             except NewtonFailure as e:
                 halvings += 1
                 if halvings > HALVINGS_MAX:
@@ -780,26 +777,24 @@ def run_continuation(p, cfg=None, h_start=None):
                                         math.nan)
                 target = eps_prev - 0.5 * (eps_prev - target)
         try:
-            rec = diagnostics_check(gp, target, st_new, res, st, iters, cfg)
+            rec = diagnostics_check(gp, target, st_new, rn, st, iters, cfg)
         except ProbeFailure as e:
             return build_report("failed", str(e), eps_prev, math.nan)
-        del res  # a grid field: not held through the next Newton solve
         st = st_new
         hist = hist[-3:] + [(target, st.s)]
         trace.append(rec)
         eps_prev = target
 
     try:
-        st_new, iters, res = newton_solve_at(gp, 0.0, st, cfg, cap=cfg.cap)
+        st_new, iters, rn = newton_solve_at(gp, 0.0, st, cfg, cap=cfg.cap)
     except CapExceeded:
         return build_report("diverged", "cap during polish", 0.0, math.nan)
     except NewtonFailure as e:
         return build_report("boundary", "polish failed: %s" % e, eps_prev,
                             trace[-1].residual_sup)
-    rec = diagnostics_check(gp, 0.0, st_new, res, st, iters, cfg)
+    rec = diagnostics_check(gp, 0.0, st_new, rn, st, iters, cfg)
     st = st_new
     trace.append(rec)
-    final_res = rec.residual_sup
     # the limit must be a small correction of the eps_min state; a polish
     # that travels a macroscopic metric distance is a runaway along a
     # residual valley, the semistable signature
@@ -808,10 +803,10 @@ def run_continuation(p, cfg=None, h_start=None):
         return build_report(
             "boundary", "polish left the continuation neighborhood "
             "(moved %.3g, budget %.3g)" % (rec.cauchy_increment, budget),
-            0.0, final_res)
+            0.0, rn)
     # Newton returns an eps = 0 state only inside its 10x newton_tol band,
-    # and rec carries the residual it measured there
-    return build_report("converged", "polish", 0.0, final_res)
+    # and rn is the residual it measured there
+    return build_report("converged", "polish", 0.0, rn)
 
 
 def final_metric_original_frame(gauge, st):

@@ -46,17 +46,21 @@ class NotHermitianError(ValueError):
 clamp_events = 0
 
 
+def _frob_sq(a):
+    sq = np.square(np.abs(a))
+    return sq[..., 0, 0] if sq.shape[-2:] == (1, 1) else sq.sum(axis=(-2, -1))
+
+
 def frob(a):
     """Pointwise Frobenius norm of a matrix field."""
-    sq = np.square(np.abs(a))
-    sq = sq[..., 0, 0] if sq.shape[-2:] == (1, 1) else sq.sum(axis=(-2, -1))
-    return np.sqrt(sq)
+    return np.sqrt(_frob_sq(a))
 
 
 def sup_norm(a):
     """Grid sup of the pointwise Frobenius norm of a matrix field (the
-    last two axes are the fiber)."""
-    return float(np.maximum.reduce(frob(a), axis=None))
+    last two axes are the fiber). sqrt is monotone and correctly rounded:
+    the root of the largest square is the max of frob(a), NaN included."""
+    return float(np.sqrt(np.maximum.reduce(_frob_sq(a), axis=None)))
 
 
 def herm_part(a):

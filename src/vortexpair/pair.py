@@ -96,8 +96,8 @@ class PairProblem:
     tau         equation parameter
     a01         optional (0,1) connection coefficient (matrix or field);
                 acts on sections by multiplication, on endomorphisms by
-                commutator. The (1,0) coefficient a10 is -a01^H, the
-                Chern convention for an identity reference metric
+                commutator (zero at rank 1). The (1,0) one is a10 = -a01^H,
+                the Chern convention for an identity reference metric
     split       optional SplitModel consistency declaration
     """
 
@@ -178,20 +178,20 @@ class PairProblem:
     def d0_end(self, x):
         """Background (1,0) derivative on endomorphism fields."""
         out = self.geom.d(x)
-        if self.a10 is not None:
+        if self.a01 is not None and self.rank > 1:
             out += comm(self.a10, x)
         return out
 
     def dbar_end(self, x):
         out = self.geom.dbar(x)
-        if self.a01 is not None:
+        if self.a01 is not None and self.rank > 1:
             out = out + comm(self.a01, x)
         return out
 
     def lam_dbar_end(self, g10):
         """Contraction of the twisted dbar on a (1,0) endomorphism field."""
         out = self.geom.lam_dbar_10(g10)
-        if self.a01 is not None:
+        if self.a01 is not None and self.rank > 1:
             out -= self.geom.lam11(comm(self.a01, g10))
         return out
 

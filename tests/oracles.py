@@ -287,9 +287,9 @@ def discretization_slack(p, st):
     O(h^2) envelope scaled by the field size. Engineering constant, not
     a theorem; documented with the check it guards."""
     if isinstance(p.geom, TorusBackend):
-        return 1e-8 * max(1.0, st.sup_s()) ** 2
+        return 1e-8 * max(1.0, sup_norm(st.s)) ** 2
     h = p.geom.h
-    return 50.0 * h ** 2 * max(1.0, st.sup_s()) ** 3 * max(1.0, sup_norm(p.k0_field()))
+    return 50.0 * h ** 2 * max(1.0, sup_norm(st.s)) ** 3 * max(1.0, sup_norm(p.k0_field()))
 
 
 def monotone_gap(p, st):
@@ -426,14 +426,14 @@ def psi_kernel_plain(x, y):
 
 def d0_end_plain(p, x):
     out = p.geom.d(x)
-    if p.a10 is not None:
+    if p.a10 is not None and p.rank > 1:
         out = out + comm(p.a10, x)
     return out
 
 
 def lam_dbar_end_plain(p, g10):
     out = p.geom.lam_dbar_10(g10)
-    if p.a01 is not None:
+    if p.a01 is not None and p.rank > 1:
         out = out - p.geom.lam11(comm(p.a01, g10))
     return out
 

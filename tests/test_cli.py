@@ -293,6 +293,19 @@ def test_solve_rejects_bad_numbers(tmp_path, capsys, argv, cause):
     assert err.startswith("error:") and cause in err
 
 
+def test_solve_rejects_a_schedule_of_too_many_stops(tmp_path, capsys):
+    # about 693k stops: refused before any solve starts
+    p = tmp_path / "run.cfg"
+    p.write_text("ratio = 0.999999\neps_min = 0.5\n")
+    rc = main(["solve", "--instance", "trivial", "--config", str(p),
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAIL
+    assert err == ("error: ratio 0.999999 needs over 10000 stops to "
+                   "eps_min 0.5\n")
+    assert list(tmp_path.iterdir()) == [p]  # nothing written
+
+
 def test_solve_rejects_an_infinite_tolerance(tmp_path, capsys):
     # an input error, not a scientific verdict: with this tolerance every
     # residual would count as converged

@@ -44,6 +44,18 @@ def test_config_rejects_non_positive_values(name, bad):
         ContinuationConfig(**{name: bad})
 
 
+def test_config_bounds_the_number_of_stops():
+    # the default and --quick schedules take 20 and 13 stops; the bound
+    # is on log(eps_min) / log(ratio), the stops without the snap
+    for cfg in (ContinuationConfig(), ContinuationConfig(eps_min=1e-2)):
+        assert math.log(cfg.eps_min) / math.log(cfg.ratio) < 20
+    ContinuationConfig(ratio=0.999, eps_min=0.999 ** (C.STOPS_MAX - 1))
+    with pytest.raises(ValueError, match="over 10000 stops"):
+        ContinuationConfig(ratio=0.999, eps_min=0.999 ** (C.STOPS_MAX + 1))
+    with pytest.raises(ValueError, match="ratio 0.999999 needs over"):
+        ContinuationConfig(ratio=0.999999, eps_min=0.5)
+
+
 # ---------------------------------------------------------------------------
 # packing
 
@@ -133,16 +145,18 @@ def test_state_cache_follows_the_problem(rng):
     hn = instances.make("higgs-nilpotent", n=8)
     s = rand_band_herm(pa.geom, rng, 2, amp=0.3)
     v = rand_band_herm(pa.geom, rng, 2, amp=0.3)
+    quiet = ContinuationConfig(full_diagnostics=False)
     for problems in ((pa, pb, pa), (hz, hn, hz)):
         shared = MetricState(s)
         for p in problems:
             assert np.array_equal(C.d2lhat_apply(p, 0.5, shared, v),
                                   C.d2lhat_apply(p, 0.5, MetricState(s), v))
-            (r_got, defect_got), (r_want, defect_want) = (
-                residual_parts(p, 0.5, shared),
-                residual_parts(p, 0.5, MetricState(s)))
-            assert np.array_equal(r_got, r_want)
-            assert defect_got() == defect_want()
+            assert np.array_equal(residual_parts(p, 0.5, shared),
+                                  residual_parts(p, 0.5, MetricState(s)))
+            defect_got, defect_want = [
+                diagnostics_check(p, 0.5, x, 0.0, None, 0, quiet).skew_defect
+                for x in (shared, MetricState(s))]
+            assert defect_got == defect_want
             assert np.array_equal(lhat_raw(p, 0.5, shared),
                                   lhat_raw(p, 0.5, MetricState(s)))
 
@@ -381,7 +395,7 @@ def test_newton_linear_solve_meets_the_true_residual(name, monkeypatch):
 def test_residual_public_vs_state_route(rng):
     p = instances.make("torus-wave", n=16)
     st = _state_rank1(p.geom, rng)
-    r_state, _ = residual_parts(p, 0.3, st)
+    r_state = residual_parts(p, 0.3, st)
     r_pub = C.residual_L(p, 0.3, st.f)
     assert fiber.sup_norm(r_state - r_pub) < 1e-12
 
@@ -520,7 +534,7 @@ def _assert_report_reads_its_trace(out):
         assert math.isnan(rep.final_sup_log_f)
         return
     assert rep.final_sup_log_f == rep.trace[-1].sup_log_f
-    assert rep.final_sup_log_f == out.state.sup_s()
+    assert rep.final_sup_log_f == fiber.sup_norm(out.state.s)
 
 
 def _assert_failed_gauge(out, exc_name):
@@ -605,7 +619,7 @@ def test_predicted_start_is_closer_than_the_accepted_state(monkeypatch):
 
     def recording(p, target, st, *args):
         start = predict(p, target, st, *args)
-        seen.append([fiber.sup_norm(residual_parts(p, target, x)[0])
+        seen.append([fiber.sup_norm(residual_parts(p, target, x))
                      for x in (start, st)] + [start is st])
         return start
 
@@ -640,10 +654,10 @@ def test_no_prediction_where_the_accepted_state_already_solves(monkeypatch):
 
 
 def test_an_accepted_state_is_measured_once(monkeypatch):
-    # Newton hands the residual it accepted to the diagnostics, so no
-    # record evaluates one. On higgs-theta-zero (s = 0 solves every
-    # stop): the gauge's two, the eps = 1 record's one, and one Newton
-    # check at each of the 13 stops and the polish
+    # Newton hands the residual it accepted to the diagnostics, and the
+    # gauge the one at s1, so no record evaluates one. On
+    # higgs-theta-zero (s = 0 solves every stop): the gauge's two, and
+    # one Newton check at each of the 13 stops and the polish
     calls, inside = Counter(), []
     residual, check = C.residual_parts, C.diagnostics_check
 
@@ -665,7 +679,22 @@ def test_an_accepted_state_is_measured_once(monkeypatch):
     cfg = ContinuationConfig(eps_min=1e-2, full_diagnostics=False)
     out = run_continuation(p, cfg)
     assert out.verdict == "converged" and len(out.report.trace) == 15
-    assert calls == {"elsewhere": 17}
+    assert calls == {"elsewhere": 16}
+
+
+@pytest.mark.parametrize("name,polished", [("torus-wave", True),
+                                           ("rank2-extension", False)])
+def test_the_first_record_reads_the_gauge_residual(name, polished):
+    # the eps = 1 record takes the residual the gauge measured at s1, with
+    # or without a polish: the same float as an evaluation at the state
+    # that run_continuation rebuilds from s1
+    prob, cfg = _quick(name)
+    out = run_continuation(prob, cfg)
+    gp, s1 = out.gauge.problem, out.gauge.s1
+    assert (out.report.gauge_pre_residual > cfg.newton_tol) == polished
+    want = fiber.sup_norm(residual_parts(gp, 1.0, MetricState(s1)))
+    assert want > 0.0
+    assert out.report.trace[0].residual_sup == want
 
 
 def _trivial_stops(*eps_list):
@@ -675,8 +704,8 @@ def _trivial_stops(*eps_list):
     st = MetricState(np.zeros(tuple(p.geom.shape) + (1, 1)))
     out = []
     for eps in eps_list:
-        st, _, res = newton_solve_at(p, eps, st, cfg)
-        out.append((st, diagnostics_check(p, eps, st, res, None, 0, cfg)))
+        st, _, rn = newton_solve_at(p, eps, st, cfg)
+        out.append((st, diagnostics_check(p, eps, st, rn, None, 0, cfg)))
     return p, cfg, out
 
 
@@ -706,9 +735,9 @@ def test_a_prediction_beyond_the_cap_is_not_used():
     hist = [(1.0, st1.s), (0.5, st.s)]
     pred = C._predicted_start(p, 0.25, st, rec, hist, tight)
     assert np.array_equal(pred.s, st.s + 0.5 * (st.s - st1.s))
-    assert pred.sup_s() > st.sup_s()
+    assert fiber.sup_norm(pred.s) > fiber.sup_norm(st.s)
 
-    cap = 0.5 * (st.sup_s() + pred.sup_s())
+    cap = 0.5 * (fiber.sup_norm(st.s) + fiber.sup_norm(pred.s))
     cfg = ContinuationConfig(newton_tol=1e-12, newton_max=0, cap=cap)
     assert C._predicted_start(p, 0.25, st, rec, hist, cfg) is st
     with pytest.raises(C.CapExceeded):
@@ -1041,8 +1070,8 @@ def test_min_ritz_zero_operator_is_exactly_zero(monkeypatch):
 def test_diagnostics_record_fields(stable_run):
     gp = stable_run.gauge.problem
     st = stable_run.state
-    rec = diagnostics_check(gp, 0.5, st, residual_parts(gp, 0.5, st), None,
-                            0, ContinuationConfig())
+    rn = fiber.sup_norm(residual_parts(gp, 0.5, st))
+    rec = diagnostics_check(gp, 0.5, st, rn, None, 0, ContinuationConfig())
     assert rec.eps == 0.5
     assert rec.apriori_margin == (
         rec.sup_log_f - fiber.sup_norm(gp.k0_field()) / 0.5)
@@ -1054,8 +1083,9 @@ def test_cauchy_increment_symmetric_form(rng):
     p = instances.make("trivial", n=16)
     st_prev = _state_rank1(p.geom, rng, amp=0.2)
     st = _state_rank1(p.geom, rng, amp=0.25)
-    rec = diagnostics_check(p, 0.5, st, residual_parts(p, 0.5, st), st_prev,
-                            0, ContinuationConfig(full_diagnostics=False))
+    rn = fiber.sup_norm(residual_parts(p, 0.5, st))
+    rec = diagnostics_check(p, 0.5, st, rn, st_prev, 0,
+                            ContinuationConfig(full_diagnostics=False))
     m = fiber.herm_part(st_prev.fsri @ st.f @ st_prev.fsri)
     want = fiber.sup_norm(fiber.herm_log(m))
     assert rec.cauchy_increment == pytest.approx(want, rel=1e-12)

@@ -215,6 +215,27 @@ def test_norms_and_parts(rng):
     assert sup_norm(x[:, None, None]) == np.max(np.abs(x))
 
 
+def test_sup_norm_is_the_max_of_frob_bit_for_bit(rng):
+    # the root is taken after the max; sqrt is monotone and correctly
+    # rounded, so the float is that of the grid max of frob, also where
+    # the squares underflow or overflow to inf and where an entry is NaN
+    for r in (1, 2, 3):
+        for scale in (1e-300, 1e-160, 1e-3, 1.0, 1e3, 1e160, 1e300):
+            a = scale * (rng.standard_normal((5, 6, r, r))
+                         + 1j * rng.standard_normal((5, 6, r, r)))
+            nan, inf = a.copy(), a.copy()
+            nan[2, 3, 0, r - 1] = complex(math.nan, 1.0)
+            inf[1, 4, r - 1, 0] = math.inf
+            for x in (a, herm_part(a), nan, inf):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = float(np.maximum.reduce(frob(x), axis=None))
+                    got = sup_norm(x)
+                assert (np.float64(got).tobytes()
+                        == np.float64(want).tobytes()), (r, scale, got, want)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert math.isnan(sup_norm(nan)) and sup_norm(inf) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # hypothesis edges
 

@@ -32,6 +32,7 @@ from vortexpair.pair import PairProblem
 import oracles as O
 
 STATE_FIELDS = ("s", "w", "v", "f", "finv", "fsr", "fsri")
+QUIET = ContinuationConfig(full_diagnostics=False)
 
 
 def _problems():
@@ -230,9 +231,9 @@ def test_equation_hooks_and_operators_match_their_plain_forms(name, rng):
             st = MetricState(s)
             r_plain, skew_plain = O.residual_parts_plain(p, eps,
                                                          MetricState(s))
-            _check(lambda *a: C.residual_parts(*a)[0], (p, eps, st),
-                   r_plain, what)
-            assert C.residual_parts(p, eps, st)[1]() == skew_plain, what
+            _check(C.residual_parts, (p, eps, st), r_plain, what)
+            rec = C.diagnostics_check(p, eps, st, 0.0, None, 0, QUIET)
+            assert rec.skew_defect == skew_plain, what
             _check(p.mean_curvature_raw, (st,),
                    O.mean_curvature_raw_plain(p, st), what)
             _check(C.d2lhat_apply, (p, eps, st, vh),

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from vortexpair import fiber, instances
+from vortexpair import continuation, fiber, instances
+from vortexpair import pair as pair_mod
 from vortexpair.continuation import MetricState, residual_L
 from vortexpair.geometry import make_backend
 from vortexpair.pair import (PairProblem, SplitModel, classify, mu_M,
@@ -285,3 +286,24 @@ def test_curvature_update_of_identity_is_zero():
     p = instances.make("rank2-extension", n=16)
     eye = MetricState(np.zeros(tuple(p.geom.shape) + (2, 2), dtype=complex))
     assert np.max(np.abs(p.curvature_update(eye))) < 1e-13
+
+
+@pytest.mark.parametrize("name,twisted", [("torus-wave", False),
+                                          ("rank2-extension", True)])
+def test_rank_one_endomorphisms_carry_no_twist(monkeypatch, name, twisted):
+    # the gauged problem always has an a01, but at rank 1 its commutator
+    # with an endomorphism field is zero, and no derivative forms it
+    calls = []
+    comm = pair_mod.comm
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return comm(a, b)
+
+    monkeypatch.setattr(pair_mod, "comm", counting)
+    p = instances.make(name, n=instances.quick_grid(name))
+    out = continuation.run_continuation(p, continuation.ContinuationConfig(
+        eps_min=1e-2, full_diagnostics=False))
+    assert out.verdict == instances.EXPECTED_VERDICTS[name]
+    assert out.gauge.problem.a01 is not None
+    assert (len(calls) > 0) == twisted
