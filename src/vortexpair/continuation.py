@@ -343,8 +343,8 @@ class GaugeDomainError(ValueError):
     a rebasing that mixes the declared summands leaves an order-one
     non-Hermitian part in the pushed background curvature, which no
     refinement removes. Rebased data that the problem's own validation
-    rejects, such as a section no longer holomorphic to the clone
-    tolerance on a coarse grid, raises it too."""
+    rejects (a section no longer holomorphic to the clone tolerance on
+    a coarse grid) raises it too, as does an exp(K) that is not finite."""
 
 
 class CapExceeded(Exception):
@@ -379,10 +379,10 @@ def _precond_operator(p, eps, packer):
     return mv
 
 
-def min_ritz_estimate(p, eps, st, packer):
+def min_ritz_estimate(p, eps, st):
     """Smallest singular value of the Arnoldi matrix H_k of the
-    preconditioned Newton operator A = M dL on at most RITZ_STEPS
-    Krylov vectors.
+    preconditioned Newton operator A = M dL of p at st on at most
+    RITZ_STEPS Krylov vectors, in the packing of p's Hermitian fields.
 
     The basis V is kept orthonormal by classical Gram-Schmidt run twice,
     so A V_k = V_(k+1) H_k and sigma_min(H_k) = min |A V_k y| over unit
@@ -391,6 +391,7 @@ def min_ritz_estimate(p, eps, st, packer):
     span and the Krylov space is invariant; an exact zero image stops
     there with the estimate 0.0. Strictly positive on every probe at an
     accepted state. A failed SVD (H_k not finite) raises ProbeFailure."""
+    packer = HermPacker(p.geom.shape, p.rank)
     amv = _newton_operator(p, eps, st, packer)
     mop = _precond_operator(p, eps, packer)
 
@@ -423,14 +424,15 @@ def min_ritz_estimate(p, eps, st, packer):
     return float(sv[-1])
 
 
-def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
+def newton_solve_at(p, eps, st, cfg, best_effort=False):
     """Damped Newton at fixed eps from the state st. Returns (state,
     iters, rn), rn the sup norm of the residual measured at that state.
 
-    Raises CapExceeded when sup|log f| crosses the cap. When the Armijo
-    search stalls or the iteration budget runs out, Newton gives up: it
-    returns the current state if best_effort is set (the gauge polish,
-    where the truncation floor of the transformed data is no failure) or
+    best_effort is the gauge polish, where the truncation floor of the
+    transformed data is no failure. Every other solve raises CapExceeded
+    when an iterate's sup|log f| crosses cfg.cap. Newton gives up when
+    the Armijo search stalls, the budget runs out or the residual is not
+    finite: it then returns the current state if best_effort is set or
     the residual is inside the 10x acceptance band of the final polish
     (on refined grids the roundoff floor of the gauged background sits
     near newton_tol and no step can beat it), and raises NewtonFailure
@@ -441,10 +443,13 @@ def newton_solve_at(p, eps, st, cfg, cap=None, best_effort=False):
     for it in range(cfg.newton_max + 1):
         r = residual_parts(p, eps, st)
         rn = sup_norm(r)
-        if cap is not None and sup_norm(st.s) > cap:
+        if not best_effort and sup_norm(st.s) > cfg.cap:
             raise CapExceeded(sup_norm(st.s))
         if rn <= cfg.newton_tol:
             return st, it, rn
+        if not math.isfinite(rn):
+            why = "residual not finite"
+            break
         if it == cfg.newton_max:
             why = "newton budget exhausted"
             break
@@ -517,9 +522,13 @@ def initial_gauge(p, h=None, cfg=None):
     # the new frame is f1 = h0^(-1/2) h h0^(-1/2), exp(-K) up to a
     # unitary conjugation
     khat = residual_parts(p, 0.0, start)
-    ref = MetricState(fiber.herm_log(
-        mm(mm(start.fsr, fiber.herm_exp(khat)), start.fsr),
-        what="initial_gauge"))
+    ksup = sup_norm(khat)
+    if not (np.isfinite(khat).all()
+            and np.isfinite(expk := fiber.herm_exp(khat)).all()):
+        raise GaugeDomainError("the rebasing exp(K) is not finite "
+                               "(sup|K| %.3e)" % ksup)
+    ref = MetricState(fiber.herm_log(mm(mm(start.fsr, expk), start.fsr),
+                                     what="initial_gauge"))
     h0h, h0hi = ref.fsr, ref.fsri
     s1 = fiber.herm_log(herm_part(mm(mm(h0hi, start.f), h0hi)),
                         what="initial_gauge")
@@ -535,14 +544,15 @@ def initial_gauge(p, h=None, cfg=None):
     # wrong rather than slightly truncated.
     skew = sup_norm(push - ilf0p)
     scale = 1.0 + sup_norm(ilf0p)
-    ksup = sup_norm(khat)
     if skew > geom.rebase_skew_tol(scale, ksup):
-        raise GaugeDomainError(
-            "rebased background curvature has non-Hermitian part %.3e "
-            "(scale %.3e): the starting metric drives the reference out "
-            "of the commutant of the declared background curvature; use "
-            "summand-diagonal probes, constant ones when couplings are "
-            "stored" % (skew, scale))
+        why = ("rebased background curvature has non-Hermitian part %.3e "
+               "(scale %.3e, sup|K| %.3e)" % (skew, scale, ksup))
+        if p.rank > 1:
+            why += (": the starting metric drives the reference out of the "
+                    "commutant of the declared background curvature; use "
+                    "summand-diagonal probes, constant ones when couplings "
+                    "are stored")
+        raise GaugeDomainError(why)
     # only a01 is pushed forward: the new frame again has an identity
     # reference, so the clone pins its Chern (1,0) coefficient to
     # -a01p^H. Pushing the old a10 forward instead would give the Chern
@@ -612,17 +622,15 @@ def diagnostics_check(p, eps, st, residual_sup, prev_st, newton_iters, cfg):
     if eps > 0.0:
         margin = sup_s - sup_norm(p.k0_field()) / eps
     gap, scale = energy_identity_gap(p, eps, st)
+    cauchy = 0.0
     if prev_st is not None:
         # relative increment sup|log(f_prev^(-1/2) f f_prev^(-1/2))|,
         # the symmetric form of sup|log(f_prev^-1 f)|
         m = herm_part(mm(mm(prev_st.fsri, st.f), prev_st.fsri))
         cauchy = sup_norm(fiber.herm_log(m, what="cauchy increment"))
-    else:
-        cauchy = 0.0
     ritz = math.nan  # not probed (eps = 0 may be honestly singular)
     if cfg.full_diagnostics and eps > 0.0:
-        packer = HermPacker(p.geom.shape, p.rank)
-        ritz = min_ritz_estimate(p, eps, st, packer)
+        ritz = min_ritz_estimate(p, eps, st)
     l2 = math.sqrt(max(float(p.geom.integrate(frob(st.s) ** 2).real), 0.0))
     return DiagnosticsRecord(
         eps=eps,
@@ -712,7 +720,9 @@ def run_continuation(p, cfg=None, h_start=None):
     but the polish failed, the semistable signature), failed
     (operational error). A start the initial gauge cannot rebase or
     that is not Hermitian fails with an empty trace, NaN residuals and
-    no gauge or state; a failed Ritz probe at the last recorded eps.
+    no gauge; a failed Ritz probe at the last recorded eps (NaN at eps
+    = 1). One site records the eps = 1 state and every stop, and a run
+    hands back the state of its last record, none if it recorded none.
     """
     if cfg is None:
         cfg = ContinuationConfig()
@@ -744,56 +754,45 @@ def run_continuation(p, cfg=None, h_start=None):
         return build_report("failed", "gauge: %s: %s" % (type(e).__name__, e),
                             math.nan, math.nan)
     gp = gauge.problem
-    # rebuilt, not kept on the gauge result that every RunOutcome holds
-    st = MetricState(gauge.s1)
-
+    # the one record site for eps > 0 (eps is the last recorded eps); the
+    # eps = 1 state is rebuilt, not kept on the gauge every RunOutcome holds
+    eps, hist, iters, rn = math.nan, [], 0, gauge.post_residual
+    target, new = 1.0, MetricState(gauge.s1)
     try:
-        rec = diagnostics_check(gp, 1.0, st, gauge.post_residual, None, 0,
-                                cfg)
-    except ProbeFailure as e:
-        return build_report("failed", str(e), math.nan, math.nan)
-    trace.append(rec)
-
-    eps_prev, hist = 1.0, [(1.0, st.s)]
-    while eps_prev > cfg.eps_min:
-        target = eps_prev * cfg.ratio
-        if target < EPS_MIN_SNAP * cfg.eps_min:
-            target = cfg.eps_min
-        halvings = 0
         while True:
-            start = _predicted_start(gp, target, st, trace[-1], hist, cfg)
-            try:
-                st_new, iters, rn = newton_solve_at(gp, target, start, cfg,
-                                                    cap=cfg.cap)
+            trace.append(diagnostics_check(gp, target, new, rn, st, iters,
+                                           cfg))
+            eps, st, hist = target, new, hist[-3:] + [(target, new.s)]
+            if eps <= cfg.eps_min:
                 break
-            except CapExceeded:
-                return build_report(
-                    "diverged", "cap at eps=%.4g" % target, target,
-                    sup_norm(residual_parts(gp, target, st)))
-            except NewtonFailure as e:
-                halvings += 1
-                if halvings > HALVINGS_MAX:
-                    return build_report("failed", "newton: %s" % e, eps_prev,
-                                        math.nan)
-                target = eps_prev - 0.5 * (eps_prev - target)
-        try:
-            rec = diagnostics_check(gp, target, st_new, rn, st, iters, cfg)
-        except ProbeFailure as e:
-            return build_report("failed", str(e), eps_prev, math.nan)
-        st = st_new
-        hist = hist[-3:] + [(target, st.s)]
-        trace.append(rec)
-        eps_prev = target
+            target = eps * cfg.ratio
+            if target < EPS_MIN_SNAP * cfg.eps_min:
+                target = cfg.eps_min
+            for _ in range(HALVINGS_MAX + 1):
+                start = _predicted_start(gp, target, st, trace[-1], hist, cfg)
+                try:
+                    new, iters, rn = newton_solve_at(gp, target, start, cfg)
+                    break
+                except CapExceeded:
+                    return build_report(
+                        "diverged", "cap at eps=%.4g" % target, target,
+                        sup_norm(residual_parts(gp, target, st)))
+                except NewtonFailure as e:
+                    why, target = e, eps - 0.5 * (eps - target)
+            else:
+                return build_report("failed", "newton: %s" % why, eps,
+                                    math.nan)
+    except ProbeFailure as e:
+        return build_report("failed", str(e), eps, math.nan)
 
     try:
-        st_new, iters, rn = newton_solve_at(gp, 0.0, st, cfg, cap=cfg.cap)
+        new, iters, rn = newton_solve_at(gp, 0.0, st, cfg)
     except CapExceeded:
         return build_report("diverged", "cap during polish", 0.0, math.nan)
     except NewtonFailure as e:
-        return build_report("boundary", "polish failed: %s" % e, eps_prev,
+        return build_report("boundary", "polish failed: %s" % e, eps,
                             trace[-1].residual_sup)
-    rec = diagnostics_check(gp, 0.0, st_new, rn, st, iters, cfg)
-    st = st_new
+    st, rec = new, diagnostics_check(gp, 0.0, new, rn, st, iters, cfg)
     trace.append(rec)
     # the limit must be a small correction of the eps_min state; a polish
     # that travels a macroscopic metric distance is a runaway along a

@@ -40,7 +40,8 @@ class ClampError(ValueError):
 
 
 class NotHermitianError(ValueError):
-    """A field that must be Hermitian has a skew part above HERM_TOL."""
+    """A field that must be Hermitian has a skew part above HERM_TOL, or
+    an entry that is not finite."""
 
 
 clamp_events = 0
@@ -77,6 +78,8 @@ def skew_defect(a):
 
 
 def assert_hermitian(a, what="field"):
+    if not np.isfinite(a).all():
+        raise NotHermitianError("%s has non-finite entries" % what)
     scale = max(1.0, float(np.max(frob(a)))) if a.size else 1.0
     d = skew_defect(a)
     if d > HERM_TOL * scale:

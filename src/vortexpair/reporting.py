@@ -110,10 +110,9 @@ def _xmap(eps_vals):
 
 
 def _ymap(vals, top, bot, logscale):
-    if logscale:
-        tv = [_log10(v) for v in vals]
-    else:
-        tv = list(vals)
+    # the axis spans the finite values; svg_from_csv draws no other
+    tv = [t for t in (map(_log10, vals) if logscale else vals)
+          if math.isfinite(t)]
     lo, hi = min(tv, default=0.0), max(tv, default=0.0)
     if hi - lo < 1e-12:
         hi = lo + 1.0
@@ -177,7 +176,8 @@ def svg_from_csv(csv_text, title="continuation run"):
                      'stroke="#888"/>' % (_PANEL["left"], top,
                                           _PANEL["right"] - _PANEL["left"],
                                           bot - top))
-        pts = [(fx(e), fy(v)) for e, v in zip(eps_vals, vals)]
+        pts = [(fx(e), fy(v)) for e, v in zip(eps_vals, vals)
+               if math.isfinite(v)]
         parts.append(_polyline(pts, color))
         parts.append(_dots(pts, color))
         parts.append('<text x="%d" y="%d" font-family="monospace" '

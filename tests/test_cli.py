@@ -373,6 +373,20 @@ def test_report_escapes_the_title(tmp_path, capsys):
     assert title.firstChild.data == "a&b<c>"
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_the_plot_skips_values_that_are_not_finite(bad):
+    # a residual that overflowed (tau = 1e300 on hopf-stable at n = 3)
+    # once raised OverflowError from the axis label; the axes span the
+    # finite values, and only finite points are drawn
+    header = ",".join(reporting.CSV_COLUMNS)
+    rows = ["1,1e-3,0.5,-1,0,0,0", "0.5,%s,%s,-1,0,0,3" % (bad, bad)]
+    svg = reporting.svg_from_csv("\n".join([header] + rows) + "\n")
+    doc = minidom.parseString(svg)
+    for line in doc.getElementsByTagName("polyline"):
+        assert len(line.getAttribute("points").split()) == 1
+    assert "inf" not in svg and "nan" not in svg
+
+
 def test_failed_gauge_outcome_writes_its_report(tmp_path):
     # a run whose initial gauge failed has no trace: the CSV is the
     # header alone and run.json has no trace tail

@@ -220,7 +220,7 @@ def test_state_builds_its_kernels_once(rng, monkeypatch):
         xs = [rng.standard_normal(packer.size) for _ in range(3)]
         counts.clear()
         got = [mv(x) for x in xs]
-        C.min_ritz_estimate(p, eps, st, packer)
+        C.min_ritz_estimate(p, eps, st)
         assert counts["dexp"] == 1, name
         for x, y in zip(xs, got):
             fresh = C._newton_operator(p, eps, MetricState(s), packer)
@@ -562,6 +562,8 @@ def test_gauge_domain_error_is_a_failed_verdict():
     out = run_continuation(p, cfg,
                            h_start=gauge_probe(p.geom, 2, rng, constant=False))
     _assert_failed_gauge(out, "GaugeDomainError")
+    assert "sup|K| " in out.report.cause
+    assert "out of the commutant" in out.report.cause
 
 
 def test_non_hermitian_start_is_a_failed_verdict():
@@ -576,6 +578,55 @@ def test_non_hermitian_start_is_a_failed_verdict():
             in out.report.cause)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["trivial", "rank2-caseb"])
+def test_a_non_finite_start_is_a_failed_verdict(name, bad):
+    # rejected as the input it is, before the rebasing sees it
+    p = instances.make(name, n=6)
+    h = np.zeros(tuple(p.geom.shape) + (p.rank, p.rank), dtype=complex)
+    h[..., range(p.rank), range(p.rank)] = 1.0
+    h[1, 2, 0, 0] = bad
+    out = run_continuation(p, ContinuationConfig(full_diagnostics=False),
+                           h_start=h)
+    _assert_failed_gauge(out, "NotHermitianError")
+    assert out.report.cause == ("gauge: NotHermitianError: starting metric "
+                                "has non-finite entries")
+
+
+@pytest.mark.parametrize("tau,scale,ksup", [
+    (None, 1e30, "5.000e+29"), (None, 1e300, "nan"),
+    (-1e6, None, "5.000e+05")], ids=["1e30", "1e300", "tau-1e6"])
+def test_an_overflowing_rebasing_says_so(tau, scale, ksup):
+    # exp(K) overflows (or K itself does, from the 1e300 start): the
+    # cause gives sup|K|, not the clone's rejection of what the overflow
+    # left in the rebased background
+    kw = {} if tau is None else {"tau": tau}
+    p = instances.make("trivial", n=8, **kw)
+    h = None if scale is None else scale * np.ones(tuple(p.geom.shape)
+                                                   + (1, 1))
+    with pytest.warns(RuntimeWarning) as warned:
+        out = run_continuation(p, ContinuationConfig(full_diagnostics=False),
+                               h_start=h)
+    assert any("overflow" in str(w.message) for w in warned)
+    _assert_failed_gauge(out, "GaugeDomainError")
+    assert out.report.cause == ("gauge: GaugeDomainError: the rebasing "
+                                "exp(K) is not finite (sup|K| %s)" % ksup)
+
+
+def test_a_rank1_skew_rebasing_gives_no_commutant_advice():
+    # at rank 1 every field commutes: the skew part of this rebasing is
+    # the size of exp(K), and the cause gives sup|K| instead
+    p = instances.make("torus-stable", n=16)
+    u = p.geom.random_band_scalar(np.random.default_rng(3), kmax=2, amp=0.5)
+    out = run_continuation(p, ContinuationConfig(full_diagnostics=False),
+                           h_start=np.exp(u)[..., None, None])
+    _assert_failed_gauge(out, "GaugeDomainError")
+    assert out.report.cause.startswith(
+        "gauge: GaugeDomainError: rebased background curvature has "
+        "non-Hermitian part ")
+    assert out.report.cause.endswith(", sup|K| 4.433e+01)")
+
+
 def test_a_ritz_probe_that_breaks_down_is_a_failed_verdict():
     # at tau = 1e300 the probe's Arnoldi matrix overflows and its SVD
     # does not converge: the run ends failed at the first record, with
@@ -588,6 +639,30 @@ def test_a_ritz_probe_that_breaks_down_is_a_failed_verdict():
     assert out.verdict == "failed"
     assert rep.cause == "ritz probe: SVD did not converge at eps=1"
     assert rep.trace == [] and math.isnan(rep.eps_reached)
+    assert math.isnan(rep.final_residual)
+    assert out.state is None
+    _assert_report_reads_its_trace(out)
+
+
+def test_a_probe_failure_after_the_first_stops_keeps_their_records(
+        monkeypatch):
+    # the third probe (the second stop) fails: the run hands back the
+    # state of its last record, the first stop, and reports its eps
+    calls = []
+
+    def failing_third(p, eps, st):
+        calls.append(eps)
+        if len(calls) == 3:
+            raise C.ProbeFailure("ritz probe: broken at eps=%g" % eps)
+        return 1.0
+
+    monkeypatch.setattr(C, "min_ritz_estimate", failing_third)
+    out = run_continuation(instances.make("trivial", n=8))
+    rep = out.report
+    assert out.verdict == "failed"
+    assert rep.cause == "ritz probe: broken at eps=0.49"
+    assert [rec.eps for rec in rep.trace] == [1.0, 0.7]
+    assert rep.eps_reached == rep.trace[-1].eps
     assert math.isnan(rep.final_residual)
     _assert_report_reads_its_trace(out)
 
@@ -741,10 +816,23 @@ def test_a_prediction_beyond_the_cap_is_not_used():
     cfg = ContinuationConfig(newton_tol=1e-12, newton_max=0, cap=cap)
     assert C._predicted_start(p, 0.25, st, rec, hist, cfg) is st
     with pytest.raises(C.CapExceeded):
-        newton_solve_at(p, 0.25, pred, cfg, cap=cap)
-    start, it, _ = newton_solve_at(p, 0.25, st, cfg, cap=cap,
-                                   best_effort=True)
-    assert start is st and it == 0
+        newton_solve_at(p, 0.25, pred, cfg)
+
+
+def test_newton_applies_the_cap_unless_best_effort():
+    # a start above cfg.cap raises CapExceeded; one at the cap does not,
+    # and gives up on the budget instead. best_effort, the gauge polish,
+    # takes no cap and hands the start back
+    p = instances.make("trivial", n=8)
+    st = MetricState(np.full(tuple(p.geom.shape) + (1, 1), 2.0,
+                             dtype=complex))
+    cfg = ContinuationConfig(newton_tol=1e-12, newton_max=0, cap=1.0)
+    with pytest.raises(C.CapExceeded):
+        newton_solve_at(p, 0.5, st, cfg)
+    with pytest.raises(NewtonFailure, match="budget"):
+        newton_solve_at(p, 0.5, st, dataclasses.replace(cfg, cap=2.0))
+    out, it, rn = newton_solve_at(p, 0.5, st, cfg, best_effort=True)
+    assert out is st and it == 0 and rn > cfg.newton_tol
 
 
 @pytest.mark.parametrize("var,other", [(float, math.log), (math.log, float)],
@@ -903,6 +991,26 @@ def test_a_stalled_line_search_tries_eleven_steps(monkeypatch):
     assert len(evaluated[1:]) == 11
 
 
+def test_newton_gives_up_on_a_residual_that_is_not_finite(monkeypatch):
+    # no linear solve is tried on a NaN right-hand side (GMRES would
+    # spend its whole budget on it): the solve stops at once
+    p = instances.make("trivial", n=8)
+    st = MetricState(np.zeros(tuple(p.geom.shape) + (1, 1)))
+
+    def no_gmres(*args):
+        raise AssertionError("no linear solve")
+
+    monkeypatch.setattr(C, "gmres", no_gmres)
+    monkeypatch.setattr(C, "residual_parts",
+                        lambda p, eps, st: np.full(st.s.shape, math.nan))
+    with pytest.raises(NewtonFailure, match=r"^residual not finite at "
+                       r"eps=0\.5 \(residual nan\)$"):
+        newton_solve_at(p, 0.5, st, ContinuationConfig())
+    out, it, rn = newton_solve_at(p, 0.5, st, ContinuationConfig(),
+                                  best_effort=True)
+    assert out is st and it == 0 and math.isnan(rn)
+
+
 @pytest.mark.parametrize("cap,verdict,cause,eps_reached", [
     (3.2, "diverged", "cap during polish", 0.0),
     (50.0, "boundary", "polish failed: line search stalled at eps=0 "
@@ -971,8 +1079,7 @@ def test_nie_zhang_closed_forms_and_refinement(rng):
 
 def test_min_ritz_positive_at_stable_solution(stable_run):
     gp = stable_run.gauge.problem
-    packer = HermPacker(gp.geom.shape, gp.rank)
-    r = C.min_ritz_estimate(gp, 1e-3, stable_run.state, packer)
+    r = C.min_ritz_estimate(gp, 1e-3, stable_run.state)
     assert r > 0.0
 
 
@@ -993,7 +1100,7 @@ def test_min_ritz_bounds_dense_smallest_singular_value(name, n, eps):
     dense = np.column_stack([mop(amv(e)) for e in np.eye(packer.size)])
     smin = np.linalg.svd(dense, compute_uv=False)[-1]
     assert smin > 0.0
-    probe = C.min_ritz_estimate(gp, eps, st, packer)
+    probe = C.min_ritz_estimate(gp, eps, st)
     assert probe >= smin * (1.0 - 1e-10), (probe, smin)
 
 
@@ -1060,11 +1167,10 @@ def test_min_ritz_zero_operator_is_exactly_zero(monkeypatch):
     # an exact zero image breaks down at once: 0.0, not NaN or a
     # division by zero (RuntimeWarning is an error under pytest)
     p = instances.make("torus-stable", n=8)
-    packer = HermPacker(p.geom.shape, p.rank)
     monkeypatch.setattr(C, "_newton_operator",
                         lambda *args: lambda x: np.zeros_like(x))
     st = MetricState(np.zeros(tuple(p.geom.shape) + (1, 1), dtype=complex))
-    assert C.min_ritz_estimate(p, 0.5, st, packer) == 0.0
+    assert C.min_ritz_estimate(p, 0.5, st) == 0.0
 
 
 def test_diagnostics_record_fields(stable_run):

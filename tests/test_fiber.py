@@ -202,6 +202,20 @@ def test_assert_hermitian_catches_skew(rng):
         fiber.assert_hermitian(a)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0.0, math.nan)])
+@pytest.mark.parametrize("r", [1, 2])
+def test_assert_hermitian_rejects_non_finite_entries(rng, bad, r):
+    # one non-finite entry fails before any defect is computed: a NaN
+    # defect compares False, and an inf entry makes inf - inf (a
+    # RuntimeWarning, an error under the suite's filter)
+    a = rand_herm(rng, (3, 4), r)
+    a[1, 2, r - 1, 0] = bad
+    with pytest.raises(fiber.NotHermitianError,
+                       match="^metric has non-finite entries$"):
+        fiber.assert_hermitian(a, what="metric")
+
+
 # ---------------------------------------------------------------------------
 # norms and parts
 
