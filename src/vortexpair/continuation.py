@@ -29,6 +29,7 @@ constant-coefficient symbol of the dominant operator.
 """
 
 import math
+import sys
 import time
 from dataclasses import dataclass, fields
 
@@ -43,11 +44,11 @@ from .pair import PairProblem
 ARMIJO_FACTOR = 0.5
 ARMIJO_MIN = 2.0 ** -10
 ARMIJO_C1 = 1e-4
-GMRES_MAXITER = 400               # matvecs per linear solve
-GMRES_RESTART = 80                # Krylov steps per restart cycle
+GMRES_MAXITER = 80                # matvecs in a linear solve's one cycle
 HALVINGS_MAX = 8
 EPS_MIN_SNAP = 1.01               # a target below this x eps_min is eps_min
 STOPS_MAX = 10000                 # bound on log(eps_min) / log(ratio)
+CAP_MAX = math.log(sys.float_info.max)  # exp(s) overflows past it
 RITZ_STEPS = 10                   # Arnoldi size for the injectivity probe
 
 
@@ -64,62 +65,49 @@ class _Operator:
 
 
 def gmres(amat, b, rtol, maxiter, mmat):
-    """Restarted GMRES with right preconditioning (Saad & Schultz 1986):
-    solves A M y = b and returns x = M y.
+    """GMRES with right preconditioning (Saad & Schultz 1986): one
+    Arnoldi cycle of at most maxiter matvecs solves A M y = b and
+    returns x = M y.
 
     Arnoldi on A M runs with modified Gram-Schmidt, and Givens rotations
     carry |b - A x| of the current iterate, which under right
     preconditioning is the true linear residual. The solve stops once
-    that is at most rtol |b|. A cycle keeps z_j = M v_j, so x costs no
-    further M application; a restart costs one matvec for its residual.
-    maxiter bounds the matvecs. Returns (x, info): info = 0 on
-    convergence, the matvecs spent (> 0) on a partial solve, -1 when
-    A M is singular on the Krylov space."""
-    x = np.zeros(b.size)
-    tol = rtol * np.linalg.norm(b)
-    r, used = b, 0
-    while True:
-        beta = np.linalg.norm(r)
-        if beta <= tol:
-            return x, 0
-        if used >= maxiter:
-            return x, used
-        m = min(GMRES_RESTART, maxiter - used)
-        basis, zs = [r / beta], []
-        hmat = np.zeros((m, m))
-        cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
-        g[0] = beta
-        for j in range(m):
-            zs.append(mmat.matvec(basis[j]))
-            w = amat.matvec(zs[j])
-            used += 1
-            col = hmat[:, j]
-            for i, v in enumerate(basis):
-                col[i] = v @ w
-                w = w - col[i] * v
-            hnext = np.linalg.norm(w)
-            for i in range(j):
-                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
-                                      cs[i] * col[i + 1] - sn[i] * col[i])
-            d = math.hypot(col[j], hnext)
-            if d == 0.0:
-                return x, -1
-            cs[j], sn[j] = col[j] / d, hnext / d
-            col[j] = d
-            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
-            # hnext = 0 makes g[j + 1] = 0: the space is invariant and x exact
-            if abs(g[j + 1]) <= tol:
-                break
-            basis.append(w / hnext)
-        k = len(zs)
-        y = np.linalg.solve(hmat[:k, :k], g[:k])
-        x = x + y @ np.asarray(zs)
-        if abs(g[k]) <= tol:
-            return x, 0
-        if used >= maxiter:
-            return x, used
-        r = b - amat.matvec(x)
-        used += 1
+    that is at most rtol |b|. The cycle keeps z_j = M v_j, so x costs no
+    further M application. Returns (x, info): info = 0 on convergence,
+    the matvecs spent (> 0) when maxiter runs out first, -1 when A M is
+    singular on the Krylov space."""
+    beta = np.linalg.norm(b)
+    tol = rtol * beta
+    if beta <= tol:
+        return np.zeros(b.size), 0
+    basis, zs = [b / beta], []
+    hmat = np.zeros((maxiter, maxiter))
+    cs, sn, g = np.zeros(maxiter), np.zeros(maxiter), np.zeros(maxiter + 1)
+    g[0] = beta
+    for j in range(maxiter):
+        zs.append(mmat.matvec(basis[j]))
+        w = amat.matvec(zs[j])
+        col = hmat[:, j]
+        for i, v in enumerate(basis):
+            col[i] = v @ w
+            w = w - col[i] * v
+        hnext = np.linalg.norm(w)
+        for i in range(j):
+            col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                  cs[i] * col[i + 1] - sn[i] * col[i])
+        d = math.hypot(col[j], hnext)
+        if d == 0.0:
+            return np.zeros(b.size), -1
+        cs[j], sn[j] = col[j] / d, hnext / d
+        col[j] = d
+        g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+        # hnext = 0 makes g[j + 1] = 0: the space is invariant and x exact
+        if abs(g[j + 1]) <= tol:
+            break
+        basis.append(w / hnext)
+    k = len(zs)
+    y = np.linalg.solve(hmat[:k, :k], g[:k])
+    return y @ np.asarray(zs), (0 if abs(g[k]) <= tol else k)
 
 
 # the schedule fields: a config file sets them, each must be positive and
@@ -144,6 +132,9 @@ class ContinuationConfig:
             # written so that NaN fails too; ratio passed a stricter test
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be positive and finite" % name)
+        if self.cap >= CAP_MAX:
+            raise ValueError("cap %r must be below log(float max) = %.6g, "
+                             "where exp(s) overflows" % (self.cap, CAP_MAX))
         if not (isinstance(self.newton_max, int) and self.newton_max >= 0):
             raise ValueError("newton_max must be an integer >= 0")
         if not self.eps_min < 1.0:
@@ -431,8 +422,9 @@ def newton_solve_at(p, eps, st, cfg, best_effort=False):
     best_effort is the gauge polish, where the truncation floor of the
     transformed data is no failure. Every other solve raises CapExceeded
     when an iterate's sup|log f| crosses cfg.cap. Newton gives up when
-    the Armijo search stalls, the budget runs out or the residual is not
-    finite: it then returns the current state if best_effort is set or
+    the Armijo search stalls, the budget runs out, the residual is not
+    finite or the linear solve stops short of linear_rtol or breaks
+    down: it then returns the current state if best_effort is set or
     the residual is inside the 10x acceptance band of the final polish
     (on refined grids the roundoff floor of the gauged background sits
     near newton_tol and no step can beat it), and raises NewtonFailure
@@ -456,10 +448,10 @@ def newton_solve_at(p, eps, st, cfg, best_effort=False):
         amat = _Operator(_newton_operator(p, eps, st, packer), packer.size)
         b = packer.pack(-r)
         x, info = gmres(amat, b, cfg.linear_rtol, GMRES_MAXITER, mmat)
-        # info > 0 is a partial solve: accept it, Armijo decides whether
-        # it helps
-        if info < 0:
-            raise NewtonFailure("linear solver breakdown at eps=%g" % eps)
+        if info:
+            why = ("linear solve stopped at %d matvecs" % info if info > 0
+                   else "linear solver breakdown")
+            break
         step = packer.unpack(x)
         alpha = 1.0
         while alpha >= ARMIJO_MIN:

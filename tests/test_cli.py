@@ -306,6 +306,18 @@ def test_solve_rejects_a_schedule_of_too_many_stops(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [p]  # nothing written
 
 
+def test_solve_rejects_a_cap_past_the_float_range(tmp_path, capsys):
+    p = tmp_path / "run.cfg"
+    p.write_text("cap = 1000\n")
+    rc = main(["solve", "--instance", "torus-unstable", "--config", str(p),
+               "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_FAIL
+    assert err == ("error: cap 1000.0 must be below log(float max) = "
+                   "709.783, where exp(s) overflows\n")
+    assert list(tmp_path.iterdir()) == [p]  # nothing written
+
+
 def test_solve_rejects_an_infinite_tolerance(tmp_path, capsys):
     # an input error, not a scientific verdict: with this tolerance every
     # residual would count as converged

@@ -38,7 +38,7 @@ def _state_rank1(geom, rng, amp=0.5, kmax=2):
     for bad in (0.0, math.nan, math.inf)
 ] + [("eps_min", 1.0), ("eps_min", 5.0), ("newton_max", -1),
       ("newton_max", 2.5), ("ratio", 0.0), ("ratio", 1.0),
-      ("ratio", math.nan)])
+      ("ratio", math.nan), ("cap", C.CAP_MAX)])
 def test_config_rejects_non_positive_values(name, bad):
     with pytest.raises(ValueError, match=name):
         ContinuationConfig(**{name: bad})
@@ -289,7 +289,7 @@ class _Dense:
 
 def _spread_system(rng, n=200):
     # eigenvalues from 1 to 1000 and a small nonsymmetric part: GMRES
-    # needs about 100 steps for 1e-10, so it has to cross a restart
+    # needs about 100 steps for 1e-10, more than its one cycle holds
     a = np.diag(np.linspace(1.0, 1000.0, n))
     a += 0.1 * rng.standard_normal((n, n)) / math.sqrt(n)
     return _Dense(a), _Dense(np.eye(n)), rng.standard_normal(n)
@@ -313,19 +313,31 @@ def test_gmres_matches_dense_solve(rng):
     assert np.linalg.norm(x - want) <= 10.0 * cond * rtol * np.linalg.norm(want)
 
 
-def test_gmres_converges_across_a_restart(rng):
+def test_gmres_stops_after_one_cycle(rng):
+    # a solve that needs more than GMRES_MAXITER steps spends exactly
+    # that many, each one matvec and one preconditioner application, and
+    # hands back the minimal residual over its one Krylov space
     amat, mmat, b = _spread_system(rng)
-    rtol = 1e-10
-    x, info = C.gmres(amat, b, rtol, C.GMRES_MAXITER, mmat)
-    assert info == 0
-    # one residual matvec per restart on top of the Krylov steps
-    assert mmat.calls > C.GMRES_RESTART
-    assert amat.calls > mmat.calls
-    assert np.linalg.norm(b - amat.mat @ x) <= (
-        rtol * np.linalg.norm(b) * (1.0 + 1e-8))
+    m = C.GMRES_MAXITER
+    x, info = C.gmres(amat, b, 1e-10, m, mmat)
+    assert info == m
+    assert amat.calls == mmat.calls == m
+    res = np.linalg.norm(b - amat.mat @ x)
+    assert res < np.linalg.norm(b)
+    # the space span{b, A b, ..., A^(m-1) b}, orthonormalized twice
+    basis = np.empty((m, b.size))
+    basis[0] = b / np.linalg.norm(b)
+    for j in range(1, m):
+        w = amat.mat @ basis[j - 1]
+        for _ in range(2):
+            w -= (basis[:j] @ w) @ basis[:j]
+        basis[j] = w / np.linalg.norm(w)
+    c = np.linalg.lstsq(amat.mat @ basis.T, b, rcond=None)[0]
+    assert res == pytest.approx(np.linalg.norm(b - amat.mat @ (basis.T @ c)),
+                                rel=1e-6)
 
 
-@pytest.mark.parametrize("maxiter", [30, 80, 81, 85])
+@pytest.mark.parametrize("maxiter", [1, 30, C.GMRES_MAXITER])
 def test_gmres_partial_solve_spends_at_most_maxiter(rng, maxiter):
     amat, mmat, b = _spread_system(rng)
     x, info = C.gmres(amat, b, 1e-10, maxiter, mmat)
@@ -365,6 +377,51 @@ def test_newton_turns_a_linear_breakdown_into_failure(monkeypatch):
                         lambda amat, b, *args: (np.zeros_like(b), -1))
     with pytest.raises(NewtonFailure, match="breakdown"):
         newton_solve_at(p, 1.0, st0, ContinuationConfig())
+
+
+def _stopping_short(gmres, calls=None):
+    """gmres, except that the calls numbered in calls (all when None)
+    hand back their x as a solve stopped at 5 matvecs."""
+    seen = []
+
+    def solve(amat, b, *args):
+        x, info = gmres(amat, b, *args)
+        seen.append(info)
+        if calls is None or len(seen) in calls:
+            return x, 5
+        return x, info
+    return solve
+
+
+def test_newton_gives_up_on_a_partial_linear_solve(monkeypatch):
+    p = instances.make("trivial", n=16)
+    st0 = MetricState(np.zeros(tuple(p.geom.shape) + (1, 1)))
+    monkeypatch.setattr(C, "gmres", _stopping_short(C.gmres))
+    with pytest.raises(NewtonFailure, match=r"^linear solve stopped at 5 "
+                       r"matvecs at eps=1 \(residual "):
+        newton_solve_at(p, 1.0, st0, ContinuationConfig())
+    # the gauge polish keeps the state it stopped at
+    out, it, rn = newton_solve_at(p, 1.0, st0, ContinuationConfig(),
+                                  best_effort=True)
+    assert out is st0 and it == 0
+    assert rn == fiber.sup_norm(residual_parts(p, 1.0, st0))
+
+
+def test_a_partial_linear_solve_halves_its_stop(monkeypatch):
+    # the first linear solve of the first stop (eps 0.7) stops short:
+    # the stop is halved to 0.85, and the run ends as it does unpatched
+    p = instances.make("trivial", n=8)
+    cfg = ContinuationConfig(full_diagnostics=False)
+    want = run_continuation(p, cfg)
+    monkeypatch.setattr(C, "gmres", _stopping_short(C.gmres, calls={1}))
+    out = run_continuation(p, cfg)
+    eps = [rec.eps for rec in out.report.trace]
+    assert [rec.eps for rec in want.report.trace][:2] == [1.0, 0.7]
+    assert eps[:2] == [1.0, 0.85]
+    assert out.verdict == want.verdict == "converged"
+    assert out.report.cause == want.report.cause
+    assert eps[-2:] == [cfg.eps_min, 0.0]
+    _assert_report_reads_its_trace(out)
 
 
 @pytest.mark.parametrize("name", ["rank2-extension", "torus-stable"])

@@ -17,11 +17,13 @@ import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vortexpair import cli, instances
-from vortexpair.continuation import ContinuationConfig, run_continuation
+from vortexpair.continuation import (CAP_MAX, ContinuationConfig,
+                                     run_continuation)
 
 VERDICTS = {"converged", "diverged", "boundary", "failed"}
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
@@ -52,17 +54,23 @@ def _instance(draw):
     return name, n, tau
 
 
+# caps ContinuationConfig accepts, below CAP_MAX where exp(s) overflows;
+# the config file draws caps up to 1e300, which it must reject
+CAPS = st.one_of(_decades(-1, 1), st.floats(10.0, CAP_MAX, exclude_max=True))
+WIDE_CAPS = st.one_of(_decades(-1, 3), _decades(3, 299))
+
+
 @st.composite
-def _schedule(draw):
-    """ContinuationConfig keywords it accepts, with at most MAX_STOPS
-    stops before the snap and a cap up to 1e300."""
+def _schedule(draw, caps=CAPS):
+    """ContinuationConfig keywords with at most MAX_STOPS stops before
+    the snap and a cap drawn from caps."""
     ratio = draw(st.floats(0.05, 0.95))
     stops = draw(st.floats(0.1, MAX_STOPS))
     return dict(ratio=ratio, eps_min=ratio ** stops,
                 newton_tol=draw(_decades(-14, -2)),
                 linear_rtol=draw(_decades(-12, -1)),
                 newton_max=draw(st.integers(0, 50)),
-                cap=draw(st.one_of(_decades(-1, 3), _decades(3, 299))))
+                cap=draw(caps))
 
 
 @st.composite
@@ -113,7 +121,7 @@ def test_every_config_file_ends_in_an_exit_code(data):
     # exit 1 is an error: line on stderr or a failed verdict; 0 and 2
     # are verdicts and print no error
     name, n, tau = data.draw(_instance())
-    sched = data.draw(_schedule())
+    sched = data.draw(_schedule(WIDE_CAPS))
     del sched["newton_max"]  # not a config key
     if instances.REGISTRY[name][0] == "torus":
         n = _config_value(data.draw, "grid", n)
@@ -137,7 +145,25 @@ def test_every_config_file_ends_in_an_exit_code(data):
     stdout, stderr = out.getvalue(), err.getvalue()
     assert code in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_SCIENCE)
     assert "Traceback" not in stdout + stderr
+    if sched["cap"] >= CAP_MAX:
+        assert "error:" in stderr and code == cli.EXIT_FAIL
     if "error:" in stderr:
         assert code == cli.EXIT_FAIL
     elif code == cli.EXIT_FAIL:
         assert " verdict=failed " in stdout, stdout
+
+
+def test_a_cap_past_the_float_range_is_rejected():
+    with pytest.raises(ValueError, match=r"cap 1000\.0 must be below "
+                       r"log\(float max\) = 709\.78"):
+        ContinuationConfig(cap=1000.0)
+
+
+def test_the_largest_accepted_caps_still_diverge():
+    # a cap near CAP_MAX ends diverged, as a small one does, and not in a
+    # residual that is not finite (cap 709 overflows a rejected line
+    # search trial, which warns)
+    out = run_continuation(instances.make("torus-unstable", n=8),
+                           ContinuationConfig(cap=700.0,
+                                              full_diagnostics=False))
+    assert out.verdict == "diverged", out.report.cause
