@@ -75,7 +75,10 @@ def gmres(amat, b, rtol, maxiter, mmat):
     that is at most rtol |b|. The cycle keeps z_j = M v_j, so x costs no
     further M application. Returns (x, info): info = 0 on convergence,
     the matvecs spent (> 0) when maxiter runs out first, -1 when A M is
-    singular on the Krylov space."""
+    singular on the Krylov space. maxiter must be at least 1: raises
+    ValueError otherwise."""
+    if maxiter < 1:
+        raise ValueError("gmres needs maxiter >= 1, got %r" % (maxiter,))
     beta = np.linalg.norm(b)
     tol = rtol * beta
     if beta <= tol:
@@ -455,9 +458,12 @@ def newton_solve_at(p, eps, st, cfg, best_effort=False):
         step = packer.unpack(x)
         alpha = 1.0
         while alpha >= ARMIJO_MIN:
-            cand = MetricState(st.s + alpha * step)
-            if (sup_norm(residual_parts(p, eps, cand))
-                    <= (1.0 - ARMIJO_C1 * alpha) * rn):
+            # a trial past the float range of exp has a residual that is
+            # not finite, and Armijo rejects it
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand = MetricState(st.s + alpha * step)
+                rc = sup_norm(residual_parts(p, eps, cand))
+            if rc <= (1.0 - ARMIJO_C1 * alpha) * rn:
                 st = cand
                 break
             alpha *= ARMIJO_FACTOR

@@ -16,6 +16,9 @@ fields elementwise, writes all three out in closed form at rank 2 (the
 eigenvectors are a Givens rotation) and hands rank 3 and up to the
 generic LAPACK path of _fiber_np.
 
+Importing the module allocates and frees one 16 MiB block, so that
+glibc keeps freed fields on the heap (see the comment after the imports).
+
 Norms: unless stated otherwise, pointwise norms are Frobenius norms and
 sup norms are the grid max of the pointwise norm.
 """
@@ -24,6 +27,20 @@ import numpy as np
 
 from ._fiber_np import empty_field, mm
 from ._kernels import apply_one, apply_two, eigh_batch
+
+# Allocate an untouched 16 MiB block and free it at once. glibc serves
+# it with mmap, and freeing an mmapped block raises glibc's dynamic mmap
+# threshold to the block's size and its trim threshold to twice that
+# (mallopt(3), M_MMAP_THRESHOLD). From then on the solver's 64-256 KiB
+# field temporaries stay on the heap, and the Newton loop reuses their
+# pages instead of trimming the heap top and faulting the pages back in.
+# The size must stay at or below glibc's 32 MiB cap on that adjustment:
+# a block of exactly 32 MiB was measured to have no effect, while 8 MiB
+# was enough at 64x64. No option, environment variable or mallopt call
+# goes with it, and no computed number changes. Under another C
+# library, or when MALLOC_*_ variables pin glibc's thresholds, it is a
+# 16 MiB virtual allocation and nothing more.
+np.empty(16 << 20, dtype=np.uint8)
 
 # positivity clamp policy for logarithms of metric factors:
 # eigenvalues are floored at EIG_FLOOR before taking log. An eigenvalue

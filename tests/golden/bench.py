@@ -14,10 +14,11 @@ cores. The document holds, under these keys:
   per-layer metrics.
 - `instances`: every shipped instance at its default grid with the
   `solve` defaults (full diagnostics), solved ROUNDS times in this one
-  process. Per instance: the wall time of each round, the verdict,
-  steps, Newton total, and the GMRES calls, matvecs and largest
-  matvec count of one solve, counted by a wrapper on
-  `continuation.gmres`. The counts must repeat across rounds.
+  process. Per instance: the wall time and the minor page faults
+  (`ru_minflt`) of each round, the verdict, steps, Newton total, and
+  the GMRES calls, matvecs and largest matvec count of one solve,
+  counted by a wrapper on `continuation.gmres`. The counts must repeat
+  across rounds; the times and faults need not.
 - `tier1`: the wall time and the passed and failed counts of the
   Tier-1 suite (`python -m pytest -q` with `src` on the path).
 - `src_lines`: the line count of `src/vortexpair/*.py`.
@@ -32,6 +33,7 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -121,18 +123,23 @@ def shipped_instances():
                              gmres_max_matvecs=0)
                 continuation.gmres = counting_gmres(gmres, tally)
                 p = instances.make(name)
+                f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 t0 = time.perf_counter()
                 rep = continuation.run_continuation(p).report
                 wall = time.perf_counter() - t0
+                faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                          - f0)
                 counts = dict(tally, verdict=rep.verdict,
                               steps=len(rep.trace),
                               newton_total=rep.newton_total,
                               grid=list(p.geom.shape))
-                row = rows.setdefault(name, dict(counts, wall_s=[]))
+                row = rows.setdefault(name, dict(counts, wall_s=[],
+                                                 minflt=[]))
                 if any(row[key] != val for key, val in counts.items()):
                     raise RuntimeError("%s: round %d counted %r, round 0 %r"
                                        % (name, rnd, counts, row))
                 row["wall_s"].append(wall)
+                row["minflt"].append(faults)
     finally:
         continuation.gmres = gmres
     for row in rows.values():

@@ -347,6 +347,14 @@ def test_gmres_partial_solve_spends_at_most_maxiter(rng, maxiter):
     assert np.linalg.norm(b - amat.mat @ x) < np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("maxiter", [0, -1])
+def test_gmres_rejects_maxiter_below_one(maxiter):
+    amat, mmat = _Dense(np.eye(3)), _Dense(np.eye(3))
+    with pytest.raises(ValueError, match="maxiter >= 1"):
+        C.gmres(amat, np.ones(3), 1e-8, maxiter, mmat)
+    assert amat.calls == mmat.calls == 0
+
+
 def test_gmres_zero_rhs_spends_no_matvec():
     amat, mmat = _Dense(np.eye(5)), _Dense(np.eye(5))
     x, info = C.gmres(amat, np.zeros(5), 1e-8, C.GMRES_MAXITER, mmat)

@@ -4,10 +4,16 @@ Every rank-2 field the solver allocates stores each matrix entry
 [..., i, j] as a C-contiguous grid plane (fiber.empty_field), so the
 written-out rank-2 product never reads or writes a strided view. The
 layout must not change a single bit: every kernel gives the same bytes
-from C-order and entry-plane copies of the same inputs.
+from C-order and entry-plane copies of the same inputs. Freed fields
+stay on glibc's heap, so a repeated solve does not fault their pages in
+again.
 """
 
 import dataclasses
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +29,13 @@ from oracles import plane_layout_guard
 
 # rank 3 runs np.matmul, whose summation may follow the operand layout
 RANK3_RTOL = 1e-14
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+# a second rank2-extension solve at 64x64 takes about 900 minor faults
+# when glibc keeps freed fields on the heap, and about 18000 when it
+# trims the heap top and faults the pages back in
+REPEAT_SOLVE_FAULTS_MAX = 3000
 
 
 def _plane_copy(a, k=2):
@@ -209,3 +222,33 @@ def test_rank3_generic_path_agrees_across_layouts(rng):
           np.max(k) * np.max(np.abs(c)))
     packer = HermPacker(a.shape[:2], 3)
     _same(packer.pack(c_c), packer.pack(c_p))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
+                    or any(key.startswith("MALLOC_") for key in os.environ),
+                    reason="needs glibc's dynamic mmap threshold, which "
+                    "MALLOC_* variables pin")
+def test_a_repeated_solve_reuses_freed_field_pages():
+    # importing fiber frees a 16 MiB mmapped block, which raises glibc's
+    # mmap and trim thresholds above every 64x64 field, so the second
+    # solve in a fresh process reuses the pages the first one freed
+    code = ("import resource\n"
+            "from vortexpair import instances\n"
+            "from vortexpair.continuation import (ContinuationConfig,\n"
+            "                                     run_continuation)\n"
+            "cfg = ContinuationConfig(eps_min=0.3, full_diagnostics=False)\n"
+            "for _ in range(2):\n"
+            "    p = instances.make('rank2-extension')\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    verdict = run_continuation(p, cfg).verdict\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "print(verdict, *p.geom.shape, after - before)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    verdict, nx, ny, faults = proc.stdout.split()
+    assert (verdict, nx, ny) == ("converged", "64", "64"), proc.stdout
+    assert int(faults) < REPEAT_SOLVE_FAULTS_MAX, proc.stdout

@@ -161,9 +161,11 @@ def test_a_cap_past_the_float_range_is_rejected():
 
 def test_the_largest_accepted_caps_still_diverge():
     # a cap near CAP_MAX ends diverged, as a small one does, and not in a
-    # residual that is not finite (cap 709 overflows a rejected line
-    # search trial, which warns)
-    out = run_continuation(instances.make("torus-unstable", n=8),
-                           ContinuationConfig(cap=700.0,
-                                              full_diagnostics=False))
-    assert out.verdict == "diverged", out.report.cause
+    # residual that is not finite. At caps 709 and 709.7 a rejected
+    # line-search trial overflows exp, without a warning (an error here)
+    for name, n in (("torus-unstable", 8), ("hopf-unstable", 64)):
+        for cap in (700.0, 709.0, 709.7):
+            out = run_continuation(instances.make(name, n=n),
+                                   ContinuationConfig(cap=cap,
+                                                      full_diagnostics=False))
+            assert out.verdict == "diverged", (name, cap, out.report.cause)
