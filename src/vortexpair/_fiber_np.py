@@ -6,23 +6,24 @@ stays grid-first, but the storage is entry-plane-major: empty_field, the
 one allocator of fields, lays the array out as (r, r, N, N) in C order
 and returns the transposed view, so every entry [..., i, j] is a
 C-contiguous grid plane. numpy's order-K rule carries that layout
-through elementwise operations and FFTs, so the written-out rank-2
-products below read and write whole planes instead of views strided by
-r^2 elements.
+through elementwise operations and FFTs, so the written-out products
+below read and write whole planes instead of views strided by r^2
+elements.
 
 mm is the one batched matrix product of the solver; fiber re-exports it.
-It picks its path from the matrix size of its operands: rank 1 is an
-elementwise product, rank 2 writes the four entries out, and every other
-rank falls through to the generic `a @ b`. The written-out rank-2
-product avoids the per-matrix overhead of np.matmul on tiny matrices; it
-matches `@` to roundoff, not bit for bit. Each entry is formed in place
-in the output with one scratch array, in the same IEEE operations as the
-expression a_i0 * b_0j + a_i1 * b_1j.
+Rank 1 is an elementwise product, and every rank from 2 up writes the
+r^2 entries out with mm_planes, over the entry views that planes lists.
+Operands whose matrix shapes differ or are not square go to `a @ b`, so
+that a mismatch raises as it does there. The written-out product avoids
+the per-matrix overhead of np.matmul on tiny matrices; it matches `@` to
+roundoff, not bit for bit. Each entry is formed in place in the output
+with one scratch array, in the same IEEE operations as the expression
+a_i0 * b_0j + a_i1 * b_1j + ... summed left to right.
 
 eigh_batch (LAPACK), apply_one and apply_two are the generic kernels
 for every rank, and apply_one/apply_two form their products with mm.
-_kernels writes ranks 1 and 2 out in closed form on top of them; these
-generic kernels are the reference its tests compare against.
+_kernels writes its kernels out on top of them; these generic kernels
+are the reference its tests compare against.
 """
 
 import numpy as np
@@ -41,34 +42,37 @@ def mm(a, b):
     """Batched matrix product a b, matrix axes last, broadcasting over
     grid axes; a constant (r, r) operand broadcasts against a field."""
     shape = a.shape[-2:]
-    if shape != b.shape[-2:]:
+    if shape != b.shape[-2:] or shape[0] != shape[1]:
         return a @ b
     if shape == (1, 1):
         return a * b
-    if shape != (2, 2):
-        return a @ b
-    grid = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    x, y = planes(a), planes(b)
+    grid = np.broadcast(x[0][0], y[0][0]).shape
     out = empty_field(grid, shape, dtype=np.result_type(a, b))
-    _mm2(entries(a), entries(b), entries(out), np.empty(grid, dtype=out.dtype))
+    mm_planes(x, y, planes(out), np.empty(grid, dtype=out.dtype))
     return out
 
 
-def entries(a):
-    """The four entries of a 2x2 field as nested lists of views."""
-    return [[a[..., 0, 0], a[..., 0, 1]], [a[..., 1, 0], a[..., 1, 1]]]
+def planes(a):
+    """The r x r entries of a field as nested lists of views."""
+    idx = range(a.shape[-1])
+    return [[a[..., i, j] for j in idx] for i in idx]
 
 
-def _mm2(x, y, out, tmp):
-    """out = x y for 2x2 fields given by their entries, written in place.
+def mm_planes(x, y, out, tmp):
+    """out = x y for r x r fields given by their entries, written in place.
 
-    Entry (i, j) is x_i0 * y_0j + x_i1 * y_1j, in exactly the IEEE
-    operations of that expression; tmp is one scratch entry.
+    Entry (i, j) is x_i0 * y_0j, then += x_ik * y_kj for k = 1 ... r-1,
+    each product formed in the scratch entry tmp: at r = 2 exactly the
+    IEEE operations of x_i0 * y_0j + x_i1 * y_1j.
     """
-    for i in (0, 1):
-        for j in (0, 1):
-            np.multiply(x[i][0], y[0][j], out=out[i][j])
-            np.multiply(x[i][1], y[1][j], out=tmp)
-            out[i][j] += tmp
+    ks = range(1, len(x))
+    for xi, oi in zip(x, out):
+        for j, o in enumerate(oi):
+            np.multiply(xi[0], y[0][j], out=o)
+            for k in ks:
+                np.multiply(xi[k], y[k][j], out=tmp)
+                o += tmp
 
 
 def eigh_batch(a):

@@ -1,19 +1,21 @@
-"""Batched fiber kernels: rank-1 and rank-2 closed forms over the generic
-numpy path.
+"""Batched fiber kernels, written out over entry planes.
 
 A rank-1 field is a scalar field, so its eigendecomposition and both
-functional calculi are elementwise. At rank 2 all three are written out
-entry by entry: the eigendecomposition is a Givens rotation, and the
-two congruences are sums of products of the four entries. Rank 3 and
-up goes to _fiber_np, whose generic kernels (LAPACK eigh, congruences
-formed with mm) are also the reference the fast paths are tested
-against.
+functional calculi are elementwise. From rank 2 up the two congruences
+are written out entry by entry over whole grid planes: apply_one sums
+g_k v_ik conj(v_jk), and apply_two chains four mm_planes products. The
+eigendecomposition is a Givens rotation at rank 2 and LAPACK's from
+rank 3 up, copied into entry planes. The generic kernels of _fiber_np
+(LAPACK eigh, congruences formed with mm) are the reference these are
+tested against.
 """
+
+from functools import reduce
 
 import numpy as np
 
 from . import _fiber_np
-from ._fiber_np import _mm2, empty_field, entries
+from ._fiber_np import empty_field, mm_planes, planes
 
 BACKEND = "numpy"
 
@@ -77,27 +79,35 @@ def eigh_batch(a):
         return w, v
     if a.shape[-1] == 2:
         return _eigh2(a)
-    return _fiber_np.eigh_batch(a)
+    # LAPACK returns C order: copy into entry planes like every field
+    w, v = _fiber_np.eigh_batch(a)
+    wp = empty_field(w.shape[:-1], w.shape[-1:], w.dtype)
+    vp = empty_field(v.shape[:-2], v.shape[-2:], v.dtype)
+    wp[...], vp[...] = w, v
+    return wp, vp
 
 
 def apply_one(g, v):
-    """v diag(g) v^H per grid point. g real valued."""
+    """v diag(g) v^H per grid point. g real valued.
+
+    Entry (i, j) is the sum of g_k v_ik conj(v_jk) over k, left to right;
+    the diagonal is summed real and the lower triangle is the conjugate
+    of the upper one.
+    """
     g = np.asarray(g, dtype=np.float64)
     v = np.asarray(v)
-    if v.shape[-1] == 1:
+    r = v.shape[-1]
+    if r == 1:
         return g[..., None].astype(np.complex128)
-    if v.shape[-1] != 2:
-        return _fiber_np.apply_one(g, v)
-    g0, g1 = g[..., 0], g[..., 1]
-    v00, v01 = v[..., 0, 0], v[..., 0, 1]
-    v10, v11 = v[..., 1, 0], v[..., 1, 1]
-    out = empty_field(np.broadcast_shapes(g.shape[:-1], v.shape[:-2]), (2, 2))
-    out[..., 0, 0] = (g0 * (v00.real ** 2 + v00.imag ** 2)
-                      + g1 * (v01.real ** 2 + v01.imag ** 2))
-    out[..., 1, 1] = (g0 * (v10.real ** 2 + v10.imag ** 2)
-                      + g1 * (v11.real ** 2 + v11.imag ** 2))
-    out[..., 0, 1] = g0 * v00 * np.conjugate(v10) + g1 * v01 * np.conjugate(v11)
-    out[..., 1, 0] = np.conjugate(out[..., 0, 1])
+    out = empty_field(np.broadcast_shapes(g.shape[:-1], v.shape[:-2]), (r, r))
+    g, v, o = [g[..., k] for k in range(r)], planes(v), planes(out)
+    for i in range(r):
+        o[i][i][...] = reduce(np.add, (
+            g[k] * (v[i][k].real ** 2 + v[i][k].imag ** 2) for k in range(r)))
+        for j in range(i + 1, r):
+            o[i][j][...] = reduce(np.add, (
+                g[k] * v[i][k] * np.conjugate(v[j][k]) for k in range(r)))
+            np.conjugate(o[i][j], out=o[j][i])
     return out
 
 
@@ -106,25 +116,19 @@ def apply_two(k, v, a):
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v)
     a = np.asarray(a)
-    if v.shape[-1] == 1:
+    r = v.shape[-1]
+    if r == 1:
         return k * a
-    if v.shape[-1] != 2:
-        return _fiber_np.apply_two(k, v, a)
-    # rank 2: t = a v, n = k * (v^H t), t = v n, out = t v^H, each product
-    # written entry by entry into separate grid-sized scratch entries
-    shape = np.broadcast_shapes(k.shape, v.shape, a.shape)
-    grid = shape[:-2]
-    out = empty_field(grid, (2, 2))
-    t = [[np.empty(grid, dtype=np.complex128) for _ in (0, 1)] for _ in (0, 1)]
-    n = [[np.empty(grid, dtype=np.complex128) for _ in (0, 1)] for _ in (0, 1)]
+    # t = a v, n = k * (v^H t), t = v n, out = t v^H, each product
+    # written entry by entry into grid-sized scratch fields
+    grid = np.broadcast_shapes(k.shape, v.shape, a.shape)[:-2]
+    out, t, n = (empty_field(grid, (r, r)) for _ in range(3))
     tmp = np.empty(grid, dtype=np.complex128)
-    ve = entries(v)
-    vh = [[np.conjugate(ve[j][i]) for j in (0, 1)] for i in (0, 1)]
-    _mm2(entries(a), ve, t, tmp)
-    _mm2(vh, t, n, tmp)
-    for i in (0, 1):
-        for j in (0, 1):
-            n[i][j] *= k[..., i, j]
-    _mm2(ve, n, t, tmp)
-    _mm2(t, vh, entries(out), tmp)
+    te, ne = planes(t), planes(n)
+    ve, vh = planes(v), planes(np.conjugate(np.swapaxes(v, -1, -2)))
+    mm_planes(planes(a), ve, te, tmp)
+    mm_planes(vh, te, ne, tmp)
+    n *= k
+    mm_planes(ve, ne, te, tmp)
+    mm_planes(te, vh, planes(out), tmp)
     return out

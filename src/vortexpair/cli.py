@@ -241,7 +241,8 @@ def _check_fiber_roundtrip(rng):
 
 def _check_fiber_kernel(rng):
     # exp's derivative through the solver's own transform (as in
-    # continuation.d2lhat_apply): closed form at rank 2, generic at 3
+    # continuation.d2lhat_apply): closed-form eigh at rank 2, LAPACK's
+    # at 3, and the written-out apply_two at both
     for r in (2, 3):
         for _ in range(10):
             s, a = [fiber.herm_part(rng.standard_normal((r, r))

@@ -9,12 +9,13 @@ eigendecompositions, matrix exp/log, and the one and two variable
 transforms built on eigenvalue kernels.
 
 Every field-valued matrix product of the solver goes through mm, the
-batched product of _fiber_np: elementwise at rank 1, written out entry
-by entry at rank 2, np.matmul at rank 3 and up. The eigendecomposition
-and the two functional calculi come from _kernels, which takes rank-1
-fields elementwise, writes all three out in closed form at rank 2 (the
-eigenvectors are a Givens rotation) and hands rank 3 and up to the
-generic LAPACK path of _fiber_np.
+batched product of _fiber_np: elementwise at rank 1 and written out
+entry by entry, over whole grid planes, at every rank from 2 up. The
+eigendecomposition and the two functional calculi come from _kernels,
+which takes rank-1 fields elementwise and writes both calculi out entry
+by entry at every rank from 2 up; the eigendecomposition is a closed
+form at rank 2 (the eigenvectors are a Givens rotation) and LAPACK's
+from rank 3 up.
 
 Importing the module allocates and frees one 16 MiB block, so that
 glibc keeps freed fields on the heap (see the comment after the imports).

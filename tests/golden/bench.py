@@ -19,6 +19,10 @@ cores. The document holds, under these keys:
   the GMRES calls, matvecs and largest matvec count of one solve,
   counted by a wrapper on `continuation.gmres`. The counts must repeat
   across rounds; the times and faults need not.
+- `rank3`: the same summary for a rank-3 split problem on the 32 x 32
+  torus, solved with `full_diagnostics=False`: rank2-caseb with one
+  more degree-one summand (`rank3_split`), whose solution is the direct
+  sum of a rank-1 solve and the identity.
 - `tier1`: the wall time and the passed and failed counts of the
   Tier-1 suite (`python -m pytest -q` with `src` on the path).
 - `src_lines`: the line count of `src/vortexpair/*.py`.
@@ -28,8 +32,10 @@ The steps run one after another, so that none times another's load.
 """
 
 import argparse
+import functools
 import glob
 import json
+import math
 import os
 import platform
 import re
@@ -48,6 +54,8 @@ sys.path.insert(0, SRC)
 import numpy as np  # noqa: E402
 
 from vortexpair import continuation, instances  # noqa: E402
+from vortexpair.geometry import TorusBackend  # noqa: E402
+from vortexpair.pair import PairProblem, SplitModel  # noqa: E402
 
 WORKLOADS = ("rank2-solve", "rank1-sweep", "higgs0-certify")
 ROUNDS = 2
@@ -113,19 +121,34 @@ def counting_gmres(gmres, tally):
     return solve
 
 
+def rank3_split(n=32):
+    """rank2-caseb's split problem with one more degree-one summand."""
+    return PairProblem(TorusBackend(n), 3,
+                       np.diag([0.0, 2.0 * math.pi, 2.0 * math.pi]),
+                       [1.0, 0.0, 0.0], 4.0 * math.pi,
+                       split=SplitModel((0.0, 1.0, 1.0), 0))
+
+
 def shipped_instances():
     """{instance: summary} of the default-grid solves, ROUNDS each."""
+    return solve_rounds({name: functools.partial(instances.make, name)
+                         for name in instances.names()})
+
+
+def solve_rounds(makers, cfg=None):
+    """{name: summary} of ROUNDS solves of each problem makers[name]()
+    with the configuration cfg (the solve defaults when None)."""
     gmres, rows = continuation.gmres, {}
     try:
         for rnd in range(ROUNDS):
-            for name in instances.names():
+            for name, make in makers.items():
                 tally = dict(gmres_calls=0, gmres_matvecs=0,
                              gmres_max_matvecs=0)
                 continuation.gmres = counting_gmres(gmres, tally)
-                p = instances.make(name)
+                p = make()
                 f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 t0 = time.perf_counter()
-                rep = continuation.run_continuation(p).report
+                rep = continuation.run_continuation(p, cfg).report
                 wall = time.perf_counter() - t0
                 faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                           - f0)
@@ -188,6 +211,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     doc = {"machine": machine(), "src_lines": src_lines()}
     doc["instances"] = shipped_instances()
+    doc["rank3"] = solve_rounds(
+        {"rank3-split": rank3_split},
+        continuation.ContinuationConfig(full_diagnostics=False))
     doc["perfbench"] = {"trace0_seed0": perfbench(0, 0, args.seconds),
                         "trace1_seed1": perfbench(1, 1, args.seconds)}
     doc["tier1"] = tier1()

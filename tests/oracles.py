@@ -15,7 +15,7 @@ compare the solver against. The library never calls them.
                      pointwise P-inequality and the slack of the
                      pointwise inequality checks, and a tap that hands
                      each accepted state of a run to these checks
-    layout           a guard on the written-out rank-2 product that
+    layout           a guard on the written-out product mm_planes that
                      fails on an entry operand that is not a
                      C-contiguous grid plane
     plain forms      the plain expressions that the in-place forms of
@@ -335,22 +335,21 @@ def tapped(run, *args):
 
 @contextlib.contextmanager
 def plane_layout_guard():
-    """Wrap the written-out rank-2 product _fiber_np._mm2 (at both of its
+    """Wrap the written-out product _fiber_np.mm_planes (at both of its
     import sites) for the duration of the block, and fail at its end if
     any grid-sized entry operand was not a C-contiguous grid plane.
     Constant (0-d) entries are exempt. Yields a namespace whose calls
     counts the products seen, so a caller can check that the guard saw
     work; violations are recorded rather than raised, so no handler
     inside the solver can swallow them."""
-    orig = _fiber_np._mm2
+    orig = _fiber_np.mm_planes
     seen = types.SimpleNamespace(calls=0, bad=0, first=None)
 
     def guarded(x, y, out, tmp):
         seen.calls += 1
         for name, ops in (("x", x), ("y", y), ("out", out)):
-            for i in (0, 1):
-                for j in (0, 1):
-                    e = ops[i][j]
+            for i, row in enumerate(ops):
+                for j, e in enumerate(row):
                     if np.ndim(e) and not e.flags.c_contiguous:
                         seen.bad += 1
                         seen.first = seen.first or (
@@ -359,11 +358,11 @@ def plane_layout_guard():
         return orig(x, y, out, tmp)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_fiber_np, "_mm2", guarded)
-        mp.setattr(_kernels, "_mm2", guarded)
+        mp.setattr(_fiber_np, "mm_planes", guarded)
+        mp.setattr(_kernels, "mm_planes", guarded)
         yield seen
     if seen.bad:
-        pytest.fail("%d strided entry operands reached _mm2, first: %s"
+        pytest.fail("%d strided entry operands reached mm_planes, first: %s"
                     % (seen.bad, seen.first))
 
 

@@ -20,7 +20,8 @@ from vortexpair.continuation import (ContinuationConfig, MetricState,
                                      final_metric_original_frame,
                                      run_continuation, uniqueness_probe)
 from vortexpair.instances import gauge_probe
-from vortexpair.pair import PairProblem
+from vortexpair.geometry import TorusBackend
+from vortexpair.pair import PairProblem, SplitModel
 
 from conftest import rand_band_herm
 from oracles import (fd_lhat, higgs_xi_derivative, nie_zhang_check,
@@ -36,7 +37,8 @@ UNSTABLE = ("torus-unstable", "hopf-unstable")
 def full_runs():
     """All shipped instances at default grids, default configuration.
     The runs go through the layout guard, so every criterion that reads
-    them also proves that no strided entry reached the rank-2 product."""
+    them also proves that no strided entry reached the written-out
+    product."""
     runs = {}
     with plane_layout_guard() as guard:
         for name in instances.names():
@@ -255,6 +257,28 @@ def test_c10_split_instance_is_direct_sum(full_runs):
         fsum[..., idx, idx] = fq[..., 0, 0]
     err = float(fiber.sup_norm(f2 - fsum))
     assert err <= 1e-6, "block decomposition miss %.3e" % err
+
+
+def test_c10_rank3_split_solve_is_the_direct_sum_bit_for_bit():
+    # rank2-caseb with one more degree-one summand: the degree-zero block
+    # is the rank-1 solve and the degree-one block stays I, with no
+    # tolerance, and every rank-3 field is stored as entry planes
+    g = TorusBackend(16)
+    p = PairProblem(g, 3, np.diag([0.0, 2.0 * math.pi, 2.0 * math.pi]),
+                    [1.0, 0.0, 0.0], FOUR_PI,
+                    split=SplitModel((0.0, 1.0, 1.0), 0))
+    cfg = ContinuationConfig(full_diagnostics=False)
+    with plane_layout_guard() as guard:
+        out = run_continuation(p, cfg)
+    assert guard.calls > 0
+    one = run_continuation(PairProblem(g, 1, [[0.0]], [1.0], FOUR_PI), cfg)
+    for rep in (out.report, one.report):
+        assert (rep.verdict, len(rep.trace), rep.newton_total) == (
+            "converged", 22, 44)
+    f = out.state.f
+    assert np.array_equal(f[..., :1, :1], one.state.f)
+    assert np.all(f[..., 1:, 1:] == np.eye(2))
+    assert not np.any(f[..., :1, 1:]) and not np.any(f[..., 1:, :1])
 
 
 def test_c11_uniqueness_from_independent_starts():

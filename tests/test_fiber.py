@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -89,7 +89,7 @@ def test_dexp_kernel_symmetric(rng):
 
 def test_dexp_transform_matches_finite_difference(rng):
     # the transform continuation.d2lhat_apply runs; rank 2 takes the
-    # closed-form eigh and apply_two, rank 3 the generic path
+    # closed-form eigh, rank 3 LAPACK's, and both the written-out apply_two
     for r in (2, 3):
         for _ in range(30):
             s = rand_herm(rng, (), r)
@@ -330,8 +330,8 @@ _MM_VALUES = st.one_of(st.just(0.0), st.floats(1e-100, 1e3),
 
 
 @st.composite
-def _mm_operands(draw, ranks=st.integers(1, 3)):
-    """Two operands of a rank drawn from ranks (1, 2 or 3 by default) on
+def _mm_operands(draw, ranks=st.integers(1, 4)):
+    """Two operands of a rank drawn from ranks (1 to 4 by default) on
     an (n,) or (n, n) grid: fields or a constant (r, r) on either side,
     each real or complex."""
     r = draw(ranks)
@@ -358,18 +358,30 @@ def _assert_scaled(got, want, scale):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_mm_operands(), st.sampled_from([0.0, 1e-9]), st.integers(0, 2 ** 32))
-def test_mm_and_rank2_calculus_match_matmul(operands, split, seed):
+@given(_mm_operands(), st.sampled_from([0.0, 1e-9]), st.integers(0, 2 ** 32),
+       st.sampled_from([2, 3]))
+# equal-shaped operands that are not square: @ raises, and so must mm
+# instead of summing over the wrong index
+@example(operands=(np.ones((3, 2, 3)), np.ones((3, 2, 3))), split=0.0,
+         seed=0, r=2)
+@example(operands=(np.ones((3, 2)), np.ones((3, 3, 2))), split=0.0,
+         seed=0, r=3)
+def test_mm_and_rank2_calculus_match_matmul(operands, split, seed, r):
     a, b = operands
+    if a.shape[-2] != a.shape[-1]:
+        for product in (np.matmul, fiber.mm):
+            with pytest.raises(ValueError):
+                product(a, b)
+        return
     _assert_scaled(fiber.mm(a, b), np.matmul(a, b),
                    np.max(np.abs(a)) * np.max(np.abs(b)))
 
-    # rank-2 functional calculus on exactly coincident and 1e-9-split
-    # eigenvalues, against the same formulas written with @
+    # rank-2 and rank-3 functional calculus on exactly coincident and
+    # 1e-9-split eigenvalues, against the same formulas written with @
     rng = np.random.default_rng(seed)
-    w0 = rng.uniform(-3.0, 3.0, size=(3, 3, 1)) + np.array([0.0, split])
-    q = np.linalg.qr(rng.standard_normal((3, 3, 2, 2))
-                     + 1j * rng.standard_normal((3, 3, 2, 2)))[0]
+    w0 = rng.uniform(-3.0, 3.0, size=(3, 3, 1)) + split * np.arange(r)
+    q = np.linalg.qr(rng.standard_normal((3, 3, r, r))
+                     + 1j * rng.standard_normal((3, 3, r, r)))[0]
     qh = np.conjugate(np.swapaxes(q, -1, -2))
     w, v = _kernels.eigh_batch(herm_part((q * w0[..., None, :]) @ qh))
     vh = np.conjugate(np.swapaxes(v, -1, -2))
@@ -377,7 +389,7 @@ def test_mm_and_rank2_calculus_match_matmul(operands, split, seed):
     _assert_scaled(_kernels.apply_one(g, v),
                    (v * g[..., None, :]) @ vh, np.max(g))
     k = fiber.kernel_matrix(psi_kernel, w)
-    c = rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))
+    c = rng.standard_normal((3, 3, r, r)) + 1j * rng.standard_normal((3, 3, r, r))
     _assert_scaled(_kernels.apply_two(k, v, c), v @ (k * (vh @ c @ v)) @ vh,
                    np.max(k) * np.max(np.abs(c)))
 

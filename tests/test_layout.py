@@ -1,12 +1,12 @@
 """Field storage: shapes are grid-first, entries are contiguous planes.
 
-Every rank-2 field the solver allocates stores each matrix entry
-[..., i, j] as a C-contiguous grid plane (fiber.empty_field), so the
-written-out rank-2 product never reads or writes a strided view. The
-layout must not change a single bit: every kernel gives the same bytes
-from C-order and entry-plane copies of the same inputs. Freed fields
-stay on glibc's heap, so a repeated solve does not fault their pages in
-again.
+Every field of rank 2 and up that the solver allocates stores each
+matrix entry [..., i, j] as a C-contiguous grid plane
+(fiber.empty_field), so the written-out product never reads or writes a
+strided view. The layout must not change a single bit: every kernel
+gives the same bytes from C-order and entry-plane copies of the same
+inputs. Freed fields stay on glibc's heap, so a repeated solve does not
+fault their pages in again.
 """
 
 import dataclasses
@@ -26,9 +26,6 @@ from vortexpair.geometry import TorusBackend
 
 from conftest import rand_herm
 from oracles import plane_layout_guard
-
-# rank 3 runs np.matmul, whose summation may follow the operand layout
-RANK3_RTOL = 1e-14
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -96,25 +93,28 @@ def test_quick_solves_pass_only_entry_planes_to_the_rank2_product(name):
 
 
 def test_rank2_results_are_stored_as_entry_planes(rng):
-    a = _edge_field(rng)
-    c = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
-    assert not _planes(a)
-    # inputs in C order: every allocated result is planes all the same
-    assert _planes(fiber.mm(a, c))
-    assert _planes(fiber.mm(a[0, 0], c))
-    w, v = fiber.eigh_batch(a)
-    assert _planes(w, 1) and _planes(v)
-    assert _planes(fiber.apply_one(np.exp(w), v))
-    k = fiber.kernel_matrix(fiber.dexp_kernel, w)
-    assert _planes(fiber.apply_two(k, v, c))
-    packer = HermPacker(a.shape[:2], 2)
-    assert _planes(packer.unpack(packer.pack(a)))
-    geom = TorusBackend(8)
-    assert _planes(geom.d(_plane_copy(c)))
-    assert _planes(geom.dbar(_plane_copy(c)))
-    st = MetricState(_plane_copy(a))
-    for f in (st.f, st.finv, st.fsr, st.fsri):
-        assert _planes(f)
+    # rank 2 takes the closed forms, rank 3 LAPACK's eigh and the
+    # written-out products
+    for a in (_edge_field(rng), rand_herm(rng, (8, 8), 3)):
+        r = a.shape[-1]
+        c = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+        assert not _planes(a)
+        # inputs in C order: every allocated result is planes all the same
+        assert _planes(fiber.mm(a, c))
+        assert _planes(fiber.mm(a[0, 0], c))
+        w, v = fiber.eigh_batch(a)
+        assert _planes(w, 1) and _planes(v)
+        assert _planes(fiber.apply_one(np.exp(w), v))
+        k = fiber.kernel_matrix(fiber.dexp_kernel, w)
+        assert _planes(fiber.apply_two(k, v, c))
+        packer = HermPacker(a.shape[:2], r)
+        assert _planes(packer.unpack(packer.pack(a)))
+        geom = TorusBackend(8)
+        assert _planes(geom.d(_plane_copy(c)))
+        assert _planes(geom.dbar(_plane_copy(c)))
+        st = MetricState(_plane_copy(a))
+        for f in (st.f, st.finv, st.fsr, st.fsri):
+            assert _planes(f), r
 
 
 @pytest.mark.parametrize("name", ["rank2-extension", "higgs-nilpotent"])
@@ -198,28 +198,24 @@ def test_a_c_order_start_runs_bit_for_bit_like_an_entry_plane_start():
 
 
 def test_rank3_generic_path_agrees_across_layouts(rng):
+    # LAPACK copies its input, and the written-out products are
+    # elementwise in the grid, so the layout changes no bit at rank 3
     a = rand_herm(rng, (4, 6), 3)
     c = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
     a_c, a_p = _both(a)
     c_c, c_p = _both(c)
     assert not _planes(a_c) and _planes(a_p)
 
-    def close(x, y, scale):
-        assert x.shape == y.shape and x.dtype == y.dtype
-        assert np.max(np.abs(x - y)) <= RANK3_RTOL * scale
-
-    close(fiber.mm(a_c, c_c), fiber.mm(a_p, c_p),
-          np.max(np.abs(a)) * np.max(np.abs(c)))
-    (w_c, v_c), (w_p, _) = _kernels.eigh_batch(a_c), _kernels.eigh_batch(a_p)
-    close(w_c, w_p, np.max(np.abs(w_c)))
+    _same(fiber.mm(a_c, c_c), fiber.mm(a_p, c_p))
+    (w_c, v_c), (w_p, v_p) = _kernels.eigh_batch(a_c), _kernels.eigh_batch(a_p)
+    _same(w_c, w_p)
+    _same(v_c, v_p)
     g = np.exp(w_c)
     v_c, v_p = _both(v_c)
-    close(fiber.apply_one(g, v_c), fiber.apply_one(_plane_copy(g, 1), v_p),
-          np.max(g))
+    _same(fiber.apply_one(g, v_c), fiber.apply_one(_plane_copy(g, 1), v_p))
     k = fiber.kernel_matrix(fiber.dexp_kernel, w_c)
-    close(fiber.apply_two(k, v_c, c_c),
-          fiber.apply_two(_plane_copy(k), v_p, c_p),
-          np.max(k) * np.max(np.abs(c)))
+    _same(fiber.apply_two(k, v_c, c_c),
+          fiber.apply_two(_plane_copy(k), v_p, c_p))
     packer = HermPacker(a.shape[:2], 3)
     _same(packer.pack(c_c), packer.pack(c_p))
 
