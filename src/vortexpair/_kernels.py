@@ -1,23 +1,91 @@
-"""Batched fiber kernels, written out over entry planes.
+"""The fiber algebra: storage, the batched product and the kernels.
 
-A rank-1 field is a scalar field, so its eigendecomposition and both
-functional calculi are elementwise. From rank 2 up the two congruences
-are written out entry by entry over whole grid planes: apply_one sums
-g_k v_ik conj(v_jk), and apply_two chains four mm_planes products. The
-eigendecomposition is a Givens rotation at rank 2 and LAPACK's from
-rank 3 up, copied into entry planes. The generic kernels of _fiber_np
-(LAPACK eigh, congruences formed with mm) are the reference these are
-tested against.
+Arrays carry grid axes first and the two matrix axes last, so a field of
+r x r endomorphisms on an N x N grid has shape (N, N, r, r). The shape
+stays grid-first, but the storage is entry-plane-major: empty_field, the
+one allocator of fields, lays the array out as (r, r, N, N) in C order
+and returns the transposed view, so every entry [..., i, j] is a
+C-contiguous grid plane. numpy's order-K rule carries that layout
+through elementwise operations and FFTs, so the written-out products
+below read and write whole planes instead of views strided by r^2
+elements.
+
+mm is the one batched matrix product of the solver. Rank 1 is an
+elementwise product, and every rank from 2 up writes the r^2 entries
+out with mm_planes, over the entry views that planes lists. Operands
+whose matrix shapes differ or are not square go to `a @ b`, so that a
+mismatch raises as it does there. The written-out product avoids the
+per-matrix overhead of np.matmul on tiny matrices; it matches `@` to
+roundoff, not bit for bit. Each entry is formed in place in the output
+with one scratch array, in the same IEEE operations as the expression
+a_i0 * b_0j + a_i1 * b_1j + ... summed left to right.
+
+The kernels are the eigendecomposition and the two functional calculi.
+A rank-1 field is a scalar field, so all three are elementwise there.
+From rank 2 up the two congruences are written out entry by entry over
+whole grid planes: apply_one sums g_k v_ik conj(v_jk), and apply_two
+chains four mm_planes products. The eigendecomposition is a Givens
+rotation at rank 2 and LAPACK's from rank 3 up, copied into entry
+planes.
+
+The chain is fiber -> _kernels: fiber, the module the solver calls,
+imports everything here, and this module imports nothing from the
+package. The generic kernels of _fiber_np, written with `@` and sharing
+no code with these, are the reference that the tests and perfbench
+compare them against; nothing in the package imports them.
 """
 
 from functools import reduce
 
 import numpy as np
 
-from . import _fiber_np
-from ._fiber_np import empty_field, mm_planes, planes
-
 BACKEND = "numpy"
+
+
+def empty_field(grid, tail, dtype=np.complex128):
+    """Uninitialized field of logical shape grid + tail whose entries
+    [..., i, j] (one per index of tail) are C-contiguous grid planes."""
+    grid, tail = tuple(grid), tuple(tail)
+    k = len(tail)
+    a = np.empty(tail + grid, dtype=dtype)
+    return a.transpose(tuple(range(k, k + len(grid))) + tuple(range(k)))
+
+
+def planes(a):
+    """The r x r entries of a field as nested lists of views."""
+    idx = range(a.shape[-1])
+    return [[a[..., i, j] for j in idx] for i in idx]
+
+
+def mm_planes(x, y, out, tmp):
+    """out = x y for r x r fields given by their entries, written in place.
+
+    Entry (i, j) is x_i0 * y_0j, then += x_ik * y_kj for k = 1 ... r-1,
+    each product formed in the scratch entry tmp: at r = 2 exactly the
+    IEEE operations of x_i0 * y_0j + x_i1 * y_1j.
+    """
+    ks = range(1, len(x))
+    for xi, oi in zip(x, out):
+        for j, o in enumerate(oi):
+            np.multiply(xi[0], y[0][j], out=o)
+            for k in ks:
+                np.multiply(xi[k], y[k][j], out=tmp)
+                o += tmp
+
+
+def mm(a, b):
+    """Batched matrix product a b, matrix axes last, broadcasting over
+    grid axes; a constant (r, r) operand broadcasts against a field."""
+    shape = a.shape[-2:]
+    if shape != b.shape[-2:] or shape[0] != shape[1]:
+        return a @ b
+    if shape == (1, 1):
+        return a * b
+    x, y = planes(a), planes(b)
+    grid = np.broadcast(x[0][0], y[0][0]).shape
+    out = empty_field(grid, shape, dtype=np.result_type(a, b))
+    mm_planes(x, y, planes(out), np.empty(grid, dtype=out.dtype))
+    return out
 
 
 def _eigh2(a):
@@ -80,7 +148,7 @@ def eigh_batch(a):
     if a.shape[-1] == 2:
         return _eigh2(a)
     # LAPACK returns C order: copy into entry planes like every field
-    w, v = _fiber_np.eigh_batch(a)
+    w, v = np.linalg.eigh(a)
     wp = empty_field(w.shape[:-1], w.shape[-1:], w.dtype)
     vp = empty_field(v.shape[:-2], v.shape[-2:], v.dtype)
     wp[...], vp[...] = w, v

@@ -1,21 +1,24 @@
 """Fiberwise functional calculus for Hermitian endomorphism fields.
 
 Fields keep grid axes first and matrix axes last in their shape, but
-are stored entry-plane-major: empty_field (from _fiber_np) is the only
-allocator of fields, and it makes every entry [..., i, j] a C-contiguous
-grid plane. Elementwise operations keep that layout, so no index or
-einsum string depends on it. Everything here is pointwise in the grid:
+are stored entry-plane-major: empty_field is the only allocator of
+fields, and it makes every entry [..., i, j] a C-contiguous grid plane.
+Elementwise operations keep that layout, so no index or einsum string
+depends on it. Everything here is pointwise in the grid:
 eigendecompositions, matrix exp/log, and the one and two variable
 transforms built on eigenvalue kernels.
 
-Every field-valued matrix product of the solver goes through mm, the
-batched product of _fiber_np: elementwise at rank 1 and written out
-entry by entry, over whole grid planes, at every rank from 2 up. The
-eigendecomposition and the two functional calculi come from _kernels,
-which takes rank-1 fields elementwise and writes both calculi out entry
-by entry at every rank from 2 up; the eigendecomposition is a closed
-form at rank 2 (the eigenvectors are a Givens rotation) and LAPACK's
-from rank 3 up.
+The algebra under them is one chain: this module imports the
+allocator, the batched product mm and the three kernels from _kernels,
+which imports nothing from the package. Every field-valued matrix
+product of the solver goes through mm: elementwise at rank 1 and
+written out entry by entry, over whole grid planes, at every rank from
+2 up. The kernels take rank-1 fields elementwise and write both
+functional calculi out entry by entry at every rank from 2 up; the
+eigendecomposition is a closed form at rank 2 (the eigenvectors are a
+Givens rotation) and LAPACK's from rank 3 up. The generic reference
+kernels of _fiber_np are for the tests and perfbench only; nothing in
+the package imports them.
 
 Importing the module allocates and frees one 16 MiB block, so that
 glibc keeps freed fields on the heap (see the comment after the imports).
@@ -26,8 +29,7 @@ sup norms are the grid max of the pointwise norm.
 
 import numpy as np
 
-from ._fiber_np import empty_field, mm
-from ._kernels import apply_one, apply_two, eigh_batch
+from ._kernels import apply_one, apply_two, eigh_batch, empty_field, mm
 
 # Allocate an untouched 16 MiB block and free it at once. glibc serves
 # it with mmap, and freeing an mmapped block raises glibc's dynamic mmap

@@ -94,10 +94,12 @@ class PairProblem:
                 or matrix field
     phi         section field, shape grid + (r,)
     tau         equation parameter
-    a01         optional (0,1) connection coefficient (matrix or field);
-                acts on sections by multiplication, on endomorphisms by
-                commutator (zero at rank 1). The (1,0) one is a10 = -a01^H,
-                the Chern convention for an identity reference metric
+    a01         optional (0,1) connection coefficient, an (r, r) matrix
+                or a grid + (r, r) field, kept as given (a constant stays
+                a constant); acts on sections by multiplication, on
+                endomorphisms by commutator (zero at rank 1). The (1,0)
+                one is a10 = -a01^H, the Chern convention for an
+                identity reference metric
     split       optional SplitModel consistency declaration
     """
 
@@ -111,7 +113,7 @@ class PairProblem:
         r = self.rank
         self.ilf0 = self._expand(ilf0, (r, r), "curvature field")
         self.phi = self._expand(phi, (r,), "section")
-        self.a01 = None if a01 is None else np.asarray(a01, dtype=np.complex128)
+        self.a01 = None if a01 is None else self._checked(a01, (r, r), "a01")
         self.a10 = (None if a01 is None
                     else -np.conjugate(np.swapaxes(self.a01, -1, -2)))
 
@@ -126,17 +128,20 @@ class PairProblem:
             np.sum(np.abs(self.phi) ** 2, axis=-1)).real)
         self._validate()
 
-    def _expand(self, x, tail, what):
-        """x copied into a new grid field with fiber shape tail: a
-        constant of shape tail goes to every point, a field must have
-        grid + tail."""
+    def _checked(self, x, tail, what):
+        """x as a complex array, which must be a constant of shape tail
+        or a field of shape grid + tail."""
         x = np.asarray(x, dtype=np.complex128)
-        grid = tuple(self.geom.shape)
-        if x.shape != tail and x.shape != grid + tail:
-            raise ValueError("%s shape %s, want %s"
-                             % (what, x.shape, grid + tail))
-        out = fiber.empty_field(grid, tail)
-        out[...] = x
+        want = tuple(self.geom.shape) + tail
+        if x.shape not in (tail, want):
+            raise ValueError("%s shape %s, want %s" % (what, x.shape, want))
+        return x
+
+    def _expand(self, x, tail, what):
+        """x checked and copied into a new grid field with fiber shape
+        tail: a constant of shape tail goes to every point."""
+        out = fiber.empty_field(self.geom.shape, tail)
+        out[...] = self._checked(x, tail, what)
         return out
 
     def _check_finite(self, *names):

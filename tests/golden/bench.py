@@ -26,14 +26,19 @@ cores. The document holds, under these keys:
 - `tier1`: the wall time and the passed and failed counts of the
   Tier-1 suite (`python -m pytest -q` with `src` on the path).
 - `src_lines`: the line count of `src/vortexpair/*.py`.
+- `src_code_lines`: the code lines of `src/vortexpair/*.py`, per
+  module and in total: the lines that hold a token other than a
+  comment and lie outside every module, class and function docstring.
 - `machine`: platform, core counts and versions.
 
 The steps run one after another, so that none times another's load.
 """
 
 import argparse
+import ast
 import functools
 import glob
+import io
 import json
 import math
 import os
@@ -44,6 +49,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from types import SimpleNamespace
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -196,6 +202,36 @@ def src_lines():
     return total
 
 
+def code_lines(text):
+    """The number of lines of Python source text that hold a token other
+    than a comment, leaving out the docstrings."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            docs.update(range(doc.lineno, doc.end_lineno + 1))
+    blank = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+             tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in blank:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
+
+
+def src_code_lines():
+    """{module: code lines} of src/vortexpair/*.py, with the sum under
+    "total"."""
+    counts = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "vortexpair", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            counts[os.path.basename(path)] = code_lines(fh.read())
+    counts["total"] = sum(counts.values())
+    return counts
+
+
 def machine():
     return {"platform": platform.platform(), "machine": platform.machine(),
             "nproc": os.cpu_count(),
@@ -209,7 +245,8 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=20.0,
                     help="measuring seconds per untraced workload")
     args = ap.parse_args(argv)
-    doc = {"machine": machine(), "src_lines": src_lines()}
+    doc = {"machine": machine(), "src_lines": src_lines(),
+           "src_code_lines": src_code_lines()}
     doc["instances"] = shipped_instances()
     doc["rank3"] = solve_rounds(
         {"rank3-split": rank3_split},

@@ -31,7 +31,7 @@ import types
 import numpy as np
 import pytest
 
-from vortexpair import _fiber_np, _kernels, continuation
+from vortexpair import _kernels, continuation
 from vortexpair._kernels import apply_one, apply_two
 from vortexpair.fiber import (CLAMP_HARD_REL, EIG_FLOOR, ClampError, comm,
                               dexp_kernel, frob, herm_eig, herm_part,
@@ -335,14 +335,14 @@ def tapped(run, *args):
 
 @contextlib.contextmanager
 def plane_layout_guard():
-    """Wrap the written-out product _fiber_np.mm_planes (at both of its
-    import sites) for the duration of the block, and fail at its end if
-    any grid-sized entry operand was not a C-contiguous grid plane.
-    Constant (0-d) entries are exempt. Yields a namespace whose calls
-    counts the products seen, so a caller can check that the guard saw
-    work; violations are recorded rather than raised, so no handler
-    inside the solver can swallow them."""
-    orig = _fiber_np.mm_planes
+    """Wrap the written-out product _kernels.mm_planes (its one site) for
+    the duration of the block, and fail at its end if any grid-sized
+    entry operand was not a C-contiguous grid plane. Constant (0-d)
+    entries are exempt. Yields a namespace whose calls counts the
+    products seen, so a caller can check that the guard saw work;
+    violations are recorded rather than raised, so no handler inside the
+    solver can swallow them."""
+    orig = _kernels.mm_planes
     seen = types.SimpleNamespace(calls=0, bad=0, first=None)
 
     def guarded(x, y, out, tmp):
@@ -358,7 +358,6 @@ def plane_layout_guard():
         return orig(x, y, out, tmp)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_fiber_np, "mm_planes", guarded)
         mp.setattr(_kernels, "mm_planes", guarded)
         yield seen
     if seen.bad:

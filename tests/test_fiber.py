@@ -359,7 +359,7 @@ def _assert_scaled(got, want, scale):
 
 @settings(max_examples=150, deadline=None)
 @given(_mm_operands(), st.sampled_from([0.0, 1e-9]), st.integers(0, 2 ** 32),
-       st.sampled_from([2, 3]))
+       st.sampled_from([2, 3, 4]))
 # equal-shaped operands that are not square: @ raises, and so must mm
 # instead of summing over the wrong index
 @example(operands=(np.ones((3, 2, 3)), np.ones((3, 2, 3))), split=0.0,
@@ -376,7 +376,7 @@ def test_mm_and_rank2_calculus_match_matmul(operands, split, seed, r):
     _assert_scaled(fiber.mm(a, b), np.matmul(a, b),
                    np.max(np.abs(a)) * np.max(np.abs(b)))
 
-    # rank-2 and rank-3 functional calculus on exactly coincident and
+    # rank-2 to rank-4 functional calculus on exactly coincident and
     # 1e-9-split eigenvalues, against the same formulas written with @
     rng = np.random.default_rng(seed)
     w0 = rng.uniform(-3.0, 3.0, size=(3, 3, 1)) + split * np.arange(r)

@@ -170,6 +170,9 @@ def test_validation_rejects_bad_data():
         PairProblem(g, 1, np.zeros((2, 2)), [1.0], 1.0)  # shape
     with pytest.raises(ValueError):
         PairProblem(g, 1, [[0.0]], [1.0, 0.0], 1.0)  # section shape
+    for a01 in (np.zeros(2), np.zeros((3, 3)), np.zeros((4, 4, 2, 2))):
+        with pytest.raises(ValueError, match="a01 shape"):
+            PairProblem(g, 2, np.zeros((2, 2)), [1.0, 0.0], 1.0, a01=a01)
     with pytest.raises(ValueError):
         PairProblem(g, 1, [[0.0]], [1.0], 1.0, split=SplitModel((2.0,), 0))
     with pytest.raises(ValueError):

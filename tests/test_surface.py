@@ -90,6 +90,34 @@ def test_no_module_reads_a_backend_kind():
     assert not found, "reads of .kind: %s" % found
 
 
+def _package_imports(tree):
+    """The package modules a module imports, by their last name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.rsplit(".", 1)[-1] for a in node.names
+                         if a.name.split(".")[0] == "vortexpair")
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "vortexpair"):
+            if node.module in (None, "vortexpair"):
+                found.update(a.name for a in node.names)
+            else:
+                found.add(node.module.rsplit(".", 1)[-1])
+    return found
+
+
+def test_fiber_algebra_is_one_import_chain():
+    # fiber imports the runtime algebra from _kernels alone; the
+    # reference kernels of _fiber_np are for the tests and perfbench, so
+    # no package module imports them, and neither they nor _kernels
+    # import anything from the package
+    imports = {path.stem: _package_imports(_parse(path))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    found = sorted(m for m, names in imports.items() if "_fiber_np" in names)
+    assert not found, "modules importing _fiber_np: %s" % found
+    assert imports["_fiber_np"] == set() and imports["_kernels"] == set()
+
+
 def test_benchmark_tracer_patch_sites_exist(monkeypatch):
     # the traced benchmark patches names at their import sites (such as
     # apply_one in higgs); a library edit that drops one breaks --trace 1
