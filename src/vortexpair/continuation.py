@@ -28,6 +28,7 @@ packing of Hermitian fields; the preconditioner divides by the
 constant-coefficient symbol of the dominant operator.
 """
 
+import functools
 import math
 import sys
 import time
@@ -199,9 +200,10 @@ class RunOutcome:
 
 class MetricState:
     """One metric deformation point: s, its eigendecomposition, the
-    powers of f = exp(s), and one memo of the fields the solver asks of
-    it (the curvature, f^-1 d0 f, the dexp kernel matrix of its
-    spectrum), each computed once for the last problem asked."""
+    powers of f = exp(s), and one memo of what the solver asks of it,
+    each computed once for the last problem asked: the fields (the
+    curvature, f^-1 d0 f, the dexp kernel matrix of its spectrum) and
+    the floats of its diagnostics that do not depend on eps."""
 
     __slots__ = ("s", "w", "v", "f", "finv", "fsr", "fsri", "_p", "_memo")
 
@@ -215,8 +217,9 @@ class MetricState:
         self._p, self._memo = None, {}
 
     def field(self, p, name, build):
-        """The field called name of this state for the problem p: build()
-        runs once, and the memo starts over when another problem asks."""
+        """The field or float called name of this state for the problem p:
+        build() runs once, and the memo starts over when another problem
+        asks."""
         if self._p is not p:
             self._p, self._memo = p, {}
         if name not in self._memo:
@@ -359,8 +362,7 @@ def _newton_operator(p, eps, st, packer):
 def _precond_operator(p, eps, packer):
     """Entrywise preconditioner: division by the Fourier symbol of the
     constant-coefficient model operator P + eps + c."""
-    c = float(np.mean(np.trace(p.zero_order_id(),
-                               axis1=-2, axis2=-1).real)) / p.rank
+    c = p.reference_constants[0]
     shift = max(eps, 0.0) + max(c, 0.0) + 1e-12
     sym = p.geom.p_symbol + shift
     denom = sym.reshape(sym.shape + (1, 1))
@@ -371,6 +373,16 @@ def _precond_operator(p, eps, packer):
         h /= denom
         return packer.pack(p.geom.fft(h, h, inverse=True))
     return mv
+
+
+@functools.lru_cache(maxsize=8)
+def _ritz_start(n):
+    """The probe's fixed unit start vector of size n, read-only: built
+    once, so that a state always gets the same estimate."""
+    q = np.random.default_rng(7).standard_normal(n)
+    q /= np.linalg.norm(q)
+    q.flags.writeable = False
+    return q
 
 
 def min_ritz_estimate(p, eps, st):
@@ -389,13 +401,10 @@ def min_ritz_estimate(p, eps, st):
     amv = _newton_operator(p, eps, st, packer)
     mop = _precond_operator(p, eps, packer)
 
-    # a fixed start vector, so a state always gets the same estimate
-    rng = np.random.default_rng(7)
     n = packer.size
     steps = min(RITZ_STEPS, n)
     basis = np.empty((steps + 1, n))
-    q = rng.standard_normal(n)
-    basis[0] = q / np.linalg.norm(q)
+    basis[0] = _ritz_start(n)
     hmat = np.zeros((steps + 1, steps))
     for j in range(steps):
         w = mop(amv(basis[j]))
@@ -581,6 +590,25 @@ def initial_gauge(p, h=None, cfg=None):
 # ---------------------------------------------------------------------------
 # runtime verification
 
+def _energy_terms(p, st):
+    """(||s||_L2^2, t_bg, t_nz, t_phi), the eps-independent integrals of
+    the energy identity at st, computed once per state."""
+    def build():
+        geom, s = p.geom, st.s
+        bg = p.ilf0 - (p.tau / 2.0) * np.eye(p.rank)
+        t_bg = float(geom.integrate(np.einsum(
+            "...ij,...ji->...", bg, s).real).real)
+        bs = p.dbar_end(s)
+        # the trace pairing tr((f^-1 d0 f) b) lands entry (i, j) of b on
+        # psi(lam_j, lam_i), the column-first order of kernel_matrix
+        psib = apply_two(fiber.kernel_matrix(fiber.psi_kernel, st.w), st.v, bs)
+        t_nz = float(geom.integrate(geom.pair_01(psib, bs)).real)
+        t_phi = float(geom.integrate(np.einsum(
+            "...ij,...ji->...", p.zero_order(st), s).real).real)
+        return (float(geom.integrate(frob(s) ** 2).real), t_bg, t_nz, t_phi)
+    return st.field(p, "energy", build)
+
+
 def energy_identity_gap(p, eps, st):
     """Integral energy identity at a solution of L_eps(f) = 0:
 
@@ -589,21 +617,11 @@ def energy_identity_gap(p, eps, st):
 
     all integrated. Returns (gap, scale). The section term carries the
     deformed metric factor f; with the reference-metric factor instead
-    the identity fails already for constant rank-1 data.
+    the identity fails already for constant rank-1 data. Only lhs
+    depends on eps: the integrals are floats of st's memo.
     """
-    geom = p.geom
-    s = st.s
-    eye = np.eye(p.rank)
-    lhs = -eps * float(geom.integrate(frob(s) ** 2).real)
-    t_bg = float(geom.integrate(np.einsum(
-        "...ij,...ji->...", p.ilf0 - (p.tau / 2.0) * eye, s).real).real)
-    bs = p.dbar_end(s)
-    # the trace pairing tr((f^-1 d0 f) b) lands entry (i, j) of b on
-    # psi(lam_j, lam_i), the column-first order of kernel_matrix
-    psib = apply_two(fiber.kernel_matrix(fiber.psi_kernel, st.w), st.v, bs)
-    t_nz = float(geom.integrate(geom.pair_01(psib, bs)).real)
-    t_phi = float(geom.integrate(np.einsum(
-        "...ij,...ji->...", p.zero_order(st), s).real).real)
+    s2, t_bg, t_nz, t_phi = _energy_terms(p, st)
+    lhs = -eps * s2
     rhs = t_bg + t_nz + t_phi
     gap = abs(lhs - rhs)
     scale = max(abs(lhs), abs(t_bg), abs(t_nz), abs(t_phi), 1e-30)
@@ -613,23 +631,30 @@ def energy_identity_gap(p, eps, st):
 def diagnostics_check(p, eps, st, residual_sup, prev_st, newton_iters, cfg):
     """The DiagnosticsRecord of the accepted state st at eps. residual_sup
     is the sup of the residual at st, as newton_solve_at returns it: the
-    record evaluates no residual of its own, and measures the skew
-    defect of the conjugated curvature from st's memo."""
+    record evaluates no residual of its own.
+
+    What does not depend on eps is computed once per state and kept as
+    floats in st's memo: the energy identity's integrals (||s||_L2^2
+    also gives l2_log_f), the skew defect of the conjugated curvature,
+    and the Cauchy increment of st to itself, which a stop reads when
+    Newton accepts its start unchanged. sup|K0| of the a-priori margin
+    is computed once per problem. The Ritz probe depends on eps and runs
+    at each eps > 0 when cfg.full_diagnostics is set."""
     sup_s = sup_norm(st.s)
     margin = -math.inf
     if eps > 0.0:
-        margin = sup_s - sup_norm(p.k0_field()) / eps
+        margin = sup_s - p.reference_constants[1] / eps
     gap, scale = energy_identity_gap(p, eps, st)
     cauchy = 0.0
-    if prev_st is not None:
-        # relative increment sup|log(f_prev^(-1/2) f f_prev^(-1/2))|,
-        # the symmetric form of sup|log(f_prev^-1 f)|
-        m = herm_part(mm(mm(prev_st.fsri, st.f), prev_st.fsri))
-        cauchy = sup_norm(fiber.herm_log(m, what="cauchy increment"))
+    if prev_st is st:
+        cauchy = st.field(p, "cauchy_self", lambda: _cauchy(st, st))
+    elif prev_st is not None:
+        cauchy = _cauchy(prev_st, st)
     ritz = math.nan  # not probed (eps = 0 may be honestly singular)
     if cfg.full_diagnostics and eps > 0.0:
         ritz = min_ritz_estimate(p, eps, st)
-    l2 = math.sqrt(max(float(p.geom.integrate(frob(st.s) ** 2).real), 0.0))
+    skew = st.field(p, "skew", lambda: skew_defect(
+        mm(mm(st.fsr, st.kraw(p)), st.fsri)))
     return DiagnosticsRecord(
         eps=eps,
         residual_sup=residual_sup,
@@ -640,9 +665,16 @@ def diagnostics_check(p, eps, st, residual_sup, prev_st, newton_iters, cfg):
         cauchy_increment=cauchy,
         newton_iters=newton_iters,
         min_ritz=ritz,
-        skew_defect=skew_defect(mm(mm(st.fsr, st.kraw(p)), st.fsri)),
-        l2_log_f=l2,
+        skew_defect=skew,
+        l2_log_f=math.sqrt(max(_energy_terms(p, st)[0], 0.0)),
     )
+
+
+def _cauchy(prev_st, st):
+    """The relative increment sup|log(f_prev^(-1/2) f f_prev^(-1/2))|,
+    the symmetric form of sup|log(f_prev^-1 f)|."""
+    m = herm_part(mm(mm(prev_st.fsri, st.f), prev_st.fsri))
+    return sup_norm(fiber.herm_log(m, what="cauchy increment"))
 
 
 # ---------------------------------------------------------------------------

@@ -131,10 +131,16 @@ def test_operators_pack_the_hermitian_part_bit_for_bit(rng, name, n):
     assert np.array_equal(C._precond_operator(p, eps, packer)(x), want)
 
 
+def _same_record(a, b):
+    """Field by field ==, where a NaN matches a NaN."""
+    return all(x == y or (math.isnan(x) and math.isnan(y))
+               for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)))
+
+
 def test_state_cache_follows_the_problem(rng):
-    # f^-1 d0 f, the mean curvature and the Higgs adjoint depend on the
-    # problem; a state reused across problems and calls must answer each
-    # call as a fresh state does
+    # f^-1 d0 f, the mean curvature, the Higgs adjoint and the floats the
+    # diagnostics keep depend on the problem; a state reused across
+    # problems and calls must answer each call as a fresh state does
     pa = instances.make("rank2-extension", n=8)
     pb = instances.make("rank2-caseb", n=8)
     assert pa.a10 is not None and pb.a10 is None
@@ -146,6 +152,7 @@ def test_state_cache_follows_the_problem(rng):
     s = rand_band_herm(pa.geom, rng, 2, amp=0.3)
     v = rand_band_herm(pa.geom, rng, 2, amp=0.3)
     quiet = ContinuationConfig(full_diagnostics=False)
+    full = ContinuationConfig()
     for problems in ((pa, pb, pa), (hz, hn, hz)):
         shared = MetricState(s)
         for p in problems:
@@ -159,6 +166,56 @@ def test_state_cache_follows_the_problem(rng):
             assert defect_got == defect_want
             assert np.array_equal(lhat_raw(p, 0.5, shared),
                                   lhat_raw(p, 0.5, MetricState(s)))
+            for eps in (0.5, 0.25):
+                assert (energy_identity_gap(p, eps, shared)
+                        == energy_identity_gap(p, eps, MetricState(s)))
+            # prev_st is st reads the memo; two fresh states do not
+            for eps in (0.5, 0.0):
+                assert _same_record(
+                    diagnostics_check(p, eps, shared, 0.0, shared, 0, full),
+                    diagnostics_check(p, eps, MetricState(s), 0.0,
+                                      MetricState(s), 0, full))
+
+
+def test_diagnostics_keep_floats_and_ask_a_problem_once(monkeypatch):
+    # at higgs-theta-zero one state is recorded at every stop. What the
+    # diagnostics keep in its memo are floats, never a grid field or
+    # another state, and each problem computes zero_order_id() once for
+    # the preconditioner shift and sup|K0|
+    calls, recorded = Counter(), {}
+    zero_order_id = higgs_mod.HiggsProblem.zero_order_id
+    check = C.diagnostics_check
+
+    def counted(self):
+        calls[id(self)] += 1
+        return zero_order_id(self)
+
+    def recording(p, eps, st, *args):
+        recorded[id(st)] = (p, st)
+        return check(p, eps, st, *args)
+
+    monkeypatch.setattr(higgs_mod.HiggsProblem, "zero_order_id", counted)
+    monkeypatch.setattr(C, "diagnostics_check", recording)
+    name = "higgs-theta-zero"
+    p = instances.make(name, n=instances.quick_grid(name))
+    out = run_continuation(p)
+    assert out.verdict == instances.EXPECTED_VERDICTS[name]
+    assert len(out.report.trace) > len(recorded)
+    assert calls and max(calls.values()) <= 1
+    for gp, st in recorded.values():
+        # the fields that Newton and the Ritz probe build at a state
+        fresh = MetricState(st.s)
+        C.d2lhat_apply(gp, 0.5, fresh, st.s)
+        added = set(st._memo) - set(fresh._memo)
+        assert added
+        for key in added:
+            val = st._memo[key]
+            assert isinstance(val, float) or (
+                isinstance(val, tuple) and val
+                and all(isinstance(x, float) for x in val)), key
+        kept = [x for v in st._memo.values()
+                for x in (v if isinstance(v, tuple) else (v,))]
+        assert not any(isinstance(x, MetricState) for x in kept)
 
 
 def test_state_assembles_its_curvature_once(rng, monkeypatch):

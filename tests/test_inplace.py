@@ -12,7 +12,7 @@ layout where it has one.
 
 Two guards on what the in-place forms save: the allocation peaks of the
 torus derivatives and of one preconditioner application on a 64 x 64
-rank-2 field, and one skew-defect evaluation per trace record.
+rank-2 field, and one skew-defect evaluation per recorded state.
 """
 
 import sys
@@ -104,14 +104,15 @@ def _cases(rng, gshape, r):
 
 def _held(*objs):
     """The arrays a call can read: arrays themselves, the fields and memo
-    of a MetricState, the stored fields of a problem and its backend."""
+    fields of a MetricState (its memo also keeps floats), the stored
+    fields of a problem and its backend."""
     out = []
     for o in objs:
         if isinstance(o, np.ndarray):
             out.append(o)
         elif isinstance(o, MetricState):
             out += [getattr(o, k) for k in STATE_FIELDS]
-            out += list(o._memo.values())
+            out += [v for v in o._memo.values() if isinstance(v, np.ndarray)]
         elif isinstance(o, PairProblem):
             out += _held(o.geom)
             out += [v for v in vars(o).values() if isinstance(v, np.ndarray)]
@@ -315,3 +316,20 @@ def test_the_skew_defect_is_evaluated_once_per_record(monkeypatch):
     assert out.verdict == instances.EXPECTED_VERDICTS[name]
     assert len(residuals) > 2 * len(out.report.trace)
     assert len(defects) == len(out.report.trace)
+
+    # higgs-theta-zero records one state at several stops: Newton accepts
+    # each start unchanged. A state's defect is evaluated once
+    defects.clear()
+    recorded, check = {}, C.diagnostics_check
+
+    def recording(p, eps, st, *args):
+        recorded[id(st)] = st
+        return check(p, eps, st, *args)
+
+    monkeypatch.setattr(C, "diagnostics_check", recording)
+    name = "higgs-theta-zero"
+    p = instances.make(name, n=instances.quick_grid(name))
+    out = run_continuation(p, ContinuationConfig(full_diagnostics=False))
+    assert out.verdict == instances.EXPECTED_VERDICTS[name]
+    assert len(out.report.trace) > len(recorded)
+    assert len(defects) == len(recorded)
