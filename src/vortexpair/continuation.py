@@ -37,8 +37,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import fiber, pair as pair_mod
-from ._kernels import apply_one, apply_two
-from .fiber import frob, herm_part, mm, skew_defect, sup_norm
+from .fiber import (apply_one, apply_two, frob, herm_part, mm, skew_defect,
+                    sup_norm)
 from .pair import PairProblem
 
 # Newton line search, linear solve and step control
@@ -203,13 +203,19 @@ class MetricState:
     powers of f = exp(s), and one memo of what the solver asks of it,
     each computed once for the last problem asked: the fields (the
     curvature, f^-1 d0 f, the dexp kernel matrix of its spectrum) and
-    the floats of its diagnostics that do not depend on eps."""
+    the floats of its diagnostics that do not depend on eps.
+
+    s must be exactly Hermitian, equal to conj(s^T) entry by entry, as
+    every s the solver builds is: an apply_one output, a HermPacker
+    unpack, or a real combination of those. It goes to the
+    eigensolver unchecked, which reads only the real part of its
+    diagonal and its lower triangle."""
 
     __slots__ = ("s", "w", "v", "f", "finv", "fsr", "fsri", "_p", "_memo")
 
     def __init__(self, s):
         self.s = s
-        self.w, self.v = fiber.herm_eig(s, check=False)
+        self.w, self.v = fiber.eigh_batch(np.asarray(s, dtype=np.complex128))
         self.f = apply_one(np.exp(self.w), self.v)
         self.finv = apply_one(np.exp(-self.w), self.v)
         self.fsr = apply_one(np.exp(0.5 * self.w), self.v)
@@ -490,7 +496,6 @@ def newton_solve_at(p, eps, st, cfg, best_effort=False):
 @dataclass
 class GaugeResult:
     problem: PairProblem
-    s1: np.ndarray
     h0h: np.ndarray              # h0^(1/2), h0 the rebasing metric
     pre_residual: float
     post_residual: float
@@ -501,10 +506,13 @@ def initial_gauge(p, h=None, cfg=None):
 
     Given a starting metric h (PosHermField over the stored reference,
     default identity), computes the mean curvature K of h, rebases the
-    reference to h exp(K), and returns the problem in the frame of the
-    new reference together with s1 = log f1 = -K. In the continuum
-    L_1(f1) = 0 identically; discretely the assembly leaves truncation
-    residue, so a short eps = 1 Newton polish finishes the job. The
+    reference to h exp(K), and returns (GaugeResult, state): the
+    problem in the frame of the new reference, and the MetricState of
+    s1 = log f1 = -K. In the continuum L_1(f1) = 0 identically;
+    discretely the assembly leaves truncation residue, so a short
+    eps = 1 Newton polish finishes the job. The state is the one it
+    accepts, or that of s1 when it needs no polish, and holds its
+    curvature for the new problem in its memo already. The
     residuals before and after the polish go into the run report; the
     one after is the residual the polish returns with its state.
     """
@@ -519,8 +527,7 @@ def initial_gauge(p, h=None, cfg=None):
         start = MetricState(field)
     else:
         field[...] = h
-        fiber.assert_hermitian(field, what="starting metric")
-        wh, vh = fiber.herm_eig(field, check=False)
+        wh, vh = fiber.herm_eig(field, what="starting metric")
         if float(np.min(wh)) <= 0:
             raise fiber.ClampError("starting metric is not positive definite")
         start = MetricState(apply_one(np.log(wh), vh))
@@ -583,8 +590,7 @@ def initial_gauge(p, h=None, cfg=None):
                                   newton_max=8,
                                   linear_rtol=min(cfg.linear_rtol, 1e-10))
         st, _, post = newton_solve_at(gauged, 1.0, st, pcfg, best_effort=True)
-        s1 = st.s
-    return GaugeResult(gauged, s1, h0h, pre, post)
+    return GaugeResult(gauged, h0h, pre, post), st
 
 
 # ---------------------------------------------------------------------------
@@ -779,15 +785,14 @@ def run_continuation(p, cfg=None, h_start=None):
         return RunOutcome(rep, gauge, st)
 
     try:
-        gauge = initial_gauge(p, h=h_start, cfg=cfg)
+        gauge, new = initial_gauge(p, h=h_start, cfg=cfg)
     except (fiber.ClampError, fiber.NotHermitianError, GaugeDomainError) as e:
         return build_report("failed", "gauge: %s: %s" % (type(e).__name__, e),
                             math.nan, math.nan)
     gp = gauge.problem
-    # the one record site for eps > 0 (eps is the last recorded eps); the
-    # eps = 1 state is rebuilt, not kept on the gauge every RunOutcome holds
-    eps, hist, iters, rn = math.nan, [], 0, gauge.post_residual
-    target, new = 1.0, MetricState(gauge.s1)
+    # the one record site for eps > 0 (eps is the last recorded eps); it
+    # first records the state the gauge polish accepted at eps = 1
+    eps, hist, iters, rn, target = math.nan, [], 0, gauge.post_residual, 1.0
     try:
         while True:
             trace.append(diagnostics_check(gp, target, new, rn, st, iters,

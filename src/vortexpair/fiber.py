@@ -108,10 +108,10 @@ def assert_hermitian(a, what="field"):
             % (what, d, HERM_TOL, scale))
 
 
-def herm_eig(a, check=True):
-    """Eigendecomposition (w, v) of a Hermitian matrix field."""
-    if check:
-        assert_hermitian(a)
+def herm_eig(a, what="field"):
+    """Eigendecomposition (w, v) of a Hermitian matrix field; what names
+    the field in the NotHermitianError that assert_hermitian raises."""
+    assert_hermitian(a, what=what)
     return eigh_batch(herm_part(np.asarray(a, dtype=np.complex128)))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fiber
 # unused here; perfbench/tracer.py patches apply_one at this import
-from ._kernels import apply_one  # noqa: F401
+from .fiber import apply_one  # noqa: F401
 from .fiber import mm
 from .pair import PairProblem
 

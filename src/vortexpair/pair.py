@@ -230,22 +230,17 @@ class PairProblem:
         """Derivative of zero_order(st) along the f-direction v."""
         return 0.5 * mm(self.phi_outer0, v)
 
-    def k0_field(self, zid=None):
-        """Mean curvature of the reference metric itself, given zid =
-        zero_order_id() or computing it. Exactly Hermitian by assembly."""
-        if zid is None:
-            zid = self.zero_order_id()
-        return self.ilf0 + zid - (self.tau / 2.0) * np.eye(self.rank)
-
     @functools.cached_property
     def reference_constants(self):
         """(c, sup|K0|), two floats from one zero_order_id() call, computed
         once per problem: c = mean tr(zero_order_id()) / r, the
-        preconditioner's zero-order shift, and the sup norm of K0 =
-        k0_field(), which the a-priori margin reads."""
+        preconditioner's zero-order shift, and the sup norm of
+        K0 = ilf0 + zero_order_id() - (tau/2) I, the mean curvature of
+        the reference metric itself, which the a-priori margin reads."""
         zid = self.zero_order_id()
         c = float(np.mean(np.trace(zid, axis1=-2, axis2=-1).real)) / self.rank
-        return c, fiber.sup_norm(self.k0_field(zid))
+        k0 = self.ilf0 + zid - (self.tau / 2.0) * np.eye(self.rank)
+        return c, fiber.sup_norm(k0)
 
     def mean_curvature_raw(self, st):
         """Mean curvature of the deformed metric f = st.f, raw matrix

@@ -13,16 +13,18 @@ cores. The document holds, under these keys:
   the set-up samples, with every value kept; the traced run's
   per-layer metrics.
 - `instances`: every shipped instance at its default grid with the
-  `solve` defaults (full diagnostics), solved ROUNDS times in this one
-  process. Per instance: the wall time and the minor page faults
-  (`ru_minflt`) of each round, the verdict, steps, Newton total, and
-  the GMRES calls, matvecs and largest matvec count of one solve,
-  counted by a wrapper on `continuation.gmres`. The counts must repeat
-  across rounds; the times and faults need not.
-- `rank3`: the same summary for a rank-3 split problem on the 32 x 32
-  torus, solved with `full_diagnostics=False`: rank2-caseb with one
-  more degree-one summand (`rank3_split`), whose solution is the direct
-  sum of a rank-1 solve and the identity.
+  `solve` defaults (full diagnostics), solved ROUNDS times in a fresh
+  child process of its own, so that no other instance's solves reach
+  its times and faults. Per instance: the wall time and the minor
+  page faults (`ru_minflt`) of each round, the verdict, steps, Newton
+  total, and the GMRES calls, matvecs and largest matvec count of one
+  solve, counted by a wrapper on `continuation.gmres`. The counts must
+  repeat across rounds; the times and faults need not.
+- `rank3`: the same summary, from a child process of its own, for a
+  rank-3 split problem on the 32 x 32 torus, solved with
+  `full_diagnostics=False`: rank2-caseb with one more degree-one
+  summand (`rank3_split`), whose solution is the direct sum of a
+  rank-1 solve and the identity.
 - `tier1`: the wall time and the passed and failed counts of the
   Tier-1 suite (`python -m pytest -q` with `src` on the path).
 - `src_lines`: the line count of `src/vortexpair/*.py`.
@@ -135,45 +137,55 @@ def rank3_split(n=32):
                        split=SplitModel((0.0, 1.0, 1.0), 0))
 
 
-def shipped_instances():
-    """{instance: summary} of the default-grid solves, ROUNDS each."""
-    return solve_rounds({name: functools.partial(instances.make, name)
-                         for name in instances.names()})
+RANK3 = "rank3-split"
 
 
-def solve_rounds(makers, cfg=None):
-    """{name: summary} of ROUNDS solves of each problem makers[name]()
-    with the configuration cfg (the solve defaults when None)."""
-    gmres, rows = continuation.gmres, {}
+def child_row(name):
+    """The solve_rounds summary of one problem: the shipped instance
+    called name with the solve defaults, or RANK3 without diagnostics."""
+    if name == RANK3:
+        return solve_rounds(rank3_split, continuation.ContinuationConfig(
+            full_diagnostics=False))
+    return solve_rounds(functools.partial(instances.make, name))
+
+
+def row_in_child(name):
+    """child_row(name), computed in a fresh Python process."""
+    code = ("import json, sys; sys.path.insert(0, %r); import bench; "
+            "json.dump(bench.child_row(%r), sys.stdout)" % (HERE, name))
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          stdout=subprocess.PIPE, text=True)
+    return json.loads(done.stdout)
+
+
+def solve_rounds(make, cfg=None):
+    """The summary of ROUNDS solves of the problem make() with the
+    configuration cfg (the solve defaults when None)."""
+    gmres, row = continuation.gmres, None
     try:
         for rnd in range(ROUNDS):
-            for name, make in makers.items():
-                tally = dict(gmres_calls=0, gmres_matvecs=0,
-                             gmres_max_matvecs=0)
-                continuation.gmres = counting_gmres(gmres, tally)
-                p = make()
-                f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                t0 = time.perf_counter()
-                rep = continuation.run_continuation(p, cfg).report
-                wall = time.perf_counter() - t0
-                faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                          - f0)
-                counts = dict(tally, verdict=rep.verdict,
-                              steps=len(rep.trace),
-                              newton_total=rep.newton_total,
-                              grid=list(p.geom.shape))
-                row = rows.setdefault(name, dict(counts, wall_s=[],
-                                                 minflt=[]))
-                if any(row[key] != val for key, val in counts.items()):
-                    raise RuntimeError("%s: round %d counted %r, round 0 %r"
-                                       % (name, rnd, counts, row))
-                row["wall_s"].append(wall)
-                row["minflt"].append(faults)
+            tally = dict(gmres_calls=0, gmres_matvecs=0, gmres_max_matvecs=0)
+            continuation.gmres = counting_gmres(gmres, tally)
+            p = make()
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            t0 = time.perf_counter()
+            rep = continuation.run_continuation(p, cfg).report
+            wall = time.perf_counter() - t0
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+            counts = dict(tally, verdict=rep.verdict, steps=len(rep.trace),
+                          newton_total=rep.newton_total,
+                          grid=list(p.geom.shape))
+            if row is None:
+                row = dict(counts, wall_s=[], minflt=[])
+            if any(row[key] != val for key, val in counts.items()):
+                raise RuntimeError("round %d counted %r, round 0 %r"
+                                   % (rnd, counts, row))
+            row["wall_s"].append(wall)
+            row["minflt"].append(faults)
     finally:
         continuation.gmres = gmres
-    for row in rows.values():
-        row["wall_s"] = {"best": min(row["wall_s"]), "values": row["wall_s"]}
-    return rows
+    row["wall_s"] = {"best": min(row["wall_s"]), "values": row["wall_s"]}
+    return row
 
 
 def tier1():
@@ -247,10 +259,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     doc = {"machine": machine(), "src_lines": src_lines(),
            "src_code_lines": src_code_lines()}
-    doc["instances"] = shipped_instances()
-    doc["rank3"] = solve_rounds(
-        {"rank3-split": rank3_split},
-        continuation.ContinuationConfig(full_diagnostics=False))
+    doc["instances"] = {name: row_in_child(name)
+                        for name in instances.names()}
+    doc["rank3"] = {RANK3: row_in_child(RANK3)}
     doc["perfbench"] = {"trace0_seed0": perfbench(0, 0, args.seconds),
                         "trace1_seed1": perfbench(1, 1, args.seconds)}
     doc["tier1"] = tier1()

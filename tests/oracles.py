@@ -11,7 +11,8 @@ compare the solver against. The library never calls them.
                      term of the linearization through the 1/Psi kernel
                      of an f-space solver, the contraction of
                      tr(g10 wedge b01), the contraction identity gap,
-                     the monotone pairing gap, the margin of the
+                     the monotone pairing gap, the reference
+                     metric's own curvature K0, the margin of the
                      pointwise P-inequality and the slack of the
                      pointwise inequality checks, and a tap that hands
                      each accepted state of a run to these checks
@@ -280,6 +281,13 @@ def nie_zhang_check(p, st):
     return float(geom.integrate(np.abs(lhs - rhs)).real)
 
 
+def k0_field(p):
+    """Mean curvature K0 = ilf0 + zero_order_id() - (tau/2) I of the
+    reference metric itself, exactly Hermitian by assembly; the library
+    keeps only its sup norm (PairProblem.reference_constants)."""
+    return p.ilf0 + p.zero_order_id() - (p.tau / 2.0) * np.eye(p.rank)
+
+
 def discretization_slack(p, st):
     """Self-declared slack for the pointwise inequality checks.
 
@@ -289,7 +297,7 @@ def discretization_slack(p, st):
     if isinstance(p.geom, TorusBackend):
         return 1e-8 * max(1.0, sup_norm(st.s)) ** 2
     h = p.geom.h
-    return 50.0 * h ** 2 * max(1.0, sup_norm(st.s)) ** 3 * max(1.0, sup_norm(p.k0_field()))
+    return 50.0 * h ** 2 * max(1.0, sup_norm(st.s)) ** 3 * max(1.0, sup_norm(k0_field(p)))
 
 
 def monotone_gap(p, st):
@@ -307,7 +315,7 @@ def calc_inequality_margin(p, eps, st):
     geom = p.geom
     ns = frob(st.s)
     pterm = 0.5 * geom.p_op(ns ** 2).real
-    k0n = frob(p.k0_field())
+    k0n = frob(k0_field(p))
     lhs = pterm + eps * ns ** 2
     return float(np.max(lhs - k0n * ns))
 

@@ -21,8 +21,8 @@ from vortexpair.pair import PairProblem
 
 from conftest import rand_band_herm, rand_herm
 from oracles import (calc_inequality_margin, discretization_slack,
-                     eps_term_through_inverse_psi, fd_lhat, lhat_raw,
-                     monotone_gap, nie_zhang_check, tapped)
+                     eps_term_through_inverse_psi, fd_lhat, k0_field,
+                     lhat_raw, monotone_gap, nie_zhang_check, tapped)
 
 
 def _state_rank1(geom, rng, amp=0.5, kmax=2):
@@ -284,6 +284,48 @@ def test_state_builds_its_kernels_once(rng, monkeypatch):
             assert np.array_equal(y, fresh(x)), name
 
 
+def _mixing_start(geom):
+    """exp of a constant Hermitian field with off-diagonal entries."""
+    s = np.zeros(tuple(geom.shape) + (2, 2), dtype=complex)
+    s[..., 0, 0] = 0.1
+    s[..., 0, 1], s[..., 1, 0] = 0.3 + 0.2j, 0.3 - 0.2j
+    return fiber.herm_exp(s)
+
+
+@pytest.mark.parametrize("name,start", [
+    ("rank2-extension", "probe"), ("higgs-nilpotent", None),
+    ("hopf-wave", None), ("higgs-nilpotent", "mixing")])
+def test_every_state_a_solve_builds_is_exactly_hermitian(name, start,
+                                                         monkeypatch):
+    # MetricState hands s to the eigensolver unchecked, which reads only
+    # the real diagonal and the lower triangle, so every s a solve builds
+    # (gauge, Newton iterates, line-search trials, predictions) must equal
+    # conj(s^T) exactly, not to a tolerance. rank2-extension starts from
+    # the seeded constant probe of the benchmark's rank2-solve; its states,
+    # and those of the default higgs-nilpotent run, stay diagonal, while
+    # the mixing start moves every entry of s
+    seen = []
+    init = MetricState.__init__
+
+    def checked(self, s):
+        seen.append(np.array_equal(s, np.conjugate(np.swapaxes(s, -1, -2))))
+        init(self, s)
+
+    prob, cfg = _quick(name)
+    h = None
+    if start == "probe":
+        h = gauge_probe(prob.geom, prob.rank, np.random.default_rng(0),
+                        constant=True)
+    elif start == "mixing":
+        h = _mixing_start(prob.geom)
+    monkeypatch.setattr(MetricState, "__init__", checked)
+    out = run_continuation(prob, cfg, h_start=h)
+    assert out.verdict == instances.EXPECTED_VERDICTS[name]
+    assert len(seen) > len(out.report.trace) and all(seen), seen.count(False)
+    if start == "mixing":
+        assert np.max(np.abs(out.state.s[..., 0, 1])) > 1.0
+
+
 # ---------------------------------------------------------------------------
 # scalar solve oracles
 
@@ -493,8 +535,8 @@ def test_a_partial_linear_solve_halves_its_stop(monkeypatch):
 def test_newton_linear_solve_meets_the_true_residual(name, monkeypatch):
     # right preconditioning bounds |b - A x| itself; a left-preconditioned
     # solver bounds only |M (b - A x)|
-    gauge = initial_gauge(instances.make(name, n=8))
-    gp, st = gauge.problem, MetricState(gauge.s1)
+    gauge, st = initial_gauge(instances.make(name, n=8))
+    gp = gauge.problem
     cfg = ContinuationConfig()
     solves, solve = [], C.gmres
 
@@ -611,7 +653,7 @@ def test_gauge_identity_start_all_instances():
             continue
         n = 64 if name.startswith("hopf") else 32
         p = instances.make(name, n=n)
-        g = initial_gauge(p)
+        g, _ = initial_gauge(p)
         assert g.post_residual <= 1e-10, (name, g.post_residual)
         assert abs(g.problem.degree() - p.degree()) <= 1e-6, name
 
@@ -627,7 +669,7 @@ def test_gauge_probe_starts():
     for name, n, kw in cases:
         p = instances.make(name, n=n)
         h = gauge_probe(p.geom, p.rank, rng, **kw)
-        g = initial_gauge(p, h=h)
+        g, _ = initial_gauge(p, h=h)
         assert g.post_residual <= 1e-10, (name, g.post_residual)
 
 
@@ -847,7 +889,9 @@ def test_no_prediction_where_the_accepted_state_already_solves(monkeypatch):
     monkeypatch.setattr(C, "MetricState", Counted)
     out = run_continuation(prob, cfg)
     assert out.verdict == "converged" and out.report.newton_total == 0
-    assert built["states"] == 4
+    # the gauge's three (the start, the new reference and s1), whose
+    # last the run records at eps = 1 and keeps to the end
+    assert built["states"] == 3
 
 
 def test_an_accepted_state_is_measured_once(monkeypatch):
@@ -881,15 +925,25 @@ def test_an_accepted_state_is_measured_once(monkeypatch):
 
 @pytest.mark.parametrize("name,polished", [("torus-wave", True),
                                            ("rank2-extension", False)])
-def test_the_first_record_reads_the_gauge_residual(name, polished):
-    # the eps = 1 record takes the residual the gauge measured at s1, with
-    # or without a polish: the same float as an evaluation at the state
-    # that run_continuation rebuilds from s1
+def test_the_first_record_reads_the_gauge_residual(name, polished,
+                                                   monkeypatch):
+    # the eps = 1 record is the state the gauge hands over, with or
+    # without a polish, and takes the residual the gauge measured there:
+    # the same float as an evaluation at a state built afresh from its s
+    handed = []
+    gauge = C.initial_gauge
+
+    def keeping(*args, **kwargs):
+        handed.append(gauge(*args, **kwargs))
+        return handed[-1]
+
+    monkeypatch.setattr(C, "initial_gauge", keeping)
     prob, cfg = _quick(name)
-    out = run_continuation(prob, cfg)
-    gp, s1 = out.gauge.problem, out.gauge.s1
+    out, taps = tapped(run_continuation, prob, cfg)
+    (g, st), = handed
+    assert out.gauge is g and taps[0][0] is g.problem and taps[0][1] is st
     assert (out.report.gauge_pre_residual > cfg.newton_tol) == polished
-    want = fiber.sup_norm(residual_parts(gp, 1.0, MetricState(s1)))
+    want = fiber.sup_norm(residual_parts(g.problem, 1.0, MetricState(st.s)))
     assert want > 0.0
     assert out.report.trace[0].residual_sup == want
 
@@ -1213,8 +1267,8 @@ def test_min_ritz_bounds_dense_smallest_singular_value(name, n, eps):
     # the probe is sigma_min of the Arnoldi matrix over an orthonormal
     # Krylov basis, so it cannot lie below the smallest singular value
     # of the preconditioned Newton operator, assembled here densely
-    gauge = initial_gauge(instances.make(name, n=n))
-    gp, st = gauge.problem, MetricState(gauge.s1)
+    gauge, st = initial_gauge(instances.make(name, n=n))
+    gp = gauge.problem
     packer = HermPacker(gp.geom.shape, gp.rank)
     assert packer.size <= 128
     amv = C._newton_operator(gp, eps, st, packer)
@@ -1248,6 +1302,36 @@ def test_newton_operator_bounded_below_by_eps(name, n):
         dense = np.column_stack([amv(e) for e in np.eye(packer.size)])
         smin = np.linalg.svd(dense, compute_uv=False)[-1]
         assert smin >= eps * (1.0 - 1e-8), (eps, smin / eps)
+
+
+@pytest.mark.parametrize("name,n,expect", [
+    ("trivial", 8, "window"), ("torus-stable", 8, "window"),
+    ("hopf-stable", 16, "window"), ("hopf-wave", 64, "positive"),
+    ("torus-wave", 32, "positive"), ("rank2-extension", 8, "positive"),
+    ("rank2-caseb", 8, 4), ("higgs-theta-zero", 4, 16)])
+def test_newton_operator_at_eps_zero(name, n, expect):
+    # the same dense A at eps = 0, in the final state of the run. On the
+    # constant-coefficient rank-1 instances sigma_min(A) is (tau - tau*)/2,
+    # tau* the lower end of the stability window; the wave instances and
+    # rank2-extension keep it positive (torus-wave's run at n = 16 ends
+    # failed). rank2-caseb and higgs-theta-zero have an exact kernel: the
+    # constants on the summand without the section (1 and 4 directions),
+    # each with its three Nyquist partners on the torus
+    cfg = ContinuationConfig(eps_min=1e-2, full_diagnostics=False)
+    out = run_continuation(instances.make(name, n=n), cfg)
+    assert out.verdict == "converged"
+    p, st = out.gauge.problem, out.state
+    packer = HermPacker(p.geom.shape, p.rank)
+    amv = C._newton_operator(p, 0.0, st, packer)
+    dense = np.column_stack([amv(e) for e in np.eye(packer.size)])
+    sv = np.linalg.svd(dense, compute_uv=False)
+    if expect == "window":
+        want = 0.5 * (p.tau - out.report.window[0])
+        assert sv[-1] == pytest.approx(want, rel=1e-9)
+    elif expect == "positive":
+        assert sv[-1] > 0.0
+    else:
+        assert np.count_nonzero(sv < 1e-10) == expect, sv[-expect - 1:]
 
 
 def test_min_ritz_floor_is_one_on_identity_operator(monkeypatch):
@@ -1302,7 +1386,7 @@ def test_diagnostics_record_fields(stable_run):
     rec = diagnostics_check(gp, 0.5, st, rn, None, 0, ContinuationConfig())
     assert rec.eps == 0.5
     assert rec.apriori_margin == (
-        rec.sup_log_f - fiber.sup_norm(gp.k0_field()) / 0.5)
+        rec.sup_log_f - fiber.sup_norm(k0_field(gp)) / 0.5)
     assert math.isfinite(rec.min_ritz)
 
 

@@ -128,7 +128,7 @@ def test_problem_fields_are_stored_as_entry_planes(name):
     # the gauged clone stores its pushed-forward fields the same way
     h = instances.gauge_probe(p.geom, p.rank, np.random.default_rng(2),
                               constant=True)
-    q = initial_gauge(p, h=np.ascontiguousarray(h)).problem
+    q = initial_gauge(p, h=np.ascontiguousarray(h))[0].problem
     fields = [q.ilf0, q.phi_outer0, q.a01]
     if name == "higgs-nilpotent":
         fields += [q.theta, q.theta_dag]

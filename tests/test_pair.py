@@ -11,7 +11,8 @@ from vortexpair.pair import (PairProblem, SplitModel, classify, mu_M,
                              mu_m_phi, stability_report, stability_window)
 
 from conftest import rand_band_herm
-from oracles import nu_case1, nu_case2, nu_trace_oracle, phi_simple_check
+from oracles import (k0_field, nu_case1, nu_case2, nu_trace_oracle,
+                     phi_simple_check)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -216,7 +217,7 @@ def test_phi_l2_and_degree():
 
 def test_k0_field_trivial_hand_value():
     p = instances.make("trivial", n=16)
-    k0 = p.k0_field()
+    k0 = k0_field(p)
     assert np.max(np.abs(k0 - (-0.5))) < 1e-14
 
 

@@ -107,14 +107,17 @@ def _package_imports(tree):
 
 
 def test_fiber_algebra_is_one_import_chain():
-    # fiber imports the runtime algebra from _kernels alone; the
-    # reference kernels of _fiber_np are for the tests and perfbench, so
-    # no package module imports them, and neither they nor _kernels
-    # import anything from the package
+    # fiber imports the runtime algebra from _kernels, and every other
+    # package module takes it from fiber; the reference kernels of
+    # _fiber_np are for the tests and perfbench, so no package module
+    # imports them, and neither they nor _kernels import anything from
+    # the package
     imports = {path.stem: _package_imports(_parse(path))
                for path in sorted(PACKAGE.glob("*.py"))}
     found = sorted(m for m, names in imports.items() if "_fiber_np" in names)
     assert not found, "modules importing _fiber_np: %s" % found
+    found = sorted(m for m, names in imports.items() if "_kernels" in names)
+    assert found == ["fiber"], "modules importing _kernels: %s" % found
     assert imports["_fiber_np"] == set() and imports["_kernels"] == set()
 
 
