@@ -24,8 +24,10 @@ import numpy as np
 
 from . import __version__, fiber, instances, reporting
 from .continuation import (SCHEDULE_KEYS, ContinuationConfig,
-                           run_continuation)
-from .pair import stability_report
+                           linearization_apply, residual_L, run_continuation)
+from .geometry import make_backend
+from .higgs import vortex_reduction_twin
+from .pair import SplitModel, mu_M, mu_m_phi, stability_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -263,7 +265,6 @@ def _check_fiber_kernel(rng):
 
 
 def _check_geometry_calculus(rng):
-    from .geometry import make_backend
     for kind, n in (("torus", 32), ("hopf", 128)):
         g = make_backend(kind, n)
         const = np.full(tuple(g.shape), 1.3)
@@ -281,7 +282,6 @@ def _check_max_principle(rng):
     """At the grid argmax of a smooth field, P(u) must not be strongly
     negative. A sign error in the contraction lands at about -sup|P|
     and fails."""
-    from .geometry import make_backend
     for kind, n in (("torus", 64), ("hopf", 256)):
         g = make_backend(kind, n)
         for _ in range(8):
@@ -296,7 +296,6 @@ def _check_max_principle(rng):
 
 
 def _check_pair_analyzer(rng):
-    from .pair import SplitModel, mu_M, mu_m_phi
     if mu_M(SplitModel((2.0, 0.0))) != 2.0:
         return False, "mu_M of (2,0)"
     sm = SplitModel((-1.0, 1.0, 2.0), 0)
@@ -314,17 +313,13 @@ def _check_trivial_solve(rng):
     outcome = run_continuation(prob, cfg)
     if outcome.report.verdict != "converged":
         return False, "verdict %s" % outcome.report.verdict
-    from .continuation import final_metric_original_frame
-    ffin = final_metric_original_frame(outcome.gauge, outcome.state)
-    err = fiber.sup_norm(ffin - 2.0 * np.eye(1))
+    err = fiber.sup_norm(outcome.metric - 2.0 * np.eye(1))
     if err > 1e-6:
         return False, "final metric off the closed form by %.2e" % err
     return True, "closed-form target hit to %.1e" % err
 
 
 def _check_higgs_reduction(rng):
-    from .continuation import linearization_apply, residual_L
-    from .higgs import vortex_reduction_twin
     hp = instances.make("higgs-theta-zero", n=16)
     tw = vortex_reduction_twin(hp)
     s = fiber.herm_part(rng.standard_normal((16, 16, 2, 2))

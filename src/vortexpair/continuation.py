@@ -54,8 +54,9 @@ RITZ_STEPS = 10                   # Arnoldi size for the injectivity probe
 
 
 class _Operator:
-    """A square real linear map given by its matvec; shape and dtype let
-    a wrapper, such as the benchmark's counting tracer, rebuild it."""
+    """GMRES's operator A: a square real linear map given by its matvec.
+    shape and dtype are there only so that the benchmark's counting
+    tracer can rebuild it; the preconditioner is a plain function."""
 
     __slots__ = ("matvec", "shape", "dtype")
 
@@ -68,7 +69,8 @@ class _Operator:
 def gmres(amat, b, rtol, maxiter, mmat):
     """GMRES with right preconditioning (Saad & Schultz 1986): one
     Arnoldi cycle of at most maxiter matvecs solves A M y = b and
-    returns x = M y.
+    returns x = M y. amat is an operator with a matvec, and mmat is
+    the preconditioner as a function, called as mmat(v).
 
     Arnoldi on A M runs with modified Gram-Schmidt, and Givens rotations
     carry |b - A x| of the current iterate, which under right
@@ -89,7 +91,7 @@ def gmres(amat, b, rtol, maxiter, mmat):
     cs, sn, g = np.zeros(maxiter), np.zeros(maxiter), np.zeros(maxiter + 1)
     g[0] = beta
     for j in range(maxiter):
-        zs.append(mmat.matvec(basis[j]))
+        zs.append(mmat(basis[j]))
         w = amat.matvec(zs[j])
         col = hmat[:, j]
         for i, v in enumerate(basis):
@@ -191,11 +193,21 @@ class SolveReport:
 class RunOutcome:
     report: SolveReport
     gauge: "GaugeResult"          # None when the initial gauge failed
-    state: "MetricState"          # None when the initial gauge failed
+    state: "MetricState"          # None when the run recorded no state
 
     @property
     def verdict(self):
         return self.report.verdict
+
+    @property
+    def metric(self):
+        """The final metric in the frame of the problem the run was
+        given, h0^(1/2) f h0^(1/2) with h0 the gauge's reference; None
+        when the run recorded no state. Computed on each access."""
+        if self.state is None:
+            return None
+        h0h = self.gauge.h0h
+        return herm_part(mm(mm(h0h, self.state.f), h0h))
 
 
 class MetricState:
@@ -449,7 +461,7 @@ def newton_solve_at(p, eps, st, cfg, best_effort=False):
     otherwise.
     """
     packer = HermPacker(p.geom.shape, p.rank)
-    mmat = _Operator(_precond_operator(p, eps, packer), packer.size)
+    mmat = _precond_operator(p, eps, packer)
     for it in range(cfg.newton_max + 1):
         r = residual_parts(p, eps, st)
         rn = sup_norm(r)
@@ -843,12 +855,6 @@ def run_continuation(p, cfg=None, h_start=None):
     return build_report("converged", "polish", 0.0, rn)
 
 
-def final_metric_original_frame(gauge, st):
-    """Final deformed metric pulled back to the frame of the original
-    problem: h0^(1/2) f h0^(1/2)."""
-    return herm_part(mm(mm(gauge.h0h, st.f), gauge.h0h))
-
-
 def uniqueness_probe(p, cfg=None, h_a=None, h_b=None):
     """Two continuations from independently gauged starts; sup distance
     of the final metrics in the common original frame."""
@@ -857,6 +863,4 @@ def uniqueness_probe(p, cfg=None, h_a=None, h_b=None):
     if out_a.verdict != "converged" or out_b.verdict != "converged":
         raise NewtonFailure("uniqueness probe needs two converged runs, got %s/%s"
                             % (out_a.verdict, out_b.verdict))
-    ma = final_metric_original_frame(out_a.gauge, out_a.state)
-    mb = final_metric_original_frame(out_b.gauge, out_b.state)
-    return sup_norm(ma - mb), out_a, out_b
+    return sup_norm(out_a.metric - out_b.metric), out_a, out_b

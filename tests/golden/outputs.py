@@ -12,16 +12,22 @@ The runs, each in its own subdirectory of OUTDIR:
 - `sweep-tau` on torus-stable and hopf-stable (`sweep-<instance>`),
   with the brackets that the benchmark's rank1-sweep workload draws at
   seed 0;
-- `verify` (`verify`).
+- `verify` (`verify`);
+- a library solve of rank2-extension at its default grid from the
+  seeded constant gauge probe that the benchmark's rank2-solve workload
+  starts from, without the Ritz probes, at seeds 0, 1 and 2
+  (`start-rank2-extension-seed<k>`). Only these take `initial_gauge`'s
+  path for a starting metric; their outputs are written by
+  `reporting.write_run_outputs`.
 
-Next to the files a run writes, its subdirectory holds `stdout.txt`
-(its standard output, standard error and exit code) and `s-<k>.bin`,
-the bytes of the final `s = log f` of its k-th solve. The only parts
-that differ between two runs of the same code are normalised: the
-`wall_time` of every run.json reads null, and the run's subdirectory
-reads OUT in its standard output. Compare a change with its parent by
-running this script from each checkout into two directories and
-`diff -r` them.
+Next to the files a run writes, its subdirectory holds `s-<k>.bin`,
+the bytes of the final `s = log f` of its k-th solve, and for a
+command `stdout.txt` (its standard output, standard error and exit
+code). The only parts that differ between two runs of the same code
+are normalised: the `wall_time` of every run.json reads null, and the
+run's subdirectory reads OUT in its standard output. Compare a change
+with its parent by running this script from each checkout into two
+directories and `diff -r` them.
 """
 
 import contextlib
@@ -36,11 +42,15 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(HERE)),
                                 "src"))
 
-from vortexpair import cli, instances  # noqa: E402
+from vortexpair import cli, instances, reporting  # noqa: E402
+from vortexpair.continuation import (ContinuationConfig,  # noqa: E402
+                                     run_continuation)
 from vortexpair.pair import stability_window  # noqa: E402
 
 DEFAULT_GRID_SOLVES = ("rank2-extension", "higgs-theta-zero", "hopf-wave")
 SWEEPS = ("torus-stable", "hopf-stable")
+START_INSTANCE = "rank2-extension"
+START_SEEDS = (0, 1, 2)
 WALL_TIME = re.compile(r'("wall_time": )[^,\n]+')
 
 
@@ -69,6 +79,51 @@ def runs():
     yield "verify", ["verify"]
 
 
+def write_states(rundir, states):
+    """Write the bytes of each final s into rundir/s-<k>.bin."""
+    for k, st in enumerate(states):
+        if st is not None:
+            with open(os.path.join(rundir, "s-%d.bin" % k), "wb") as fh:
+                fh.write(st.s.tobytes())
+
+
+def normalise_wall_time(rundir):
+    """Set the wall_time of every run.json under rundir to null."""
+    for base, _, files in os.walk(rundir):
+        if "run.json" in files:
+            path = os.path.join(base, "run.json")
+            with open(path, encoding="utf-8") as fh:
+                doc = WALL_TIME.sub(r"\1null", fh.read())
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+
+
+def record_start(outdir, label, seed):
+    """Solve START_INSTANCE at its default grid from the constant gauge
+    probe of default_rng(seed), with full_diagnostics off, and write
+    its outputs and final state into outdir/label."""
+    rundir = os.path.join(outdir, label)
+    prob = instances.make(START_INSTANCE)
+    h = instances.gauge_probe(prob.geom, prob.rank,
+                              np.random.default_rng(seed), constant=True)
+    cfg = ContinuationConfig(full_diagnostics=False)
+    out = run_continuation(prob, cfg, h_start=h)
+    reporting.write_run_outputs(rundir, START_INSTANCE, out, cfg)
+    write_states(rundir, [out.state])
+    normalise_wall_time(rundir)
+
+
+def record_all(outdir):
+    """Record every run into outdir, yielding each label once written."""
+    for label, argv in runs():
+        record(outdir, label, argv)
+        yield label
+    for seed in START_SEEDS:
+        label = "start-%s-seed%d" % (START_INSTANCE, seed)
+        record_start(outdir, label, seed)
+        yield label
+
+
 def record(outdir, label, argv):
     """Run one command into outdir/label and write its normalised
     standard streams and final states next to its outputs."""
@@ -94,17 +149,8 @@ def record(outdir, label, argv):
     text = "%s%s\nexit %d\n" % (out.getvalue(), err.getvalue(), code)
     with open(os.path.join(rundir, "stdout.txt"), "w", encoding="utf-8") as fh:
         fh.write(text.replace(rundir, "OUT"))
-    for k, st in enumerate(states):
-        if st is not None:
-            with open(os.path.join(rundir, "s-%d.bin" % k), "wb") as fh:
-                fh.write(st.s.tobytes())
-    for base, _, files in os.walk(rundir):
-        if "run.json" in files:
-            path = os.path.join(base, "run.json")
-            with open(path, encoding="utf-8") as fh:
-                doc = WALL_TIME.sub(r"\1null", fh.read())
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(doc)
+    write_states(rundir, states)
+    normalise_wall_time(rundir)
 
 
 def main(argv=None):
@@ -112,9 +158,7 @@ def main(argv=None):
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    outdir = os.path.abspath(argv[0])
-    for label, args in runs():
-        record(outdir, label, args)
+    for label in record_all(os.path.abspath(argv[0])):
         print(label)
     return 0
 

@@ -3,8 +3,8 @@ outputs.py's run set executes.
 
     python tests/golden/traffic.py
 
-The runs are those of outputs.py (its runs() and record(), into a
-temporary directory). They are traced with sys.settrace from before the
+The runs are those of outputs.py (its record_all(), into a temporary
+directory). They are traced with sys.settrace from before the
 library is imported, so module-level statements count too. A statement
 is a line that starts a statement of the module's syntax tree and
 carries bytecode, so a docstring is none. Each block of unexecuted
@@ -62,8 +62,8 @@ def executed_lines():
     try:
         import outputs
         with tempfile.TemporaryDirectory() as tmp:
-            for label, argv in outputs.runs():
-                outputs.record(tmp, label, argv)
+            for _ in outputs.record_all(tmp):
+                pass
     finally:
         sys.settrace(None)
     return executed

@@ -14,8 +14,10 @@ compare the solver against. The library never calls them.
                      the monotone pairing gap, the reference
                      metric's own curvature K0, the margin of the
                      pointwise P-inequality and the slack of the
-                     pointwise inequality checks, and a tap that hands
-                     each accepted state of a run to these checks
+                     pointwise inequality checks, a tap that hands
+                     each accepted state of a run to these checks, and
+                     a manufactured rank-1 problem with a known
+                     solution
     layout           a guard on the written-out product mm_planes that
                      fails on an entry operand that is not a
                      C-contiguous grid plane
@@ -39,7 +41,7 @@ from vortexpair.fiber import (CLAMP_HARD_REL, EIG_FLOOR, ClampError, comm,
                               kernel_matrix, mm, psi_kernel, skew_defect,
                               sup_norm)
 from vortexpair.geometry import TorusBackend
-from vortexpair.pair import SplitModel
+from vortexpair.pair import PairProblem, SplitModel
 
 TWO_PI = 2.0 * math.pi
 
@@ -336,6 +338,20 @@ def tapped(run, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuation, "diagnostics_check", tap)
         return run(*args), taps
+
+
+def manufactured(geom, tau, amp, seed):
+    """A rank-1 problem with section 1 on geom whose discrete equation
+    at eps = 0 has the known solution f* = exp(u), u a smooth random
+    band scalar of sup amp (the method of manufactured solutions,
+    Roache 2002). Returns (problem, f*): the background curvature is
+    set to ilf0 = tau/2 - curvature_update(f*) - zero_order(f*),
+    through the solver's own operators."""
+    u = geom.random_band_scalar(np.random.default_rng(seed), kmax=2, amp=amp)
+    st = continuation.MetricState(u[..., None, None].astype(complex))
+    q = PairProblem(geom, 1, [[0.0]], [1.0], tau)
+    ilf0 = herm_part(tau / 2.0 - q.curvature_update(st) - q.zero_order(st))
+    return PairProblem(geom, 1, ilf0, [1.0], tau), st.f
 
 
 # ---------------------------------------------------------------------------

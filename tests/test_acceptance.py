@@ -17,7 +17,6 @@ import pytest
 from vortexpair import continuation as C
 from vortexpair import fiber, instances
 from vortexpair.continuation import (ContinuationConfig, MetricState,
-                                     final_metric_original_frame,
                                      run_continuation, uniqueness_probe)
 from vortexpair.instances import gauge_probe
 from vortexpair.geometry import TorusBackend
@@ -74,8 +73,7 @@ def test_c01_trivial_closed_form_metric():
     out = run_continuation(instances.make("trivial", n=64))
     wall = time.perf_counter() - t0
     assert out.report.verdict == "converged"
-    f = final_metric_original_frame(out.gauge, out.state)
-    err = float(fiber.sup_norm(f - 2.0 * np.eye(1)))
+    err = float(fiber.sup_norm(out.metric - 2.0 * np.eye(1)))
     assert err <= 1e-8, "closed-form miss %.3e" % err
     assert wall < 5.0, "wall %.2fs" % wall
 
@@ -244,7 +242,7 @@ def test_c09_degree_well_defined_both_backends():
 
 def test_c10_split_instance_is_direct_sum(full_runs):
     out2 = full_runs["rank2-caseb"]
-    f2 = final_metric_original_frame(out2.gauge, out2.state)
+    f2 = out2.metric
     g = instances.make("rank2-caseb").geom
     # the two summand problems, solved independently at the same tau
     pa = PairProblem(g, 1, [[0.0]], [1.0], FOUR_PI)
@@ -253,8 +251,7 @@ def test_c10_split_instance_is_direct_sum(full_runs):
     for idx, q in ((0, pa), (1, pb)):
         out = run_continuation(q)
         assert out.report.verdict == "converged"
-        fq = final_metric_original_frame(out.gauge, out.state)
-        fsum[..., idx, idx] = fq[..., 0, 0]
+        fsum[..., idx, idx] = out.metric[..., 0, 0]
     err = float(fiber.sup_norm(f2 - fsum))
     assert err <= 1e-6, "block decomposition miss %.3e" % err
 

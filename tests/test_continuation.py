@@ -12,17 +12,18 @@ from vortexpair import higgs as higgs_mod
 from vortexpair.continuation import (ContinuationConfig, GaugeDomainError,
                                      HermPacker, MetricState, NewtonFailure,
                                      diagnostics_check, energy_identity_gap,
-                                     final_metric_original_frame,
                                      initial_gauge, newton_solve_at,
                                      residual_parts, run_continuation,
                                      uniqueness_probe)
+from vortexpair.geometry import make_backend
 from vortexpair.instances import gauge_probe
 from vortexpair.pair import PairProblem
 
 from conftest import rand_band_herm, rand_herm
 from oracles import (calc_inequality_margin, discretization_slack,
                      eps_term_through_inverse_psi, fd_lhat, k0_field,
-                     lhat_raw, monotone_gap, nie_zhang_check, tapped)
+                     lhat_raw, manufactured, monotone_gap, nie_zhang_check,
+                     tapped)
 
 
 def _state_rank1(geom, rng, amp=0.5, kmax=2):
@@ -402,7 +403,7 @@ def test_gmres_matches_dense_solve(rng):
     mmat = _Dense(np.diag(1.0 / np.diag(a)))
     b = rng.standard_normal(n)
     rtol = 1e-10
-    x, info = C.gmres(amat, b, rtol, C.GMRES_MAXITER, mmat)
+    x, info = C.gmres(amat, b, rtol, C.GMRES_MAXITER, mmat.matvec)
     assert info == 0
     assert 0 < amat.calls == mmat.calls <= n
     bn = np.linalg.norm(b)
@@ -418,7 +419,7 @@ def test_gmres_stops_after_one_cycle(rng):
     # hands back the minimal residual over its one Krylov space
     amat, mmat, b = _spread_system(rng)
     m = C.GMRES_MAXITER
-    x, info = C.gmres(amat, b, 1e-10, m, mmat)
+    x, info = C.gmres(amat, b, 1e-10, m, mmat.matvec)
     assert info == m
     assert amat.calls == mmat.calls == m
     res = np.linalg.norm(b - amat.mat @ x)
@@ -439,7 +440,7 @@ def test_gmres_stops_after_one_cycle(rng):
 @pytest.mark.parametrize("maxiter", [1, 30, C.GMRES_MAXITER])
 def test_gmres_partial_solve_spends_at_most_maxiter(rng, maxiter):
     amat, mmat, b = _spread_system(rng)
-    x, info = C.gmres(amat, b, 1e-10, maxiter, mmat)
+    x, info = C.gmres(amat, b, 1e-10, maxiter, mmat.matvec)
     assert info > 0
     assert amat.calls <= maxiter and mmat.calls <= maxiter
     # the partial step still lowers the residual
@@ -450,13 +451,13 @@ def test_gmres_partial_solve_spends_at_most_maxiter(rng, maxiter):
 def test_gmres_rejects_maxiter_below_one(maxiter):
     amat, mmat = _Dense(np.eye(3)), _Dense(np.eye(3))
     with pytest.raises(ValueError, match="maxiter >= 1"):
-        C.gmres(amat, np.ones(3), 1e-8, maxiter, mmat)
+        C.gmres(amat, np.ones(3), 1e-8, maxiter, mmat.matvec)
     assert amat.calls == mmat.calls == 0
 
 
 def test_gmres_zero_rhs_spends_no_matvec():
     amat, mmat = _Dense(np.eye(5)), _Dense(np.eye(5))
-    x, info = C.gmres(amat, np.zeros(5), 1e-8, C.GMRES_MAXITER, mmat)
+    x, info = C.gmres(amat, np.zeros(5), 1e-8, C.GMRES_MAXITER, mmat.matvec)
     assert info == 0 and amat.calls == mmat.calls == 0
     assert np.array_equal(x, np.zeros(5))
 
@@ -466,14 +467,14 @@ def test_gmres_identity_stops_after_one_matvec(rng):
     # (RuntimeWarning is an error under pytest)
     amat, mmat = _Dense(np.eye(7)), _Dense(np.eye(7))
     b = rng.standard_normal(7)
-    x, info = C.gmres(amat, b, 1e-12, C.GMRES_MAXITER, mmat)
+    x, info = C.gmres(amat, b, 1e-12, C.GMRES_MAXITER, mmat.matvec)
     assert info == 0 and amat.calls == mmat.calls == 1
     assert np.allclose(x, b, rtol=1e-14, atol=0.0)
 
 
 def test_gmres_singular_operator_is_a_breakdown():
     amat, mmat = _Dense(np.zeros((4, 4))), _Dense(np.eye(4))
-    _, info = C.gmres(amat, np.ones(4), 1e-8, C.GMRES_MAXITER, mmat)
+    _, info = C.gmres(amat, np.ones(4), 1e-8, C.GMRES_MAXITER, mmat.matvec)
     assert info < 0 and amat.calls == 1
 
 
@@ -1087,8 +1088,23 @@ def test_trivial_run_converges_to_two(trivial_run):
     out = trivial_run
     assert out.verdict == "converged"
     assert out.report.final_residual <= 1e-9
-    m = final_metric_original_frame(out.gauge, out.state)
-    assert fiber.sup_norm(m - 2.0) < 1e-8
+    assert fiber.sup_norm(out.metric - 2.0) < 1e-8
+
+
+def test_manufactured_torus_solution_is_recovered():
+    # f* solves its own discrete equation; at n = 64 the run returns it
+    # in the problem's frame, and at n = 32 the rebased section fails
+    # the holomorphy check, so the run records no state
+    p, fstar = manufactured(make_backend("torus", 64), 15.0, 0.02, 3)
+    assert fiber.sup_norm(C.residual_L(p, 0.0, fstar)) < 1e-13
+    out = run_continuation(p)
+    assert out.verdict == "converged"
+    assert fiber.sup_norm(out.metric - fstar) <= 1e-9
+    p, _ = manufactured(make_backend("torus", 32), 15.0, 0.02, 3)
+    out = run_continuation(p)
+    assert out.verdict == "failed"
+    assert "rebased problem rejected" in out.report.cause
+    assert out.metric is None
 
 
 def test_trace_schedule_and_diagnostics(stable_tapped):
@@ -1316,7 +1332,9 @@ def test_newton_operator_at_eps_zero(name, n, expect):
     # rank2-extension keep it positive (torus-wave's run at n = 16 ends
     # failed). rank2-caseb and higgs-theta-zero have an exact kernel: the
     # constants on the summand without the section (1 and 4 directions),
-    # each with its three Nyquist partners on the torus
+    # each with its three Nyquist partners on the torus, where p_symbol
+    # vanishes. Every kernel vector's grid FFT lies on those four modes,
+    # so the dimensions 1 x 4 and 4 x 4 pin the span
     cfg = ContinuationConfig(eps_min=1e-2, full_diagnostics=False)
     out = run_continuation(instances.make(name, n=n), cfg)
     assert out.verdict == "converged"
@@ -1332,6 +1350,18 @@ def test_newton_operator_at_eps_zero(name, n, expect):
         assert sv[-1] > 0.0
     else:
         assert np.count_nonzero(sv < 1e-10) == expect, sv[-expect - 1:]
+        _, sv, vt = np.linalg.svd(dense)
+        off = np.ones((n, n), dtype=bool)
+        off[::n // 2, ::n // 2] = False
+        for x in vt[sv < 1e-10]:
+            h = packer.unpack(x)
+            hat = np.abs(np.fft.fft2(h, axes=(0, 1)))
+            assert np.max(hat[off]) <= 1e-10 * np.max(hat)
+            if name == "rank2-caseb":
+                # on entry (1, 1) alone, the summand without the section
+                scale = fiber.sup_norm(h)
+                h[..., 1, 1] = 0.0
+                assert fiber.sup_norm(h) <= 1e-10 * scale
 
 
 def test_min_ritz_floor_is_one_on_identity_operator(monkeypatch):
